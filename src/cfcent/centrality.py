@@ -9,6 +9,7 @@ always positive.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -18,11 +19,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
-from .resistance import (
-    build_sketch,
-    resistances_from_node,
-    sketch_distance_sums,
-)
+from .resistance import build_sketch, node_solution_chunks, sketch_distance_sums
 from .solver import MultigridHierarchy, SolverConfig
 
 __all__ = [
@@ -84,21 +81,38 @@ def cf_closeness_exact(
 ) -> ScoreTable:
     """Current-flow closeness from resistances to every other node.
 
-    Exact up to the solver tolerance.  One system is solved per distinct
-    node of the graph, shared by all query nodes.
+    Exact up to the solver tolerance.  On a connected graph the resistance
+    sum is ``sum_w R(v, w) = n L+_vv + tr L+``, so only the diagonal of the
+    pseudoinverse is needed: every node's solution is streamed once and
+    only its own entry is kept, in ``O(BLOCK_COLUMNS * threads * n)``
+    memory.
     """
     nodes = _check_query(g, query_nodes)
     n = g.n
-    all_nodes = np.arange(n)
-    cache: dict[int, np.ndarray] = {}
-    scores: dict[int, float] = {}
-    for v in nodes:
-        dist = resistances_from_node(
-            hierarchy, v, all_nodes, config, cache=cache, threads=threads
-        )
-        scores[v] = (n - 1) / float(dist.sum())
+    diag = np.empty(n)
+    for chunk, z in node_solution_chunks(hierarchy, np.arange(n), config, threads):
+        diag[chunk] = z[np.arange(chunk.size), chunk]
+    trace = float(diag.sum())
+    scores = {v: (n - 1) / (n * float(diag[v]) + trace) for v in nodes}
     tau = (config or hierarchy.config).tau
     return ScoreTable(Measure.CF_EXACT, {"tau": tau}, scores)
+
+
+def _pivot_distance_sums(
+    z_query: np.ndarray, query: np.ndarray, z_pivot: np.ndarray, pivots: np.ndarray
+) -> np.ndarray:
+    """Resistance sums from each query node to all pivots.
+
+    Row ``i`` of ``z_query`` is the node solution of ``query[i]`` and row
+    ``j`` of ``z_pivot`` that of ``pivots[j]``.  Uses the four-entry
+    formula and the ``v == p`` rule of :func:`resistances_from_node`, in
+    the same order, so the sums match it bit for bit.
+    """
+    own = z_query[np.arange(query.size), query]
+    at_pivot = z_pivot[np.arange(pivots.size), pivots]
+    dist = (own[:, None] - z_query[:, pivots]) - z_pivot[:, query].T + at_pivot
+    dist[query[:, None] == pivots] = 0.0
+    return dist.sum(axis=1)
 
 
 def cf_closeness_sampling(
@@ -114,25 +128,35 @@ def cf_closeness_sampling(
 
     One pivot set of ``k`` distinct nodes is drawn uniformly (without
     replacement) and shared by every query node; the resistance sum over
-    pivots is scaled by n/k.  Zero pivot distance sums (possible only for
-    k=1 with the query node as the pivot) raise
-    :class:`UndefinedScoreError`.
+    pivots is scaled by n/k.  The pivot solutions are kept as one k x n
+    block and the other query nodes are streamed past it, so memory is
+    ``O((k + BLOCK_COLUMNS * threads) * n)`` for any query size.  Zero
+    pivot distance sums (possible only for k=1 with the query node as the
+    pivot) raise :class:`UndefinedScoreError`.
     """
     nodes = _check_query(g, query_nodes)
     n = g.n
     pivots = pivot_set(n, k, seed)
-    cache: dict[int, np.ndarray] = {}
+    z_pivot = np.vstack(
+        [z for _, z in node_solution_chunks(hierarchy, pivots, config, threads)]
+    )
+    # Query nodes that are pivots reuse their pivot rows; the rest stream.
+    queried_pivots = np.intersect1d(nodes, pivots)
+    blocks = itertools.chain(
+        [(queried_pivots, z_pivot[np.searchsorted(pivots, queried_pivots)])],
+        node_solution_chunks(hierarchy, np.setdiff1d(nodes, pivots), config, threads),
+    )
+    totals: dict[int, float] = {}
+    for chunk, z in blocks:
+        sums = _pivot_distance_sums(z, chunk, z_pivot, pivots)
+        totals.update(zip(chunk.tolist(), sums.tolist()))
     scores: dict[int, float] = {}
     for v in nodes:
-        dist = resistances_from_node(
-            hierarchy, v, pivots, config, cache=cache, threads=threads
-        )
-        total = float(dist.sum())
-        if total <= 0.0:
+        if totals[v] <= 0.0:
             raise UndefinedScoreError(
                 f"pivot distance sum is zero for node {v}; score undefined"
             )
-        scores[v] = (k / n) * (n - 1) / total
+        scores[v] = (k / n) * (n - 1) / totals[v]
     tau = (config or hierarchy.config).tau
     return ScoreTable(Measure.CF_SAMPLING, {"k": k, "seed": seed, "tau": tau}, scores)
 

@@ -304,6 +304,8 @@ COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise CfcentError(f"--threads must be >= 1, got {args.threads}")
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
                 return COMMANDS[args.command](args, out)

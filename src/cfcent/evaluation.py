@@ -29,6 +29,8 @@ __all__ = [
     "degree_correlation_experiment",
 ]
 
+RANK_BLOCK_ELEMENTS = 1 << 20  # pair comparisons held at once by rank_inversions
+
 
 @dataclass(frozen=True)
 class RankComparison:
@@ -79,14 +81,19 @@ def rank_inversions(
     y = np.asarray(approx, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise DomainError("inputs must have equal length >= 2")
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    concordant = (sx == sy) & ((sx != 0) | (sy != 0))
-    both_tied = (sx == 0) & (sy == 0)
-    bad = ~(concordant | both_tied)
-    iu = np.triu_indices(x.size, 1)
-    count = int(bad[iu].sum())
-    return count, count / iu[0].size
+    q = x.size
+    # A pair is concordant or tied in both exactly when the two signs
+    # agree.  Row i of a block is compared with columns lo+1..q-1, of
+    # which triu keeps j > i; memory is O(RANK_BLOCK_ELEMENTS).
+    rows = max(1, RANK_BLOCK_ELEMENTS // q)
+    count = 0
+    for lo in range(0, q - 1, rows):
+        hi = min(lo + rows, q - 1)
+        sx = np.sign(x[lo:hi, None] - x[None, lo + 1 :])
+        sy = np.sign(y[lo:hi, None] - y[None, lo + 1 :])
+        count += int(np.count_nonzero(np.triu(sx != sy)))
+    pairs = q * (q - 1) // 2
+    return count, count / pairs
 
 
 def max_relative_error(exact: Sequence[float], approx: Sequence[float]) -> float:

@@ -2,29 +2,32 @@
 
 The exact route solves one Laplacian system per unit source/sink supply.
 The amortized route solves ``L z_x = e_x - 1/n`` once per node ``x`` and
-recovers any pairwise resistance from four entries of the cached
-solutions.  The sketched route projects the edge-space embedding whose
-pairwise squared distances are the resistances onto a random
-low-dimensional subspace, at the cost of one solve per sketch row.
+recovers any pairwise resistance from four entries of the node
+solutions; :func:`node_solution_chunks` streams those solutions in
+fixed-width blocks, and :func:`node_solution` caches them.  The sketched
+route projects the edge-space embedding whose pairwise squared distances
+are the resistances onto a random low-dimensional subspace, at the cost
+of one solve per sketch row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .graph import Graph, incidence_and_weights
-from .solver import MultigridHierarchy, SolverConfig, solve, solve_many
+from .solver import BLOCK_COLUMNS, MultigridHierarchy, SolverConfig, solve, solve_many
 
 __all__ = [
     "SupplySpec",
     "ResistanceSketch",
     "effective_resistance",
     "resistances_from_node",
+    "node_solution_chunks",
     "node_solution",
     "build_sketch",
     "sketch_distance",
@@ -74,6 +77,36 @@ def effective_resistance(
     return float(potential.values[u] - potential.values[v])
 
 
+def node_solution_chunks(
+    hierarchy: MultigridHierarchy,
+    nodes: Sequence[int],
+    config: SolverConfig | None = None,
+    threads: int = 1,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream the solutions of ``L z_x = e_x - (1/n) 1`` for ``nodes``.
+
+    Yields ``(chunk, z)`` in node order, where ``chunk`` holds the next
+    ``BLOCK_COLUMNS * max(1, threads)`` node ids and row ``i`` of ``z`` is
+    the mean-centered solution for ``chunk[i]``.  Each chunk is one
+    :func:`solve_many` call; chunks start on block boundaries, so every
+    value is independent of ``threads``.  Only the current chunk is held,
+    so memory is ``O(BLOCK_COLUMNS * threads * n)`` for any node count.
+    """
+    n = hierarchy.n
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+        raise DomainError("node ids out of range")
+    width = BLOCK_COLUMNS * max(1, threads)
+    for start in range(0, nodes.size, width):
+        chunk = nodes[start : start + width]
+        supplies = np.full((chunk.size, n), -1.0 / n)
+        supplies[np.arange(chunk.size), chunk] += 1.0
+        solved = solve_many(hierarchy, supplies, config, threads=threads)
+        z = np.vstack([pot.values for pot in solved])
+        del supplies, solved  # hold only ``z`` while the caller works
+        yield chunk, z
+
+
 def node_solution(
     hierarchy: MultigridHierarchy,
     nodes: Sequence[int],
@@ -84,18 +117,14 @@ def node_solution(
     """Mean-centered solutions of ``L z_x = e_x - (1/n) 1`` for each node.
 
     Passing a ``cache`` dict makes repeated calls reuse earlier solves;
-    the same dict can be shared by many centrality queries.
+    the same dict can be shared by many resistance queries.  The cache
+    holds one n-vector per node, so callers that need each solution only
+    once should stream :func:`node_solution_chunks` instead.
     """
-    n = hierarchy.n
     cache = cache if cache is not None else {}
     missing = sorted({int(x) for x in nodes} - cache.keys())
-    if missing:
-        supplies = np.full((len(missing), n), -1.0 / n)
-        for row, x in enumerate(missing):
-            supplies[row, x] += 1.0
-        solved = solve_many(hierarchy, supplies, config, threads=threads)
-        for x, pot in zip(missing, solved):
-            cache[x] = pot.values
+    for chunk, z in node_solution_chunks(hierarchy, missing, config, threads):
+        cache.update(zip(chunk.tolist(), z))
     return cache
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from cfcent import (
     sp_closeness,
 )
 from cfcent.centrality import pivot_set
-from cfcent.generators import complete_graph, path_graph, star_graph
+from cfcent.generators import barabasi_albert_graph, complete_graph, path_graph, star_graph
+from cfcent.resistance import node_solution, resistances_from_node
 
 from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix_oracle
 
@@ -26,6 +28,24 @@ from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix
 def hierarchy_for(g, **cfg):
     config = SolverConfig(**cfg) if cfg else SolverConfig()
     return setup(laplacian(g), config), config
+
+
+def pair_formula_sums(h, cfg, query, targets):
+    """Resistance sums from each query node to ``targets``, pair by pair,
+    from one cache of node solutions."""
+    cache = node_solution(h, np.union1d(query, targets), cfg)
+    return np.array(
+        [resistances_from_node(h, v, targets, cfg, cache=cache).sum() for v in query]
+    )
+
+
+def traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestExact:
@@ -64,6 +84,15 @@ class TestExact:
             h = setup(laplacian(g), cfg)
             got = cf_closeness_exact(g, h, range(4), cfg).vector(range(4))
             assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
+
+    def test_diagonal_identity_matches_pair_formula(self, rng):
+        g = random_connected_graph(150, rng, extra_edge_prob=0.03, weighted=True)
+        h, cfg = hierarchy_for(g, max_direct_size=16)
+        assert len(h.levels) > 1
+        query = list(range(0, 150, 3))
+        sums = pair_formula_sums(h, cfg, query, np.arange(150))
+        got = cf_closeness_exact(g, h, query, cfg).vector(query)
+        assert got == pytest.approx((150 - 1) / sums, rel=1e-6)
 
     def test_permutation_equivariance(self, rng):
         g = random_connected_graph(15, rng, weighted=True)
@@ -121,6 +150,20 @@ class TestSampling:
         b = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9, config=cfg)
         assert a.scores == b.scores
 
+    def test_streamed_scores_equal_pair_formula(self, rng):
+        n, k = 200, 12
+        g = random_connected_graph(n, rng, extra_edge_prob=0.03)
+        h, cfg = hierarchy_for(g, max_direct_size=16)
+        assert len(h.levels) > 1
+        pivots = pivot_set(n, k, seed=4)
+        others = np.setdiff1d(np.arange(n), pivots)
+        query = [int(v) for v in rng.choice(others, 90, replace=False)]
+        query += [int(p) for p in pivots[::3]]  # pivots that are also queried
+        sums = pair_formula_sums(h, cfg, query, pivots)
+        table = cf_closeness_sampling(g, h, query, k=k, seed=4, config=cfg)
+        expected = [(k / n) * (n - 1) / float(total) for total in sums]
+        assert table.vector(query).tolist() == expected
+
     def test_estimator_close_to_exact_on_medium_graph(self, rng):
         g = random_connected_graph(300, rng)
         h, cfg = hierarchy_for(g)
@@ -129,6 +172,29 @@ class TestSampling:
         sampled = cf_closeness_sampling(g, h, query, k=50, seed=1, config=cfg)
         ratio = sampled.vector(query) / exact
         assert np.all((ratio > 0.5) & (ratio < 2.0))
+
+
+class TestStreamingMemory:
+    """Both solve-per-node estimators hold O((k + 64 threads) n) floats,
+    never the n x n matrix of all node solutions."""
+
+    @pytest.fixture(scope="class")
+    def ba2000(self):
+        g = barabasi_albert_graph(2000, 3, seed=1)
+        h, cfg = hierarchy_for(g)
+        return g, h, cfg
+
+    def test_exact_all_nodes_below_n_squared(self, ba2000):
+        g, h, cfg = ba2000
+        peak = traced_peak_bytes(lambda: cf_closeness_exact(g, h, range(g.n), cfg))
+        assert peak < g.n * g.n * 8
+
+    def test_sampling_all_nodes_below_n_squared(self, ba2000):
+        g, h, cfg = ba2000
+        peak = traced_peak_bytes(
+            lambda: cf_closeness_sampling(g, h, range(g.n), k=20, seed=0, config=cfg)
+        )
+        assert peak < g.n * g.n * 8
 
 
 class TestProjection:

@@ -1,6 +1,6 @@
 import pytest
 
-from cfcent.cli import EXIT_OK, EXIT_UNDEFINED_METRIC, main
+from cfcent.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDEFINED_METRIC, main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -37,11 +37,24 @@ class TestScore:
         _, second = run_cli(args, tmp_path, "b.csv")
         assert body_lines(first) == body_lines(second)
 
-    def test_threads_do_not_change_scores(self, tmp_path):
-        base = ["--command", "score", "--gen", "grid:12", "--measure", "cf_projection",
-                "--epsilon", "0.5", "--query", "random:20", "--seed", "3"]
-        _, a = run_cli(base + ["--threads", "1"], tmp_path, "a.csv")
-        _, b = run_cli(base + ["--threads", "4"], tmp_path, "b.csv")
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # grid:12 has 144 nodes and ~20 sketch rows: one block, no pool
+            ["--gen", "grid:12", "--measure", "cf_projection", "--epsilon", "0.5",
+             "--query", "random:20"],
+            # multigrid-sized graphs with more than one 64-column block, so
+            # four threads run the blocks of a chunk in the pool
+            ["--gen", "ba:1500,3", "--measure", "cf_sampling", "--query", "random:150"],
+            ["--gen", "ba:400,3", "--measure", "cf_exact", "--query", "all"],
+        ],
+        ids=["cf_projection", "cf_sampling", "cf_exact"],
+    )
+    def test_threads_do_not_change_scores(self, tmp_path, flags):
+        base = ["--command", "score", "--seed", "3"] + flags
+        code_a, a = run_cli(base + ["--threads", "1"], tmp_path, "a.csv")
+        code_b, b = run_cli(base + ["--threads", "4"], tmp_path, "b.csv")
+        assert code_a == code_b == EXIT_OK
         assert body_lines(a) == body_lines(b)
 
     def test_header_records_measure_and_residual(self, tmp_path):
@@ -206,6 +219,13 @@ class TestArgumentHandling:
         code = main(["--command", "score", "--input", str(path), "--gen", "path:5",
                      "--measure", "sp"])
         assert code != EXIT_OK
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, threads, capsys):
+        code = main(["--command", "score", "--gen", "path:5", "--measure", "cf_exact",
+                     "--query", "all", "--threads", threads])
+        assert code == EXIT_ERROR
+        assert "--threads" in capsys.readouterr().err
 
     def test_query_count_validated(self):
         code = main(["--command", "score", "--gen", "path:5", "--measure", "sp",

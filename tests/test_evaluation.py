@@ -13,6 +13,7 @@ from cfcent import (
     relative_std_dev,
     spearman,
 )
+from cfcent import evaluation
 from cfcent.evaluation import compare_rankings
 from cfcent.generators import complete_graph, grid_graph, path_graph
 
@@ -47,6 +48,20 @@ class TestSpearman:
     def test_length_validation(self):
         with pytest.raises(DomainError):
             spearman([1.0], [2.0])
+
+
+def all_pairs_inversions(exact, approx):
+    """Reference rank_inversions over the full q x q sign matrices."""
+    x = np.asarray(exact, dtype=np.float64)
+    y = np.asarray(approx, dtype=np.float64)
+    sx = np.sign(x[:, None] - x[None, :])
+    sy = np.sign(y[:, None] - y[None, :])
+    concordant = (sx == sy) & ((sx != 0) | (sy != 0))
+    both_tied = (sx == 0) & (sy == 0)
+    bad = ~(concordant | both_tied)
+    iu = np.triu_indices(x.size, 1)
+    count = int(bad[iu].sum())
+    return count, count / iu[0].size
 
 
 class TestRankInversions:
@@ -86,6 +101,15 @@ class TestRankInversions:
                 )
                 expected += bool(strict_opposed)
         assert rank_inversions(x, y)[0] == expected
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
+    def test_row_blocks_match_all_pairs_reference(self, rng, monkeypatch, block):
+        monkeypatch.setattr(evaluation, "RANK_BLOCK_ELEMENTS", block)
+        for q in (2, 3, 17, 120):
+            x = rng.integers(0, 6, size=q).astype(float)  # many ties
+            y = np.where(rng.random(q) < 0.5, x, rng.integers(0, 6, size=q))
+            assert rank_inversions(x, y) == all_pairs_inversions(x, y)
+            assert rank_inversions(x, x) == (0, 0.0)
 
     def test_bounded_by_pair_count(self, rng):
         x = rng.standard_normal(15)

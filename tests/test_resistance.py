@@ -16,7 +16,12 @@ from cfcent import (
     sketch_distance,
 )
 from cfcent.generators import complete_graph, path_graph
-from cfcent.resistance import sketch_dimension, sketch_distance_sums
+from cfcent.resistance import (
+    node_solution,
+    node_solution_chunks,
+    sketch_dimension,
+    sketch_distance_sums,
+)
 
 from conftest import random_connected_graph, resistance_matrix_oracle
 
@@ -101,6 +106,44 @@ class TestResistancesFromNode:
         solves_before = h.stats.solves
         resistances_from_node(h, 1, np.arange(20), cache=cache)
         assert h.stats.solves == solves_before  # node 1 was already cached
+
+
+class TestNodeSolutionChunks:
+    def test_chunks_are_whole_blocks_independent_of_threads(self, rng):
+        g = random_connected_graph(300, rng, extra_edge_prob=0.02)
+        h = hierarchy_for(g, max_direct_size=16)
+        nodes = rng.permutation(300)[:150]
+        streamed = {}
+        for threads, widths in ((1, [64, 64, 22]), (2, [128, 22])):
+            chunks = list(node_solution_chunks(h, nodes, threads=threads))
+            assert [c.size for c, _ in chunks] == widths
+            assert np.array_equal(np.concatenate([c for c, _ in chunks]), nodes)
+            streamed[threads] = np.vstack([z for _, z in chunks])
+        assert np.array_equal(streamed[1], streamed[2])
+
+    def test_rows_solve_node_supplies(self, rng):
+        g = random_connected_graph(40, rng, weighted=True)
+        h = hierarchy_for(g, tau=1e-9)
+        lap = laplacian(g).toarray()
+        [(chunk, z)] = node_solution_chunks(h, [5, 0, 17])
+        supplies = np.eye(40)[chunk] - 1.0 / 40
+        assert np.abs(z @ lap - supplies).max() < 1e-7
+        assert np.abs(z.sum(axis=1)).max() < 1e-10
+
+    def test_cache_rows_equal_streamed_rows(self, rng):
+        g = random_connected_graph(30, rng)
+        h = hierarchy_for(g)
+        cache = node_solution(h, [4, 9, 4])
+        [(chunk, z)] = node_solution_chunks(h, [4, 9])
+        assert sorted(cache) == [4, 9]
+        for x, row in zip(chunk, z):
+            assert np.array_equal(cache[int(x)], row)
+
+    def test_out_of_range_rejected(self):
+        h = hierarchy_for(path_graph(4))
+        for bad in ([4], [-1]):
+            with pytest.raises(DomainError):
+                next(node_solution_chunks(h, bad))
 
 
 class TestMetricLaws:
