@@ -224,9 +224,13 @@ def cmd_compare(args, out) -> int:
         "seconds_exact,seconds_approx\n"
     )
     for measure in measures:
-        start = time.perf_counter()
-        table = _score_table(measure, g, hierarchy, query, args, config, args.seed)
-        seconds = time.perf_counter() - start
+        if measure is Measure.CF_EXACT:
+            # The reference already is this measure; do not solve it twice.
+            table, seconds = exact, exact_seconds
+        else:
+            start = time.perf_counter()
+            table = _score_table(measure, g, hierarchy, query, args, config, args.seed)
+            seconds = time.perf_counter() - start
         vec = table.vector(query)
         ranks = compare_rankings(exact_vec, vec)
         emax = max_relative_error(exact_vec, vec)

@@ -4,11 +4,14 @@ The hierarchy alternates two coarsening stages.  Elimination removes an
 independent set of low-degree nodes exactly via the Schur complement;
 aggregation partitions nodes by the affinity of relaxed test vectors and
 coarsens with the Galerkin product of the piecewise-constant interpolation.
-Solves run V-cycles with Gauss-Seidel smoothing and an energy line search
-on the coarse-grid correction.  If the cycles stagnate, the solver falls
-back to flexible conjugate gradients preconditioned by one V-cycle, and
-as a last resort to Jacobi-preconditioned CG, so the residual contract
-holds on any connected input.
+Each aggregation level is also split once, at setup, into color classes
+(independent sets), each stored as its own block of matrix rows.  Solves
+run multicolor Gauss-Seidel V-cycles, one sparse row-block product per
+class, with an energy line search on the coarse-grid correction.  If the
+cycles stagnate, the solver falls back to flexible conjugate gradients
+preconditioned by one V-cycle, and as a last resort to
+Jacobi-preconditioned CG, so the residual contract holds on any
+connected input.
 
 Singularity of the Laplacian is handled by mean-centering supplies and
 iterates; the coarsest level is factorized densely with one node grounded.
@@ -26,19 +29,21 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import spsolve_triangular  # test vectors only
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "SolverConfig",
     "LevelKind",
+    "ColorClass",
     "Level",
     "MultigridHierarchy",
     "PotentialVector",
     "setup",
     "coarsen_eliminate",
     "coarsen_aggregate",
+    "color_classes",
     "relaxed_test_vectors",
     "solve",
     "solve_many",
@@ -62,7 +67,8 @@ STOP_MARGIN = 0.9             # iterate slightly past tau so independently
 class SolverConfig:
     """Tuning knobs for hierarchy construction and solves.
 
-    ``smoothing_steps`` is (pre, post) Gauss-Seidel sweeps per V-cycle.
+    ``smoothing_steps`` is (pre, post) multicolor Gauss-Seidel sweeps per
+    V-cycle.
     """
 
     tau: float = 1e-5
@@ -94,6 +100,16 @@ class LevelKind(Enum):
     COARSEST = "coarsest"
 
 
+@dataclass(frozen=True)
+class ColorClass:
+    """One Gauss-Seidel color class: pairwise non-adjacent nodes, their
+    rows of the level matrix, and their inverse diagonal as a column."""
+
+    nodes: np.ndarray
+    rows: sp.csr_matrix
+    dinv: np.ndarray
+
+
 @dataclass
 class Level:
     """One hierarchy level: its Laplacian plus transfer data to the next."""
@@ -106,12 +122,9 @@ class Level:
     f_degree: np.ndarray | None = None
     w_cf: sp.csr_matrix | None = None
     w_fc: sp.csr_matrix | None = None
-    # aggregation transfer
+    # aggregation transfer and smoother
     p: sp.csr_matrix | None = None
-    aggregates: np.ndarray | None = None
-    # Gauss-Seidel factors (aggregation levels only)
-    m_lower: sp.csr_matrix | None = None
-    m_upper: sp.csr_matrix | None = None
+    colors: tuple[ColorClass, ...] = ()
     # coarsest-level dense factorization of the grounded system
     grounded_factor: tuple | None = None
 
@@ -150,6 +163,19 @@ class MultigridHierarchy:
     @property
     def level_sizes(self) -> list[int]:
         return [lvl.size for lvl in self.levels]
+
+    def describe(self) -> list[dict]:
+        """One entry per level, finest first: kind, size, matrix nonzeros
+        and number of smoother color classes (0 off aggregation levels)."""
+        return [
+            {
+                "kind": lvl.kind.value,
+                "size": lvl.size,
+                "nnz": int(lvl.matrix.nnz),
+                "colors": len(lvl.colors),
+            }
+            for lvl in self.levels
+        ]
 
 
 @dataclass
@@ -253,9 +279,9 @@ def coarsen_eliminate(
     in_f[f] = True
     c = np.nonzero(~in_f)[0]
     d_f = matrix.diagonal()[f]
-    l_cf = matrix[c][:, f].tocsr()
-    w_cf = (-l_cf).tocsr()
-    schur = matrix[c][:, c] - w_cf @ sp.diags(1.0 / d_f) @ w_cf.T
+    rows_c = matrix[c]
+    w_cf = -rows_c[:, f]
+    schur = rows_c[:, c] - w_cf @ sp.diags(1.0 / d_f) @ w_cf.T
     return _rebuild_laplacian(schur), EliminationRecord(
         f_nodes=f, c_nodes=c, f_degree=d_f, w_cf=w_cf
     )
@@ -277,7 +303,7 @@ def relaxed_test_vectors(
 
 def coarsen_aggregate(
     matrix: sp.csr_matrix, test_vectors: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Affinity-based greedy aggregation with Galerkin coarse operator.
 
     The affinity of two nodes is the squared normalized inner product of
@@ -290,9 +316,10 @@ def coarsen_aggregate(
     affinity clears the threshold, and unbounded aggregates grow into
     shapes that piecewise-constant interpolation cannot represent.
 
-    Returns the coarse Laplacian ``P.T @ L @ P`` and the node-to-aggregate
-    map.  A partition always exists; with all-singleton aggregates the
-    stage is simply non-reducing.
+    Returns the coarse Laplacian ``P.T @ L @ P`` and the interpolation
+    ``P``, which has one unit entry per row: node ``i`` belongs to
+    aggregate ``P.indices[i]``.  A partition always exists; with
+    all-singleton aggregates the stage is simply non-reducing.
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
@@ -312,43 +339,44 @@ def coarsen_aggregate(
         blocked[indices[indptr[u]:indptr[u + 1]]] = True
         blocked[u] = True
 
-    for _ in range(ATTACH_SWEEPS):
-        attached_any = False
-        for u in range(n):
-            if agg[u] >= 0:
-                continue
-            nbrs = indices[indptr[u]:indptr[u + 1]]
-            nbrs = nbrs[nbrs != u]
-            nbrs = nbrs[agg[nbrs] >= 0]
-            if nbrs.size == 0 or norms2[u] <= 0:
-                continue
-            dots = x[nbrs] @ x[u]
-            denom = norms2[nbrs] * norms2[u]
-            with np.errstate(divide="ignore", invalid="ignore"):
+    # One error-state context for all sweeps: entering it per node costs
+    # more than the affinity arithmetic it guards.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(ATTACH_SWEEPS):
+            attached_any = False
+            for u in range(n):
+                if agg[u] >= 0:
+                    continue
+                nbrs = indices[indptr[u]:indptr[u + 1]]
+                nbrs = nbrs[(nbrs != u) & (agg[nbrs] >= 0)]
+                if nbrs.size == 0 or norms2[u] <= 0:
+                    continue
+                dots = x[nbrs] @ x[u]
+                denom = norms2[nbrs] * norms2[u]
                 aff = np.where(denom > 0, dots * dots / denom, 0.0)
-            for best in np.argsort(-aff, kind="stable"):
-                if aff[best] <= AFFINITY_THRESHOLD:
-                    break
-                target = agg[nbrs[best]]
-                if agg_size[target] < MAX_AGGREGATE_SIZE:
-                    agg[u] = target
-                    agg_size[target] += 1
-                    attached_any = True
-                    break
-        if not attached_any:
-            break
+                for best in np.argsort(-aff, kind="stable"):
+                    if aff[best] <= AFFINITY_THRESHOLD:
+                        break
+                    target = agg[nbrs[best]]
+                    if agg_size[target] < MAX_AGGREGATE_SIZE:
+                        agg[u] = target
+                        agg_size[target] += 1
+                        attached_any = True
+                        break
+            if not attached_any:
+                break
 
     for u in range(n):
         if agg[u] < 0:
             agg[u] = next_id
             agg_size.append(1)
             next_id += 1
-    return _galerkin(matrix, agg, next_id), agg
+    return _galerkin(matrix, agg, next_id)
 
 
 def _matching_aggregation(
     matrix: sp.csr_matrix, test_vectors: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Pairwise matching by descending affinity; guarantees a reduction
     whenever the graph has at least one edge."""
     matrix = matrix.tocsr()
@@ -377,18 +405,101 @@ def _matching_aggregation(
         if partner[u] > u:
             agg[partner[u]] = next_id
         next_id += 1
-    return _galerkin(matrix, agg, next_id), agg
+    return _galerkin(matrix, agg, next_id)
 
 
-def _galerkin(matrix: sp.csr_matrix, agg: np.ndarray, n_agg: int) -> sp.csr_matrix:
+def _galerkin(
+    matrix: sp.csr_matrix, agg: np.ndarray, n_agg: int
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Coarse Laplacian ``P.T @ L @ P`` and the piecewise-constant ``P``."""
     n = matrix.shape[0]
     p = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, n_agg))
-    return _rebuild_laplacian(p.T @ matrix @ p)
+    return _rebuild_laplacian(p.T @ matrix @ p), p
 
 
-def _interpolation(agg: np.ndarray, n_agg: int) -> sp.csr_matrix:
-    n = agg.size
-    return sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, n_agg))
+def _tie_break(n: int) -> np.ndarray:
+    """Fixed pseudo-random key per node id (the splitmix64 finalizer).
+
+    Ascending ids would make only a few nodes local maxima per round on
+    meshes; a seedless hash keeps the rounds few and the classes
+    independent of ``config.seed`` and of the thread count.
+    """
+    z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _row_entries(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR entries of the rows ``nodes``: (position in ``nodes``, column)."""
+    counts = indptr[nodes + 1] - indptr[nodes]
+    owner = np.repeat(np.arange(nodes.size), counts)
+    offset = np.repeat(indptr[nodes] - (np.cumsum(counts) - counts), counts)
+    return owner, indices[np.arange(counts.sum()) + offset]
+
+
+def color_classes(matrix: sp.csr_matrix) -> list[np.ndarray]:
+    """Partition the nodes of a level into independent sets.
+
+    Round by round, every uncolored node whose priority beats that of all
+    its uncolored neighbors is colored, with the smallest color none of
+    its (already colored, higher-priority) neighbors has.  Priority is the
+    off-diagonal degree, ties broken by :func:`_tie_break`, so the classes
+    depend on the matrix pattern alone.  A round is found from the last
+    one by counting, per node, the higher-priority neighbors still
+    uncolored, so each edge is visited a bounded number of times.
+    Returns one array of ascending node ids per color.
+    """
+    matrix = matrix.tocsr()
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    cols = matrix.indices.astype(np.int64)
+    off = cols != rows
+    rows, cols = rows[off], cols[off]
+    priority = np.empty(n, dtype=np.int64)
+    priority[np.lexsort((_tie_break(n), np.bincount(rows, minlength=n)))] = np.arange(n)
+    # Per node, its higher- and lower-priority neighbors as CSR (rows stay
+    # sorted under the mask).
+    up = priority[cols] > priority[rows]
+    up_ptr = np.r_[0, np.cumsum(np.bincount(rows[up], minlength=n))]
+    down_ptr = np.r_[0, np.cumsum(np.bincount(rows[~up], minlength=n))]
+    up_cols, down_cols = cols[up], cols[~up]
+    waiting = np.diff(up_ptr)
+    color = np.zeros(n, dtype=np.int64)
+    width = 1  # exceeds every color assigned so far
+    frontier = np.flatnonzero(waiting == 0)
+    while frontier.size:
+        # Smallest free color: after sorting each node's distinct neighbor
+        # colors, it is the length of the prefix that reads 0, 1, 2, ...
+        owner, nbr = _row_entries(up_ptr, up_cols, frontier)
+        if owner.size:
+            key = np.sort(owner * width + color[nbr])
+            key = key[np.diff(key, prepend=-1) > 0]
+            owner, used = np.divmod(key, width)
+            group = np.searchsorted(owner, owner)
+            prefix = used == np.arange(owner.size) - group
+            picked = np.bincount(owner[prefix], minlength=frontier.size)
+            color[frontier] = picked
+            width = max(width, int(picked.max()) + 1)
+        _, released = _row_entries(down_ptr, down_cols, frontier)
+        hits = np.bincount(released, minlength=n)
+        waiting -= hits
+        frontier = np.flatnonzero((hits > 0) & (waiting == 0))
+    order = np.argsort(color, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(color))]
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _aggregation_level(matrix: sp.csr_matrix, p: sp.csr_matrix) -> Level:
+    """Aggregation level with its smoother's color classes."""
+    dinv = 1.0 / matrix.diagonal()
+    colors = tuple(
+        ColorClass(nodes=nodes, rows=matrix[nodes], dinv=dinv[nodes, None])
+        for nodes in color_classes(matrix)
+    )
+    return Level(kind=LevelKind.AGGREGATION, matrix=matrix, p=p, colors=colors)
 
 
 def _factor_coarsest(matrix: sp.csr_matrix) -> tuple | None:
@@ -450,14 +561,14 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
                 vectors = relaxed_test_vectors(
                     current, config.aggregation_test_vectors, rng
                 )
-                coarse, agg = coarsen_aggregate(current, vectors)
-                red = n_cur - (int(agg.max()) + 1)
+                coarse, p = coarsen_aggregate(current, vectors)
+                red = n_cur - coarse.shape[0]
                 if red < need:
-                    mcoarse, magg = _matching_aggregation(current, vectors)
-                    mred = n_cur - (int(magg.max()) + 1)
+                    mcoarse, mp = _matching_aggregation(current, vectors)
+                    mred = n_cur - mcoarse.shape[0]
                     if mred > red:
-                        coarse, agg, red = mcoarse, magg, mred
-                candidates[kind] = (red, coarse, agg, vectors)
+                        coarse, p, red = mcoarse, mp, mred
+                candidates[kind] = (red, coarse, p, vectors)
             return candidates[kind]
 
         other = (
@@ -493,17 +604,7 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
                 )
             )
         else:
-            agg: np.ndarray = extra
-            levels.append(
-                Level(
-                    kind=LevelKind.AGGREGATION,
-                    matrix=current,
-                    p=_interpolation(agg, int(agg.max()) + 1),
-                    aggregates=agg,
-                    m_lower=sp.tril(current, 0, format="csr"),
-                    m_upper=sp.triu(current, 0, format="csr"),
-                )
-            )
+            levels.append(_aggregation_level(current, extra))
         current = coarse
         preferred = (
             LevelKind.AGGREGATION
@@ -541,10 +642,11 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np
         return x
 
     matrix = level.matrix
-    # Pre-smoothing from zero initial guess: first sweep is M^{-1} b.
-    x = spsolve_triangular(level.m_lower, b, lower=True)
-    for _ in range(nu1 - 1):
-        x += spsolve_triangular(level.m_lower, b - matrix @ x, lower=True)
+    # Pre-smoothing sweeps the classes forward from a zero initial guess,
+    # post-smoothing sweeps them in reverse.
+    x = np.zeros_like(b)
+    for _ in range(nu1):
+        _sweep(level.colors, x, b)
     residual = b - matrix @ x
     xc = _cycle(levels, j + 1, level.p.T @ residual, nu1, nu2)
     direction = level.p @ xc
@@ -556,8 +658,22 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np
     alpha = np.divide(num, den, out=np.ones_like(num), where=den > 0)
     x += direction * alpha
     for _ in range(nu2):
-        x += spsolve_triangular(level.m_upper, b - matrix @ x, lower=False)
+        _sweep(level.colors[::-1], x, b)
     return x
+
+
+def _sweep(classes: Sequence[ColorClass], x: np.ndarray, b: np.ndarray) -> None:
+    """One Gauss-Seidel sweep in place, a color class at a time.
+
+    Nodes of one class are not adjacent, so updating them together is
+    exactly a point Gauss-Seidel sweep in class order.  Each column's
+    arithmetic is independent of the other columns of the block.
+    """
+    for cls in classes:
+        step = cls.rows @ x
+        np.subtract(b[cls.nodes], step, out=step)
+        step *= cls.dinv
+        x[cls.nodes] += step
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:
@@ -653,8 +769,11 @@ def _solve_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``L x = b`` for every column of ``block``.
 
-    Every column is treated independently (frozen at its own convergence
-    cycle), so results do not depend on which columns share a block.
+    Every column runs its own iteration and leaves the loop at its own
+    convergence cycle.  Its low-order bits may still depend on which
+    columns share the block, because numpy reduces a one-column array in
+    a different order than a wider one; callers that need reproducible
+    bits keep block composition fixed, as :func:`solve_many` does.
     Returns mean-centered solutions and independently recomputed relative
     residuals.
     """
@@ -684,38 +803,38 @@ def _solve_block(
     res = np.zeros(ncols)
     fallback_count = 0
 
-    active = np.nonzero(nonzero)[0]
+    active = np.flatnonzero(nonzero)
     if active.size:
-        safe_norm = np.where(nonzero, bnorm, 1.0)
-        stagnant = np.zeros(ncols, dtype=np.int64)
-        prev = np.full(ncols, np.inf)
-        needs_fallback: list[int] = []
-        for _ in range(config.max_cycles):
-            r = b[:, active] - matrix @ x[:, active]
-            res[active] = _column_norms(r) / safe_norm[active]
-            factor = res[active] / prev[active]
-            stagnant[active] = np.where(
-                factor > STAGNATION_FACTOR, stagnant[active] + 1, 0
-            )
-            prev[active] = res[active]
-            conv = res[active] <= stop_tau
-            stuck = stagnant[active] >= STAGNATION_CYCLES
-            needs_fallback.extend(active[stuck & ~conv].tolist())
-            keep = ~conv & ~stuck
-            active = active[keep]
-            if active.size == 0:
-                break
-            x[:, active] += _cycle(levels, 0, _center(r[:, keep]), nu1, nu2)
-            x[:, active] = _center(x[:, active])
-        else:
-            r = b[:, active] - matrix @ x[:, active]
-            res[active] = _column_norms(r) / safe_norm[active]
-            conv = res[active] <= stop_tau
-            needs_fallback.extend(active[~conv].tolist())
-            active = active[:0]
+        # The active columns live in contiguous arrays; a column is written
+        # back to ``x`` (and the arrays narrowed) only on the cycle where
+        # it converges, stalls or runs out of cycles.
+        xa = np.zeros((n, active.size))
+        ba = b[:, active]
+        norm_a = bnorm[active]
+        stagnant = np.zeros(active.size, dtype=np.int64)
+        prev = np.full(active.size, np.inf)
+        needs_fallback: list[np.ndarray] = []
+        for cycle in range(config.max_cycles + 1):
+            r = ba - matrix @ xa
+            res_a = _column_norms(r) / norm_a
+            stagnant = np.where(res_a / prev > STAGNATION_FACTOR, stagnant + 1, 0)
+            prev = res_a
+            conv = res_a <= stop_tau
+            done = conv | (stagnant >= STAGNATION_CYCLES) | (cycle == config.max_cycles)
+            if done.any():
+                x[:, active[done]] = xa[:, done]
+                res[active[done]] = res_a[done]
+                needs_fallback.append(active[done & ~conv])
+                keep = ~done
+                if not keep.any():
+                    break
+                active, xa, ba, r = active[keep], xa[:, keep], ba[:, keep], r[:, keep]
+                norm_a, stagnant, prev = norm_a[keep], stagnant[keep], prev[keep]
+            xa += _cycle(levels, 0, _center(r), nu1, nu2)
+            xa = _center(xa)
 
-        if needs_fallback:
-            cols = np.asarray(sorted(needs_fallback), dtype=np.int64)
+        cols = np.sort(np.concatenate(needs_fallback))
+        if cols.size:
             fallback_count = cols.size
             xf, rf = _fcg(
                 levels,
@@ -774,12 +893,15 @@ def solve_many(
     config: SolverConfig | None = None,
     threads: int = 1,
 ) -> list[PotentialVector]:
-    """Solve many systems over one hierarchy; results are independent of
-    execution order and of ``threads``.
+    """Solve many systems over one hierarchy; results are bitwise
+    independent of execution order and of ``threads``.
 
     ``supplies`` holds one right-hand side per row (or a 2-D array of
-    such rows).  Columns are processed in fixed-size blocks so the
-    numerical result never depends on the worker count.
+    such rows).  Rows are solved in blocks of ``BLOCK_COLUMNS`` whose
+    boundaries depend only on the row count, so every block, and every
+    bit of its result, is the same whichever worker runs it.  A row may
+    differ at roundoff from the same supply solved in another batch (see
+    :func:`_solve_block`).
     """
     config = config or hierarchy.config
     stacked = np.asarray(supplies, dtype=np.float64)

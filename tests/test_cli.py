@@ -135,6 +135,28 @@ class TestCompare:
         assert int(row[3]) == 0                       # inversions
         assert float(row[5]) == pytest.approx(1.0)    # max relative error
 
+    def test_exact_measure_reuses_the_reference(self, tmp_path, monkeypatch):
+        import cfcent.cli as cli
+
+        calls = []
+        real = cli.cf_closeness_exact
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cf_closeness_exact", counting)
+        code, text = run_cli(
+            ["--command", "compare", "--gen", "ba:150,2", "--measure", "cf_exact",
+             "--query", "random:25", "--seed", "2"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        row = body_lines(text)[1].split(",")
+        assert row[0] == "cf_exact"
+        assert row[6] == row[7]   # the reference time is reported for both
+
     def test_default_runs_both_estimators(self, tmp_path):
         code, text = run_cli(
             ["--command", "compare", "--gen", "ba:200,2", "--query", "random:20",

@@ -10,10 +10,12 @@ from cfcent.generators import (
     path_graph,
     star_graph,
 )
+from cfcent import solver as solver_module
 from cfcent.solver import (
     LevelKind,
     coarsen_aggregate,
     coarsen_eliminate,
+    color_classes,
     relaxed_test_vectors,
 )
 
@@ -160,9 +162,9 @@ class TestAggregate:
         g = Graph.from_edges(us, vs, n=8)
         lap = laplacian(g).tocsr()
         vectors = relaxed_test_vectors(lap, 4, np.random.default_rng(0))
-        coarse, agg = coarsen_aggregate(lap, vectors)
+        coarse, p = coarsen_aggregate(lap, vectors)
         # at most two aggregates; the bridge node may join either side
-        assert int(agg.max()) + 1 == 2
+        assert p.shape[1] == 2
         dense = coarse.toarray()
         assert dense.shape == (2, 2)
         assert dense[0, 1] < 0  # coarse graph is a single weighted edge
@@ -172,15 +174,15 @@ class TestAggregate:
         g = random_connected_graph(80, rng, weighted=True)
         lap = laplacian(g).tocsr()
         vectors = relaxed_test_vectors(lap, 4, rng)
-        coarse, agg = coarsen_aggregate(lap, vectors)
+        coarse, _ = coarsen_aggregate(lap, vectors)
         nc = coarse.shape[0]
         assert np.abs(coarse @ np.ones(nc)).max() < 1e-9
 
     def test_reduces_when_affinities_high(self, rng):
         lap = laplacian(grid_graph(12)).tocsr()
         vectors = relaxed_test_vectors(lap, 4, rng)
-        coarse, agg = coarsen_aggregate(lap, vectors)
-        assert int(agg.max()) + 1 < lap.shape[0]
+        coarse, p = coarsen_aggregate(lap, vectors)
+        assert p.shape[1] < lap.shape[0]
 
     def test_galerkin_symmetry(self, rng):
         g = random_connected_graph(60, rng, weighted=True)
@@ -188,6 +190,95 @@ class TestAggregate:
         vectors = relaxed_test_vectors(lap, 4, rng)
         coarse, _ = coarsen_aggregate(lap, vectors)
         assert (abs(coarse - coarse.T)).max() < 1e-12
+
+    def test_interpolation_is_the_aggregate_map(self, rng):
+        lap = laplacian(grid_graph(12)).tocsr()
+        vectors = relaxed_test_vectors(lap, 4, rng)
+        coarse, p = coarsen_aggregate(lap, vectors)
+        assert p.shape == (lap.shape[0], coarse.shape[0])
+        assert np.array_equal(np.diff(p.indptr), np.ones(lap.shape[0]))
+        assert np.all(p.data == 1.0)
+        assert np.array_equal(np.unique(p.indices), np.arange(coarse.shape[0]))
+        assert (abs(coarse - p.T @ lap @ p)).max() < 1e-12
+
+
+def _color_test_laplacians():
+    rng = np.random.default_rng(7)
+    return {
+        "grid": laplacian(grid_graph(30)).tocsr(),
+        "ba": laplacian(barabasi_albert_graph(800, 3, seed=1)).tocsr(),
+        "star": laplacian(star_graph(50)).tocsr(),
+        "weighted": laplacian(random_connected_graph(300, rng, weighted=True)).tocsr(),
+    }
+
+
+class TestColorClasses:
+    @pytest.mark.parametrize("name", ["grid", "ba", "star", "weighted"])
+    def test_classes_partition_into_independent_sets(self, name):
+        lap = _color_test_laplacians()[name]
+        classes = color_classes(lap)
+        nodes = np.concatenate(classes)
+        assert np.array_equal(np.sort(nodes), np.arange(lap.shape[0]))
+        for cls in classes:
+            assert cls.size > 0
+            assert np.all(np.diff(cls) > 0)
+            block = lap[cls][:, cls]
+            assert np.count_nonzero(block.toarray() - np.diag(block.diagonal())) == 0
+        again = color_classes(lap.copy())
+        assert len(again) == len(classes)
+        assert all(np.array_equal(a, b) for a, b in zip(classes, again))
+
+    def test_star_needs_two_colors(self):
+        classes = color_classes(_color_test_laplacians()["star"])
+        # the hub has the highest degree, so it is colored first, alone
+        assert [c.tolist() for c in classes] == [[0], list(range(1, 50))]
+
+    def test_levels_store_their_classes(self):
+        h = setup(laplacian(grid_graph(40)), SolverConfig(seed=3))
+        assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
+        for level in h.levels:
+            if level.kind is not LevelKind.AGGREGATION:
+                assert level.colors == ()
+                continue
+            expected = color_classes(level.matrix)
+            assert len(level.colors) == len(expected)
+            for cls, nodes in zip(level.colors, expected):
+                assert np.array_equal(cls.nodes, nodes)
+                assert (abs(cls.rows - level.matrix[nodes])).max() == 0
+                assert np.array_equal(cls.dinv[:, 0], 1.0 / level.matrix.diagonal()[nodes])
+
+    def test_sweep_is_point_gauss_seidel_in_class_order(self, rng):
+        g = random_connected_graph(300, rng, weighted=True)
+        h = setup(laplacian(g), SolverConfig(max_direct_size=10))
+        level = next(lvl for lvl in h.levels if lvl.kind is LevelKind.AGGREGATION)
+        b = rng.standard_normal((level.size, 3))
+        b -= b.mean(axis=0)
+        x0 = rng.standard_normal((level.size, 3))
+
+        swept = x0.copy()
+        solver_module._sweep(level.colors, swept, b)
+
+        dense = level.matrix.toarray()
+        expected = x0.copy()
+        for i in np.concatenate([cls.nodes for cls in level.colors]):
+            expected[i] += (b[i] - dense[i] @ expected) / dense[i, i]
+        assert swept == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestDescribe:
+    def test_one_entry_per_level(self):
+        h = setup(laplacian(grid_graph(40)), SolverConfig())
+        rows = h.describe()
+        assert [r["size"] for r in rows] == h.level_sizes
+        assert [r["kind"] for r in rows] == [lvl.kind.value for lvl in h.levels]
+        assert [r["nnz"] for r in rows] == [lvl.matrix.nnz for lvl in h.levels]
+        for row, level in zip(rows, h.levels):
+            if level.kind is LevelKind.AGGREGATION:
+                assert row["colors"] == len(color_classes(level.matrix)) >= 2
+            else:
+                assert row["colors"] == 0
+        assert rows[-1]["kind"] == "coarsest"
+        assert any(r["kind"] == "aggregation" for r in rows)
 
 
 class TestSolve:
@@ -261,14 +352,30 @@ class TestSolveMany:
         assert np.array_equal(res[0].values, -res[1].values)
 
     def test_thread_count_does_not_change_results(self, rng):
-        g = grid_graph(16)
+        # grid:40 has aggregation levels, so the multicolor smoother runs
+        g = grid_graph(40)
         h = setup(laplacian(g), SolverConfig())
+        assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         supplies = rng.standard_normal((130, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         serial = solve_many(h, supplies, threads=1)
         threaded = solve_many(h, supplies, threads=4)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.values, b.values)
+            assert a.achieved_residual == b.achieved_residual
+
+    def test_solves_never_use_triangular_solves(self, rng, monkeypatch):
+        g = grid_graph(40)
+        h = setup(laplacian(g), SolverConfig())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spsolve_triangular reached from a solve")
+
+        monkeypatch.setattr(solver_module, "spsolve_triangular", forbidden)
+        supplies = rng.standard_normal((3, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        for pot in solve_many(h, supplies):
+            assert pot.achieved_residual <= 1e-5
 
     def test_batch_position_changes_results_only_at_roundoff(self, rng):
         # A column solved alongside different neighbors may differ by
