@@ -102,8 +102,9 @@ def node_solution_chunks(
         supplies = np.full((chunk.size, n), -1.0 / n)
         supplies[np.arange(chunk.size), chunk] += 1.0
         solved = solve_many(hierarchy, supplies, config, threads=threads)
+        del supplies  # stacking the rows then holds two chunk arrays, not three
         z = np.vstack([pot.values for pot in solved])
-        del supplies, solved  # hold only ``z`` while the caller works
+        del solved  # hold only ``z`` while the caller works
         yield chunk, z
 
 
@@ -219,6 +220,7 @@ def build_sketch(
             rng.integers(0, 2, size=(stop - start, m)).astype(np.float64) * 2.0 - 1.0
         ) * inv_sqrt_k
         rhs[start:stop] = (scaled_t @ q_block.T).T
+    del q_block  # the dense m-wide signs are dead once pushed to node space
 
     # Each row is a signed combination of incidence rows, so it must sum
     # to zero already; re-centering only removes accumulated roundoff.
@@ -228,6 +230,7 @@ def build_sketch(
     rhs -= rhs.mean(axis=1, keepdims=True)
 
     solved = solve_many(hierarchy, rhs, config, threads=threads)
+    del rhs  # so stacking the rows below holds two k x n arrays, not three
     z = np.vstack([pot.values for pot in solved])
     max_res = max((pot.achieved_residual for pot in solved), default=0.0)
     return ResistanceSketch(z=z, k=k, epsilon=epsilon, seed=seed, max_residual=max_res)

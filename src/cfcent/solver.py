@@ -5,13 +5,14 @@ independent set of low-degree nodes exactly via the Schur complement;
 aggregation partitions nodes by the affinity of relaxed test vectors and
 coarsens with the Galerkin product of the piecewise-constant interpolation.
 Each aggregation level is also split once, at setup, into color classes
-(independent sets), each stored as its own block of matrix rows.  Solves
-run multicolor Gauss-Seidel V-cycles, one sparse row-block product per
-class, with an energy line search on the coarse-grid correction.  If the
-cycles stagnate, the solver falls back to flexible conjugate gradients
-preconditioned by one V-cycle, and as a last resort to
-Jacobi-preconditioned CG, so the residual contract holds on any
-connected input.
+(independent sets), each stored as its own block of matrix rows.  The
+V-cycle smooths with multicolor Gauss-Seidel, one sparse row-block
+product per class, and applies an energy line search to the coarse-grid
+correction.  Solves run flexible conjugate gradients with one V-cycle as
+the preconditioner of every iteration.  Columns that run out of
+iterations, break down or miss the tolerance when their residual is
+recomputed are finished by Jacobi-preconditioned CG, a safety net that
+makes the residual contract hold on any connected input.
 
 Singularity of the Laplacian is handled by mean-centering supplies and
 iterates; the coarsest level is factorized densely with one node grounded.
@@ -55,9 +56,6 @@ TEST_VECTOR_SWEEPS = 3
 MAX_AGGREGATE_SIZE = 8        # unbounded growth destroys mesh convergence
 ATTACH_SWEEPS = 3             # attachment passes after seeding
 MIN_REDUCTION = 0.10          # a stage must shrink the level by 10% to be used
-STAGNATION_FACTOR = 0.9
-STAGNATION_CYCLES = 5
-FCG_MAX_ITERS = 200
 BLOCK_COLUMNS = 64            # fixed so results never depend on thread count
 STOP_MARGIN = 0.9             # iterate slightly past tau so independently
                               # recomputed residuals stay below it
@@ -67,8 +65,10 @@ STOP_MARGIN = 0.9             # iterate slightly past tau so independently
 class SolverConfig:
     """Tuning knobs for hierarchy construction and solves.
 
-    ``smoothing_steps`` is (pre, post) multicolor Gauss-Seidel sweeps per
-    V-cycle.
+    ``max_cycles`` caps the flexible-PCG iterations per column, one
+    V-cycle each; a column still above ``tau`` then goes to the Jacobi-CG
+    safety net.  ``smoothing_steps`` is (pre, post) multicolor
+    Gauss-Seidel sweeps per V-cycle.
     """
 
     tau: float = 1e-5
@@ -135,19 +135,25 @@ class Level:
 
 @dataclass
 class SolveStats:
-    """Aggregate bookkeeping across solves on one hierarchy."""
+    """Aggregate bookkeeping across solves on one hierarchy.
+
+    ``cycles`` counts V-cycle applications summed over columns;
+    ``fallback_solves`` counts columns finished by the Jacobi-CG net.
+    """
 
     solves: int = 0
     max_residual: float = 0.0
     fallback_solves: int = 0
+    cycles: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record(self, residuals: np.ndarray, fallbacks: int) -> None:
+    def record(self, residuals: np.ndarray, fallbacks: int, cycles: int) -> None:
         with self._lock:
             self.solves += residuals.size
             if residuals.size:
                 self.max_residual = max(self.max_residual, float(residuals.max()))
             self.fallback_solves += fallbacks
+            self.cycles += cycles
 
 
 @dataclass
@@ -684,48 +690,6 @@ def _center(block: np.ndarray) -> np.ndarray:
     return block - block.mean(axis=0, keepdims=True)
 
 
-def _fcg(
-    levels: list[Level],
-    x: np.ndarray,
-    b: np.ndarray,
-    bnorm: np.ndarray,
-    tau: float,
-    nu1: int,
-    nu2: int,
-    max_iters: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flexible CG preconditioned by one V-cycle (warm start ``x``)."""
-    matrix = levels[0].matrix
-    active = np.arange(b.shape[1])
-    res = _column_norms(b - matrix @ x) / bnorm
-    direction = np.zeros_like(b)
-    l_direction = np.zeros_like(b)
-    have_direction = np.zeros(b.shape[1], dtype=bool)
-    for _ in range(max_iters):
-        active = active[res[active] > tau]
-        if active.size == 0:
-            break
-        r = _center(b[:, active] - matrix @ x[:, active])
-        z = _center(_cycle(levels, 0, r, nu1, nu2))
-        upd = have_direction[active]
-        if upd.any():
-            cols = active[upd]
-            zl = np.einsum("ij,ij->j", z[:, upd], l_direction[:, cols])
-            dl = np.einsum("ij,ij->j", direction[:, cols], l_direction[:, cols])
-            beta = np.divide(zl, dl, out=np.zeros_like(zl), where=dl > 0)
-            z[:, upd] -= direction[:, cols] * beta
-        direction[:, active] = z
-        have_direction[active] = True
-        l_direction[:, active] = matrix @ z
-        dl = np.einsum("ij,ij->j", z, l_direction[:, active])
-        rd = np.einsum("ij,ij->j", r, z)
-        alpha = np.divide(rd, dl, out=np.zeros_like(rd), where=dl > 0)
-        x[:, active] += z * alpha
-        x[:, active] = _center(x[:, active])
-        res[active] = _column_norms(b[:, active] - matrix @ x[:, active]) / bnorm[active]
-    return x, res
-
-
 def _jacobi_pcg(
     matrix: sp.csr_matrix,
     x: np.ndarray,
@@ -769,8 +733,17 @@ def _solve_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``L x = b`` for every column of ``block``.
 
+    The outer iteration is flexible conjugate gradients preconditioned by
+    one V-cycle per iteration (Notay 2000): the cycle's line search makes
+    it a nonlinear preconditioner, so each direction is made conjugate
+    to the previous one only, with the Polak-Ribiere ``beta``.  Columns
+    that reach ``max_cycles`` iterations, break down (``<p, Lp> <= 0`` or
+    ``<r, z> <= 0``) or whose recomputed residual exceeds ``tau`` are
+    finished by Jacobi-preconditioned CG, the safety net that makes the
+    contract hold on any connected input.
+
     Every column runs its own iteration and leaves the loop at its own
-    convergence cycle.  Its low-order bits may still depend on which
+    convergence step.  Its low-order bits may still depend on which
     columns share the block, because numpy reduces a one-column array in
     a different order than a wider one; callers that need reproducible
     bits keep block composition fixed, as :func:`solve_many` does.
@@ -800,73 +773,67 @@ def _solve_block(
     tau = config.tau
     stop_tau = STOP_MARGIN * tau
     nu1, nu2 = config.smoothing_steps
-    res = np.zeros(ncols)
-    fallback_count = 0
+    net = np.zeros(ncols, dtype=bool)  # columns for the Jacobi-CG net
+    cycles = 0
 
     active = np.flatnonzero(nonzero)
     if active.size:
-        # The active columns live in contiguous arrays; a column is written
-        # back to ``x`` (and the arrays narrowed) only on the cycle where
-        # it converges, stalls or runs out of cycles.
+        # Per active column: iterate x, residual r, direction p and L p,
+        # in contiguous arrays that are narrowed only on an iteration
+        # where a column converges, breaks down or runs out of cycles.
+        # ``alpha`` and ``rz`` (= <r, z>) of the last step give the
+        # Polak-Ribiere beta = <z_new, r_new - r> / rz = -alpha <z_new, Lp> / rz
+        # from the L p already in hand, so no copy of the old r is kept.
+        # Starting from alpha = 0 and L p = 0 makes the first beta 0.
         xa = np.zeros((n, active.size))
-        ba = b[:, active]
+        ra = _center(b.take(active, axis=1))
+        pa = np.zeros_like(ra)
+        lpa = np.zeros_like(ra)
         norm_a = bnorm[active]
-        stagnant = np.zeros(active.size, dtype=np.int64)
-        prev = np.full(active.size, np.inf)
-        needs_fallback: list[np.ndarray] = []
-        for cycle in range(config.max_cycles + 1):
-            r = ba - matrix @ xa
-            res_a = _column_norms(r) / norm_a
-            stagnant = np.where(res_a / prev > STAGNATION_FACTOR, stagnant + 1, 0)
-            prev = res_a
-            conv = res_a <= stop_tau
-            done = conv | (stagnant >= STAGNATION_CYCLES) | (cycle == config.max_cycles)
+        alpha = np.zeros(active.size)
+        rz = np.ones(active.size)
+        broken = np.zeros(active.size, dtype=bool)
+        for step in range(config.max_cycles + 1):
+            conv = _column_norms(ra) / norm_a <= stop_tau
+            done = conv | broken | (step == config.max_cycles)
             if done.any():
                 x[:, active[done]] = xa[:, done]
-                res[active[done]] = res_a[done]
-                needs_fallback.append(active[done & ~conv])
+                net[active[done & ~conv]] = True
                 keep = ~done
                 if not keep.any():
                     break
-                active, xa, ba, r = active[keep], xa[:, keep], ba[:, keep], r[:, keep]
-                norm_a, stagnant, prev = norm_a[keep], stagnant[keep], prev[keep]
-            xa += _cycle(levels, 0, _center(r), nu1, nu2)
-            xa = _center(xa)
-
-        cols = np.sort(np.concatenate(needs_fallback))
-        if cols.size:
-            fallback_count = cols.size
-            xf, rf = _fcg(
-                levels,
-                x[:, cols].copy(),
-                b[:, cols],
-                bnorm[cols],
-                stop_tau,
-                nu1,
-                nu2,
-                FCG_MAX_ITERS,
-            )
-            x[:, cols] = xf
-            res[cols] = rf
-            still = cols[rf > stop_tau]
-            if still.size:
-                cg_iters = max(2000, int(50 * np.sqrt(n)))
-                xg, rg = _jacobi_pcg(
-                    matrix, x[:, still].copy(), b[:, still], bnorm[still],
-                    stop_tau, cg_iters,
-                )
-                x[:, still] = xg
-                res[still] = rg
-            if (res[cols] > tau).any():
-                raise ConvergenceError(
-                    f"{int((res[cols] > tau).sum())} solve(s) failed to reach "
-                    f"tau={tau:g}",
-                    best_residual=float(res[cols].max()),
-                )
+                # ``compress`` keeps the arrays C-ordered (``a[:, keep]``
+                # would not), so sparse products need no relayout copy.
+                xa, ra, pa, lpa = (a.compress(keep, axis=1) for a in (xa, ra, pa, lpa))
+                active, norm_a, alpha, rz = active[keep], norm_a[keep], alpha[keep], rz[keep]
+            z = _center(_cycle(levels, 0, ra, nu1, nu2))
+            cycles += active.size
+            beta = -alpha * np.einsum("ij,ij->j", z, lpa) / rz
+            rz = np.einsum("ij,ij->j", ra, z)
+            pa *= beta
+            pa += z
+            del z
+            lpa = matrix @ pa
+            plp = np.einsum("ij,ij->j", pa, lpa)
+            broken = (plp <= 0) | (rz <= 0)
+            alpha = np.divide(rz, plp, out=np.zeros_like(rz), where=~broken)
+            xa += pa * alpha
+            ra -= lpa * alpha
 
     x = _center(x)
     res = np.where(nonzero, _column_norms(b - matrix @ x) / np.where(nonzero, bnorm, 1.0), 0.0)
-    hierarchy.stats.record(res, fallback_count)
+    cols = np.flatnonzero(net | (res > tau))
+    if cols.size:
+        cg_iters = max(2000, int(50 * np.sqrt(n)))
+        x[:, cols], res[cols] = _jacobi_pcg(
+            matrix, x[:, cols], b[:, cols], bnorm[cols], stop_tau, cg_iters
+        )
+    if (res[cols] > tau).any():
+        raise ConvergenceError(
+            f"{int((res[cols] > tau).sum())} solve(s) failed to reach tau={tau:g}",
+            best_residual=float(res[cols].max()),
+        )
+    hierarchy.stats.record(res, cols.size, cycles)
     return x, res
 
 

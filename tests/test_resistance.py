@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cfcent import (
     setup,
     sketch_distance,
 )
-from cfcent.generators import complete_graph, path_graph
+from cfcent import resistance as resistance_module
+from cfcent.generators import complete_graph, grid_graph, path_graph
 from cfcent.resistance import (
     node_solution,
     node_solution_chunks,
@@ -286,3 +288,25 @@ class TestSketch:
         in_band = ((ratios >= 1 - eps) & (ratios <= 1 + eps)).mean()
         assert in_band >= 0.85
         assert np.median(ratios) == pytest.approx(1.0, abs=0.1)
+
+    def test_sign_block_is_freed_before_the_solve(self, monkeypatch):
+        # The dense k x m sign block is dead once the right-hand sides are
+        # built; on grid 60 (m ~ 2n) keeping it alive through the solve
+        # roughly triples the memory held on entering it.
+        g = grid_graph(60)
+        h = hierarchy_for(g)
+        inner = resistance_module.solve_many
+        seen = {}
+
+        def spy(hierarchy, supplies, *args, **kwargs):
+            seen["held"] = tracemalloc.get_traced_memory()[0]
+            seen["rhs"] = np.asarray(supplies).nbytes
+            return inner(hierarchy, supplies, *args, **kwargs)
+
+        monkeypatch.setattr(resistance_module, "solve_many", spy)
+        tracemalloc.start()
+        try:
+            build_sketch(g, h, epsilon=0.2, seed=0)
+        finally:
+            tracemalloc.stop()
+        assert seen["held"] < 1.5 * seen["rhs"]

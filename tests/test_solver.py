@@ -359,10 +359,25 @@ class TestSolveMany:
         supplies = rng.standard_normal((130, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         serial = solve_many(h, supplies, threads=1)
+        serial_cycles = h.stats.cycles
         threaded = solve_many(h, supplies, threads=4)
+        assert h.stats.cycles - serial_cycles == serial_cycles > 0
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.values, b.values)
             assert a.achieved_residual == b.achieved_residual
+
+    def test_pcg_needs_few_cycles_on_a_mesh(self, rng):
+        # On meshes one V-cycle contracts the error by only ~0.69, so a
+        # bare cycle iteration needs over 20 cycles per column here;
+        # conjugate gradients over the cycle need about 9.
+        g = grid_graph(40)
+        h = setup(laplacian(g), SolverConfig())
+        supplies = rng.standard_normal((32, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        for pot in solve_many(h, supplies):
+            assert pot.achieved_residual <= 1e-5
+        assert h.stats.fallback_solves == 0
+        assert h.stats.cycles <= 12 * 32
 
     def test_solves_never_use_triangular_solves(self, rng, monkeypatch):
         g = grid_graph(40)
@@ -404,8 +419,8 @@ class TestSolveMany:
 
 class TestFallback:
     def test_contract_holds_even_with_starved_multigrid(self, rng):
-        # One cycle and one smoothing sweep: the V-cycle alone cannot
-        # converge, so the solve must be rescued by the fallback chain.
+        # One PCG iteration with one smoothing sweep cannot converge, so
+        # the solve must be finished by the Jacobi-CG safety net.
         g = grid_graph(20)
         cfg = SolverConfig(max_cycles=1, smoothing_steps=(1, 1), max_direct_size=2)
         h = setup(laplacian(g), cfg)
