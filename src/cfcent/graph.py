@@ -130,11 +130,13 @@ class Graph:
         if u.size and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
             raise DomainError("node ids out of range")
 
-        # Both directions, then merge duplicates by summing weights.
+        # Both directions, then merge duplicates by summing weights.  One
+        # stable sort on the key au * n + av orders by (au, av) as a
+        # two-key lexsort would, at a third of its cost.
         au = np.r_[u, v]
         av = np.r_[v, u]
         aw = np.r_[w, w]
-        order = np.lexsort((av, au))
+        order = np.argsort(au * n + av, kind="stable")
         au, av, aw = au[order], av[order], aw[order]
         if au.size:
             new = np.r_[True, (au[1:] != au[:-1]) | (av[1:] != av[:-1])]
@@ -151,11 +153,15 @@ def load_edge_list(stream: IO[str] | Iterable[str], one_indexed: bool = False) -
     """Read a whitespace-separated edge list into a :class:`Graph`.
 
     Each non-comment line is ``u v`` or ``u v w`` with ``w > 0``; a missing
-    weight defaults to 1.  Lines starting with ``#`` or ``%`` and blank
-    lines are skipped.  Self-loops are dropped, duplicate edges merge by
-    weight summation, and edge direction is ignored.  Node ids need not be
-    contiguous: they are compacted and the original ids are kept as
-    ``node_labels``.
+    weight defaults to 1.  Fields are separated by ASCII whitespace.  Lines
+    starting with ``#`` or ``%`` and blank lines are skipped.  Self-loops
+    are dropped, duplicate edges merge by weight summation, and edge
+    direction is ignored.  Node ids need not be contiguous: they are
+    compacted and the original ids are kept as ``node_labels``.
+
+    The whole input is tokenized and converted with array operations;
+    only when that fails is the first offending line searched for, by
+    bisection over line prefixes, to report it.
 
     Raises
     ------
@@ -164,42 +170,19 @@ def load_edge_list(stream: IO[str] | Iterable[str], one_indexed: bool = False) -
     DomainError
         for nonpositive weights.
     """
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
+    if hasattr(stream, "read"):
+        text = stream.read()
+    else:
+        text = "\n".join(line.rstrip("\r\n") for line in stream)
+    data = text.encode()
     min_id = 1 if one_indexed else 0
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise EdgeListParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(lineno, f"invalid node id in {line!r}") from None
-        if u < min_id or v < min_id:
-            raise EdgeListParseError(lineno, f"node id below {min_id} in {line!r}")
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise EdgeListParseError(lineno, f"invalid weight in {line!r}") from None
-            if not np.isfinite(w):
-                raise EdgeListParseError(lineno, f"non-finite weight in {line!r}")
-            if w <= 0:
-                raise DomainError(f"line {lineno}: weight must be positive, got {w}")
-        else:
-            w = 1.0
-        if u == v:
-            continue  # self-loops are ignored
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
+    try:
+        us, vs, ws = _parse_edges(data, min_id)
+    except (EdgeListParseError, DomainError):
+        _raise_first_bad_line(data, min_id)
+        raise
 
-    if not us:
+    if not us.size:
         empty = np.zeros(0, dtype=np.int64)
         return Graph(
             indptr=np.zeros(1, dtype=np.int64),
@@ -208,10 +191,93 @@ def load_edge_list(stream: IO[str] | Iterable[str], one_indexed: bool = False) -
             node_labels=empty,
         )
 
-    labels = np.unique(np.r_[np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)])
-    cu = np.searchsorted(labels, us)
-    cv = np.searchsorted(labels, vs)
-    return Graph.from_edges(cu, cv, ws, n=labels.size, node_labels=labels)
+    labels, ids = np.unique(np.r_[us, vs], return_inverse=True)
+    return Graph.from_edges(ids[:us.size], ids[us.size:], ws, n=labels.size, node_labels=labels)
+
+
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[list(b" \t\n\r\x0b\x0c")] = True  # what ``bytes.split()`` splits on
+_COMMENT = np.frombuffer(b"#%", dtype=np.uint8)
+
+
+def _parse_edges(
+    data: bytes, min_id: int, first_line: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges ``(u, v, w)`` of an edge-list buffer, self-loops dropped.
+
+    Raises for a bad line, not always the first one.  On a single line
+    (numbered ``first_line``) the error is the one a line-by-line reader
+    would raise, which is how :func:`_raise_first_bad_line` reports it.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    step = np.diff(np.r_[True, _BLANK[buf], True].view(np.int8))
+    starts = np.flatnonzero(step == -1)
+    ends = np.flatnonzero(step == 1)
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    head = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    fields = np.diff(head, append=starts.size)
+    content = ~np.isin(buf[starts[head]], _COMMENT)
+    head, fields = head[content], fields[content]
+    lineno = line[head] + first_line
+
+    def text(k: int) -> str:
+        return data[starts[head[k]]:ends[head[k] + fields[k] - 1]].decode()
+
+    def first(bad: np.ndarray) -> int | None:
+        return int(np.argmax(bad)) if bad.any() else None
+
+    if (k := first((fields < 2) | (fields > 3))) is not None:
+        raise EdgeListParseError(int(lineno[k]), f"expected 2 or 3 fields, got {fields[k]}")
+    try:
+        u = _numbers(buf, starts[head], ends[head], np.int64)
+        v = _numbers(buf, starts[head + 1], ends[head + 1], np.int64)
+    except (ValueError, OverflowError):
+        raise EdgeListParseError(int(lineno[0]), f"invalid node id in {text(0)!r}") from None
+    if (k := first((u < min_id) | (v < min_id))) is not None:
+        raise EdgeListParseError(int(lineno[k]), f"node id below {min_id} in {text(k)!r}")
+    weighted = fields == 3
+    w = np.ones(u.size)
+    try:
+        w[weighted] = _numbers(buf, starts[head[weighted] + 2], ends[head[weighted] + 2], np.float64)
+    except ValueError:
+        raise EdgeListParseError(int(lineno[0]), f"invalid weight in {text(0)!r}") from None
+    if (k := first(~np.isfinite(w))) is not None:
+        raise EdgeListParseError(int(lineno[k]), f"non-finite weight in {text(k)!r}")
+    if (k := first(w <= 0)) is not None:
+        raise DomainError(f"line {lineno[k]}: weight must be positive, got {float(w[k])}")
+    loop = u == v
+    return u[~loop], v[~loop], w[~loop]
+
+
+def _numbers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, dtype) -> np.ndarray:
+    """The tokens ``buf[starts[i]:ends[i]]`` converted to ``dtype`` by
+    numpy's string parsing, gathered one character position at a time."""
+    lengths = ends - starts
+    width = int(lengths.max(initial=1))
+    chars = np.zeros((starts.size, width), dtype=np.uint8)
+    for j in range(width):
+        has = lengths > j
+        chars[has, j] = buf[starts[has] + j]
+    return chars.view(f"S{width}").ravel().astype(dtype)
+
+
+def _raise_first_bad_line(data: bytes, min_id: int) -> None:
+    """Raise the error of the first line a line-by-line reader rejects.
+
+    A prefix of the input fails to parse exactly when it contains a bad
+    line, so bisection over prefixes finds the first one, which is then
+    parsed alone for its own message.
+    """
+    cut = np.r_[0, np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1, len(data)]
+    good, bad = 0, cut.size - 1  # line counts of a parsing and a failing prefix
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_edges(data[:cut[mid]], min_id)
+            good = mid
+        except (EdgeListParseError, DomainError):
+            bad = mid
+    _parse_edges(data[cut[bad - 1]:cut[bad]], min_id, first_line=bad)
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:

@@ -4,11 +4,13 @@ The hierarchy alternates two coarsening stages.  Elimination removes an
 independent set of low-degree nodes exactly via the Schur complement;
 aggregation partitions nodes by the affinity of relaxed test vectors and
 coarsens with the Galerkin product of the piecewise-constant interpolation.
-Each aggregation level is also split once, at setup, into color classes
-(independent sets), each stored as its own block of matrix rows.  The
-V-cycle smooths with multicolor Gauss-Seidel, one sparse row-block
-product per class, and applies an energy line search to the coarse-grid
-correction.  Solves run flexible conjugate gradients with one V-cycle as
+Aggregation seeds and attaches nodes in rounds of whole-array passes over
+the level's edges, with no per-node Python loop.  Each aggregation
+candidate level is split once into color classes (independent sets), each
+stored as its own block of matrix rows; the same classes smooth the test
+vectors and serve the V-cycle.  The V-cycle smooths with multicolor
+Gauss-Seidel, one sparse row-block product per class, and applies an
+energy line search to the coarse-grid correction.  Solves run flexible conjugate gradients with one V-cycle as
 the preconditioner of every iteration.  Columns that run out of
 iterations, break down or miss the tolerance when their residual is
 recomputed are finished by Jacobi-preconditioned CG, a safety net that
@@ -30,7 +32,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve_triangular  # test vectors only
 
 from .errors import ConvergenceError, DomainError
 
@@ -54,7 +55,6 @@ __all__ = [
 AFFINITY_THRESHOLD = 0.5
 TEST_VECTOR_SWEEPS = 3
 MAX_AGGREGATE_SIZE = 8        # unbounded growth destroys mesh convergence
-ATTACH_SWEEPS = 3             # attachment passes after seeding
 MIN_REDUCTION = 0.10          # a stage must shrink the level by 10% to be used
 BLOCK_COLUMNS = 64            # fixed so results never depend on thread count
 STOP_MARGIN = 0.9             # iterate slightly past tau so independently
@@ -243,24 +243,16 @@ def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     return _rebuild_laplacian(matrix)
 
 
-@dataclass
-class EliminationRecord:
-    f_nodes: np.ndarray
-    c_nodes: np.ndarray
-    f_degree: np.ndarray
-    w_cf: sp.csr_matrix
-
-
 def coarsen_eliminate(
     matrix: sp.csr_matrix, degree_cap: int = 4
-) -> tuple[sp.csr_matrix, EliminationRecord | None]:
+) -> tuple[sp.csr_matrix, Level | None]:
     """Exact Schur-complement elimination of an independent low-degree set.
 
     Nodes with at most ``degree_cap`` neighbors are selected greedily in
     ascending id order subject to pairwise independence.  Returns the
     Schur complement on the remaining nodes (again a Laplacian) and the
-    back-substitution record, or ``(matrix, None)`` when no node is
-    eligible.
+    elimination level that transfers to it, or ``(matrix, None)`` when no
+    node is eligible.
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
@@ -288,39 +280,113 @@ def coarsen_eliminate(
     rows_c = matrix[c]
     w_cf = -rows_c[:, f]
     schur = rows_c[:, c] - w_cf @ sp.diags(1.0 / d_f) @ w_cf.T
-    return _rebuild_laplacian(schur), EliminationRecord(
-        f_nodes=f, c_nodes=c, f_degree=d_f, w_cf=w_cf
+    return _rebuild_laplacian(schur), Level(
+        kind=LevelKind.ELIMINATION,
+        matrix=matrix,
+        f_nodes=f,
+        c_nodes=c,
+        f_degree=d_f,
+        w_cf=w_cf,
+        w_fc=w_cf.T.tocsr(),
     )
 
 
 def relaxed_test_vectors(
-    matrix: sp.csr_matrix, count: int, rng: np.random.Generator
+    matrix: sp.csr_matrix,
+    count: int,
+    rng: np.random.Generator,
+    colors: Sequence[ColorClass] | None = None,
 ) -> np.ndarray:
-    """Mean-free random vectors smoothed by Gauss-Seidel sweeps on Lx=0."""
+    """Mean-free random vectors smoothed by multicolor Gauss-Seidel sweeps
+    on Lx=0, over ``colors`` (the level's classes, built when omitted)."""
+    if colors is None:
+        colors = _smoother_classes(matrix)
     n = matrix.shape[0]
     vectors = rng.standard_normal((n, count))
     vectors -= vectors.mean(axis=0, keepdims=True)
-    lower = sp.tril(matrix, 0, format="csr")
+    zero = np.zeros_like(vectors)
     for _ in range(TEST_VECTOR_SWEEPS):
-        vectors += spsolve_triangular(lower, -(matrix @ vectors), lower=True)
+        _sweep(colors, vectors, zero)
     vectors -= vectors.mean(axis=0, keepdims=True)
     return vectors
+
+
+def _upper_edges(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge once as ``(u, v)`` with ``u < v``, grouped by ``u``."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    upper = matrix.indices > rows
+    return rows[upper], matrix.indices[upper]
+
+
+def _greedy_seeds(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Greedy independent set in ascending id, as a boolean mask.
+
+    ``(u, v)`` lists every edge once with ``u < v``, grouped by ``u``.  A
+    node is a seed when none of its lower-id neighbors is.  A node with a
+    single lower neighbor is therefore a seed exactly when that neighbor
+    is not, so chains of such nodes (a path numbered in order is one) are
+    first hung on their lowest node by pointer jumping, keeping the
+    parity of the distance.  The remaining nodes, the chain roots, are
+    decided in frontier rounds, each with its whole chain: a root is
+    excluded once a lower neighbor is a seed, and becomes a seed once all
+    its lower neighbors are excluded, counted down the way
+    :func:`color_classes` does.
+    """
+    lower_degree = np.bincount(v, minlength=n)
+    root = np.arange(n)
+    single = lower_degree[v] == 1
+    root[v[single]] = u[single]
+    flip = lower_degree == 1  # parity of the distance to ``root``
+    while True:
+        grand = root[root]
+        if np.array_equal(grand, root):
+            break
+        flip ^= flip[root]
+        root = grand
+    chain_ptr = np.r_[0, np.cumsum(np.bincount(root, minlength=n))]
+    chain = np.argsort(root, kind="stable")
+    up_ptr = np.r_[0, np.cumsum(np.bincount(u, minlength=n))]
+
+    waiting = lower_degree.copy()  # lower neighbors not yet excluded
+    seed = np.zeros(n, dtype=bool)
+    decided = np.zeros(n, dtype=bool)
+    new_seeds = np.flatnonzero(lower_degree == 0)
+    new_excluded = new_seeds[:0]
+    while new_seeds.size or new_excluded.size:
+        roots = np.r_[new_seeds, new_excluded]
+        owner, members = _row_entries(chain_ptr, chain, roots)
+        is_seed = (owner < new_seeds.size) ^ flip[members]
+        seed[members] = is_seed
+        decided[members] = True
+        _, hit = _row_entries(up_ptr, v, members[is_seed])
+        new_excluded = np.unique(hit[~decided[hit]])
+        decided[new_excluded] = True
+        _, released = _row_entries(up_ptr, v, members[~is_seed])
+        released, hits = np.unique(released, return_counts=True)
+        waiting[released] -= hits
+        new_seeds = released[(waiting[released] == 0) & ~decided[released]]
+    return seed
 
 
 def coarsen_aggregate(
     matrix: sp.csr_matrix, test_vectors: np.ndarray
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Affinity-based greedy aggregation with Galerkin coarse operator.
+    """Affinity-based aggregation with Galerkin coarse operator.
 
     The affinity of two nodes is the squared normalized inner product of
-    their test-vector samples.  Seeds are first chosen as a greedy
-    independent set (ascending id), which keeps aggregates compact; every
-    remaining node then joins the neighboring aggregate of maximal
-    affinity when that affinity exceeds the threshold, and otherwise
-    becomes a seed itself.  Aggregates are capped at
-    ``MAX_AGGREGATE_SIZE`` members: on smooth problems nearly every
-    affinity clears the threshold, and unbounded aggregates grow into
-    shapes that piecewise-constant interpolation cannot represent.
+    their test-vector samples, computed once per edge.  Seeds are the
+    greedy independent set in ascending id (:func:`_greedy_seeds`), which
+    keeps aggregates compact.  The other nodes then attach in rounds until
+    none does: every unattached node proposes to its best eligible
+    neighbor (already aggregated, affinity above the threshold, aggregate
+    below ``MAX_AGGREGATE_SIZE``; highest affinity first, ties to the
+    lowest id), and each aggregate accepts proposals in ascending node id
+    up to its free room.  Nodes left over become singletons.  The cap
+    matters on smooth problems: nearly every affinity clears the
+    threshold there, and unbounded aggregates grow into shapes that
+    piecewise-constant interpolation cannot represent.  Every pass works
+    on whole arrays; the Python loops run over rounds and test vectors,
+    never over nodes.
 
     Returns the coarse Laplacian ``P.T @ L @ P`` and the interpolation
     ``P``, which has one unit entry per row: node ``i`` belongs to
@@ -329,55 +395,58 @@ def coarsen_aggregate(
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
-    indptr, indices = matrix.indptr, matrix.indices
-    x = np.ascontiguousarray(test_vectors)
+    u, v = _upper_edges(matrix)
+    seed = _greedy_seeds(n, u, v)
+
+    # Affinities on one triangle, one test vector at a time, in place, so
+    # the temporaries are a few floats per edge.
+    x = np.asarray(test_vectors, dtype=np.float64)
     norms2 = np.einsum("ij,ij->i", x, x)
+    aff = np.zeros(u.size)
+    for col in x.T:
+        aff += col[u] * col[v]
+    aff *= aff
+    denom = norms2[u] * norms2[v]
+    # A zero norm means a zero test-vector row, so its affinity stays 0.
+    np.divide(aff, denom, out=aff, where=denom > 0)
+    strong = aff > AFFINITY_THRESHOLD
+    # Directed strong edges out of the non-seeds, each node's entries in
+    # preference order: highest affinity, then lowest neighbor id.
+    out_u = strong & ~seed[u]
+    out_v = strong & ~seed[v]
+    node = np.r_[u[out_u], v[out_v]]
+    nbr = np.r_[v[out_u], u[out_v]]
+    order = np.lexsort((nbr, -np.r_[aff[out_u], aff[out_v]], node))
+    node, nbr = node[order], nbr[order]
+
+    n_seeds = int(seed.sum())
     agg = -np.ones(n, dtype=np.int64)
-    agg_size: list[int] = []
-    blocked = np.zeros(n, dtype=bool)
-    next_id = 0
-    for u in range(n):
-        if blocked[u]:
-            continue
-        agg[u] = next_id
-        agg_size.append(1)
-        next_id += 1
-        blocked[indices[indptr[u]:indptr[u + 1]]] = True
-        blocked[u] = True
+    agg[seed] = np.arange(n_seeds)
+    room = np.full(n_seeds + 1, MAX_AGGREGATE_SIZE - 1)
+    room[-1] = 0  # agg == -1 reads this: not aggregated, not eligible
+    while node.size:
+        target = agg[nbr]
+        eligible = np.flatnonzero(room[target] > 0)
+        if eligible.size == 0:
+            break
+        first = eligible[np.r_[True, node[eligible[1:]] != node[eligible[:-1]]]]
+        who, where = node[first], target[first]
+        # Per aggregate, proposals in ascending node id (stable sort keeps
+        # ``who`` ascending within a target) fill the free room.
+        by = np.argsort(where, kind="stable")
+        grouped = where[by]
+        rank = np.arange(by.size) - np.searchsorted(grouped, grouped)
+        accepted = by[rank < room[grouped]]
+        agg[who[accepted]] = where[accepted]
+        room[:-1] -= np.bincount(where[accepted], minlength=n_seeds)
+        # Drop attached nodes and edges into aggregates that are full.
+        target = agg[nbr]
+        live = (agg[node] < 0) & ((target < 0) | (room[target] > 0))
+        node, nbr = node[live], nbr[live]
 
-    # One error-state context for all sweeps: entering it per node costs
-    # more than the affinity arithmetic it guards.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(ATTACH_SWEEPS):
-            attached_any = False
-            for u in range(n):
-                if agg[u] >= 0:
-                    continue
-                nbrs = indices[indptr[u]:indptr[u + 1]]
-                nbrs = nbrs[(nbrs != u) & (agg[nbrs] >= 0)]
-                if nbrs.size == 0 or norms2[u] <= 0:
-                    continue
-                dots = x[nbrs] @ x[u]
-                denom = norms2[nbrs] * norms2[u]
-                aff = np.where(denom > 0, dots * dots / denom, 0.0)
-                for best in np.argsort(-aff, kind="stable"):
-                    if aff[best] <= AFFINITY_THRESHOLD:
-                        break
-                    target = agg[nbrs[best]]
-                    if agg_size[target] < MAX_AGGREGATE_SIZE:
-                        agg[u] = target
-                        agg_size[target] += 1
-                        attached_any = True
-                        break
-            if not attached_any:
-                break
-
-    for u in range(n):
-        if agg[u] < 0:
-            agg[u] = next_id
-            agg_size.append(1)
-            next_id += 1
-    return _galerkin(matrix, agg, next_id)
+    left = agg < 0
+    agg[left] = n_seeds + np.arange(int(left.sum()))
+    return _galerkin(matrix, agg, n_seeds + int(left.sum()))
 
 
 def _matching_aggregation(
@@ -498,14 +567,13 @@ def color_classes(matrix: sp.csr_matrix) -> list[np.ndarray]:
     return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _aggregation_level(matrix: sp.csr_matrix, p: sp.csr_matrix) -> Level:
-    """Aggregation level with its smoother's color classes."""
+def _smoother_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:
+    """The level's color classes with their matrix rows and 1/diag."""
     dinv = 1.0 / matrix.diagonal()
-    colors = tuple(
+    return tuple(
         ColorClass(nodes=nodes, rows=matrix[nodes], dinv=dinv[nodes, None])
         for nodes in color_classes(matrix)
     )
-    return Level(kind=LevelKind.AGGREGATION, matrix=matrix, p=p, colors=colors)
 
 
 def _factor_coarsest(matrix: sp.csr_matrix) -> tuple | None:
@@ -560,12 +628,14 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
             if kind in candidates:
                 return candidates[kind]
             if kind is LevelKind.ELIMINATION:
-                schur, rec = coarsen_eliminate(current, config.elimination_degree_cap)
-                red = 0 if rec is None else rec.f_nodes.size
-                candidates[kind] = (red, schur, rec, None)
+                schur, level = coarsen_eliminate(current, config.elimination_degree_cap)
+                red = 0 if level is None else level.f_nodes.size
+                candidates[kind] = (red, schur, level)
             else:
+                # One coloring serves the test vectors and the smoother.
+                colors = _smoother_classes(current)
                 vectors = relaxed_test_vectors(
-                    current, config.aggregation_test_vectors, rng
+                    current, config.aggregation_test_vectors, rng, colors
                 )
                 coarse, p = coarsen_aggregate(current, vectors)
                 red = n_cur - coarse.shape[0]
@@ -574,7 +644,10 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
                     mred = n_cur - mcoarse.shape[0]
                     if mred > red:
                         coarse, p, red = mcoarse, mp, mred
-                candidates[kind] = (red, coarse, p, vectors)
+                level = Level(
+                    kind=LevelKind.AGGREGATION, matrix=current, p=p, colors=colors
+                )
+                candidates[kind] = (red, coarse, level)
             return candidates[kind]
 
         other = (
@@ -595,23 +668,8 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
                     "coarsening made no progress", best_residual=float("inf")
                 )
 
-        _, coarse, extra, _ = candidates[applied]
-        if applied is LevelKind.ELIMINATION:
-            rec: EliminationRecord = extra
-            levels.append(
-                Level(
-                    kind=LevelKind.ELIMINATION,
-                    matrix=current,
-                    f_nodes=rec.f_nodes,
-                    c_nodes=rec.c_nodes,
-                    f_degree=rec.f_degree,
-                    w_cf=rec.w_cf,
-                    w_fc=rec.w_cf.T.tocsr(),
-                )
-            )
-        else:
-            levels.append(_aggregation_level(current, extra))
-        current = coarse
+        _, current, level = candidates[applied]
+        levels.append(level)
         preferred = (
             LevelKind.AGGREGATION
             if applied is LevelKind.ELIMINATION
@@ -755,7 +813,9 @@ def _solve_block(
     n = matrix.shape[0]
     if block.shape[0] != n:
         raise DomainError(f"right-hand side length {block.shape[0]} != {n}")
-    b = np.array(block, dtype=np.float64, copy=True)
+    # C order: a transposed row block would stay F-ordered, and every
+    # sparse product on it would pay a relayout copy.
+    b = np.array(block, dtype=np.float64, order="C", copy=True)
     ncols = b.shape[1]
     x = np.zeros_like(b)
     if ncols == 0:
@@ -826,7 +886,8 @@ def _solve_block(
     if cols.size:
         cg_iters = max(2000, int(50 * np.sqrt(n)))
         x[:, cols], res[cols] = _jacobi_pcg(
-            matrix, x[:, cols], b[:, cols], bnorm[cols], stop_tau, cg_iters
+            matrix, x.take(cols, axis=1), b.take(cols, axis=1), bnorm[cols],
+            stop_tau, cg_iters,
         )
     if (res[cols] > tau).any():
         raise ConvergenceError(

@@ -78,6 +78,83 @@ class TestLoadEdgeList:
         assert g.n == 2 and list(g.node_labels) == [1, 2]
 
 
+def _reference_load(text, one_indexed=False):
+    """Line-by-line reader: the edges, or the exception for the first bad line."""
+    us, vs, ws = [], [], []
+    min_id = 1 if one_indexed else 0
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            return EdgeListParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            return EdgeListParseError(lineno, f"invalid node id in {line!r}")
+        if u < min_id or v < min_id:
+            return EdgeListParseError(lineno, f"node id below {min_id} in {line!r}")
+        w = 1.0
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                return EdgeListParseError(lineno, f"invalid weight in {line!r}")
+            if not np.isfinite(w):
+                return EdgeListParseError(lineno, f"non-finite weight in {line!r}")
+            if w <= 0:
+                return DomainError(f"line {lineno}: weight must be positive, got {w}")
+        if u != v:
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    return us, vs, ws
+
+
+class TestLoadMatchesLineByLineReader:
+    GOOD = ["0 1", "1 2 2.5", " 3\t4 ", "# comment", "% 1 2 3 4", "", "  ", "7 7",
+            "8 9 1e-3", "0 5", "10 11 +3", "12 13 .5", "-0 14"]
+    BAD = ["a b", "1 2 3 4", "1", "1 x", "2 3 zz", "2 3 inf", "2 3 nan", "2 3 0",
+           "2 3 -1", "-1 2", "0 1 2 # trailing"]
+
+    def test_random_files_give_the_same_graph_or_error(self):
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            lines = [self.GOOD[i] for i in rng.integers(0, len(self.GOOD), rng.integers(1, 25))]
+            for _ in range(int(rng.integers(0, 3))):
+                lines[int(rng.integers(0, len(lines)))] = self.BAD[int(rng.integers(0, len(self.BAD)))]
+            text = "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+            one_indexed = bool(rng.random() < 0.3)
+            want = _reference_load(text, one_indexed)
+            if isinstance(want, Exception):
+                with pytest.raises(type(want)) as err:
+                    load(text, one_indexed=one_indexed)
+                assert str(err.value) == str(want)
+                assert getattr(err.value, "line_number", None) == getattr(want, "line_number", None)
+                continue
+            g = load(text, one_indexed=one_indexed)
+            us, vs, ws = want
+            if not us:
+                assert g.n == 0
+                continue
+            labels = np.unique(us + vs)
+            expected = Graph.from_edges(
+                np.searchsorted(labels, us), np.searchsorted(labels, vs), ws, n=labels.size
+            )
+            assert np.array_equal(g.node_labels, labels)
+            assert np.array_equal(g.indptr, expected.indptr)
+            assert np.array_equal(g.indices, expected.indices)
+            assert np.array_equal(g.weights, expected.weights)
+
+    def test_iterable_of_lines(self):
+        g = load_edge_list(["0 1", "1 2\n", "# c", "2 3 2"])
+        assert g.m == 3 and g.weights.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(["0 1\n", "1 x\n"])
+        assert err.value.line_number == 2
+
+
 class TestGraphInvariants:
     def test_symmetry_positivity_no_self_loops(self, rng):
         for trial in range(20):

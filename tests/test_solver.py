@@ -69,6 +69,12 @@ class TestSetup:
             assert all(a > b for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] <= 20
 
+    def test_depth_stays_bounded_on_hub_heavy_graphs(self):
+        # Attachment runs until no node attaches, so aggregation keeps
+        # shrinking BA levels instead of stalling into a long tail.
+        h = setup(laplacian(barabasi_albert_graph(16000, 5, seed=0)), SolverConfig())
+        assert len(h.levels) <= 8
+
     def test_every_level_is_connected_laplacian(self, rng):
         g = random_connected_graph(300, rng, weighted=True)
         h = setup(laplacian(g), SolverConfig(max_direct_size=10))
@@ -200,6 +206,100 @@ class TestAggregate:
         assert np.all(p.data == 1.0)
         assert np.array_equal(np.unique(p.indices), np.arange(coarse.shape[0]))
         assert (abs(coarse - p.T @ lap @ p)).max() < 1e-12
+
+
+def _greedy_seeds_reference(lap):
+    """Plain ascending-id greedy independent set, one node at a time."""
+    n = lap.shape[0]
+    blocked = np.zeros(n, dtype=bool)
+    seeds = np.zeros(n, dtype=bool)
+    for u in range(n):
+        if not blocked[u]:
+            seeds[u] = True
+            blocked[lap.indices[lap.indptr[u]:lap.indptr[u + 1]]] = True
+    return seeds
+
+
+def _aggregation_test_laplacians():
+    rng = np.random.default_rng(11)
+    perm = rng.permutation(500)
+    path = laplacian(path_graph(500)).tocsr()
+    return {
+        "path": path,
+        "shuffled_path": path[perm][:, perm].tocsr(),
+        "grid": laplacian(grid_graph(30)).tocsr(),
+        "ba": laplacian(barabasi_albert_graph(2000, 5, seed=3)).tocsr(),
+        "star": laplacian(star_graph(60)).tocsr(),
+        "weighted": laplacian(random_connected_graph(400, rng, weighted=True)).tocsr(),
+    }
+
+
+def _affinity(vectors, u, w):
+    dot = vectors[u] @ vectors[w]
+    return dot * dot / ((vectors[u] @ vectors[u]) * (vectors[w] @ vectors[w]))
+
+
+class TestAggregateRounds:
+    """Seeding and attachment of the array-pass aggregation."""
+
+    @pytest.mark.parametrize("name", ["ba", "grid", "path", "shuffled_path", "star", "weighted"])
+    def test_seeds_are_the_ascending_greedy_set(self, name):
+        lap = _aggregation_test_laplacians()[name]
+        u, v = solver_module._upper_edges(lap)
+        seeds = solver_module._greedy_seeds(lap.shape[0], u, v)
+        assert np.array_equal(seeds, _greedy_seeds_reference(lap))
+
+    @pytest.mark.parametrize("name", ["ba", "grid", "path", "shuffled_path", "star", "weighted"])
+    def test_aggregates_are_capped_and_joined_by_strong_edges(self, name):
+        lap = _aggregation_test_laplacians()[name]
+        vectors = relaxed_test_vectors(lap, 4, np.random.default_rng(5))
+        _, p = coarsen_aggregate(lap, vectors)
+        agg = p.indices
+        sizes = np.bincount(agg)
+        assert np.array_equal(np.diff(p.indptr), np.ones(lap.shape[0]))
+        assert sizes.min() >= 1 and sizes.max() <= solver_module.MAX_AGGREGATE_SIZE
+        seeds = _greedy_seeds_reference(lap)
+        seeded = np.zeros(sizes.size, dtype=bool)
+        seeded[agg[seeds]] = True
+        assert np.bincount(agg[seeds], minlength=sizes.size).max() == 1
+        threshold = solver_module.AFFINITY_THRESHOLD
+        for node in np.flatnonzero(~seeds):
+            nbrs = lap.indices[lap.indptr[node]:lap.indptr[node + 1]]
+            nbrs = nbrs[nbrs != node]
+            strong = [w for w in nbrs if _affinity(vectors, node, w) > threshold]
+            if seeded[agg[node]]:
+                # attached: a strong edge leads into its own aggregate
+                assert any(agg[w] == agg[node] for w in strong)
+            else:
+                # left over: every strong neighbor's seeded aggregate is full
+                assert sizes[agg[node]] == 1
+                for w in strong:
+                    assert not seeded[agg[w]] or sizes[agg[w]] == solver_module.MAX_AGGREGATE_SIZE
+
+    def test_repeated_calls_are_identical(self):
+        lap = _aggregation_test_laplacians()["ba"]
+        vectors = relaxed_test_vectors(lap, 4, np.random.default_rng(5))
+        first, p_first = coarsen_aggregate(lap, vectors)
+        again, p_again = coarsen_aggregate(lap.copy(), vectors.copy())
+        for a, b in ((first, again), (p_first, p_again)):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+
+    def test_ties_go_to_the_lowest_id_and_full_aggregates_refuse(self):
+        # Equal test vectors give every edge affinity 1.  In a star the hub
+        # is the only seed; its aggregate takes the leaves in ascending id
+        # up to the cap, and the rest stay singletons.
+        lap = laplacian(star_graph(10)).tocsr()
+        vectors = np.tile([1.0, -2.0, 3.0, 0.5], (10, 1))
+        _, p = coarsen_aggregate(lap, vectors)
+        cap = solver_module.MAX_AGGREGATE_SIZE
+        assert p.indices.tolist() == [0] * cap + [1, 2]
+        # Node 1 of the path 0-1-2 sits between the seeds 0 and 2 and
+        # joins the lower one.
+        lap = laplacian(path_graph(3)).tocsr()
+        _, p = coarsen_aggregate(lap, vectors[:3])
+        assert p.indices.tolist() == [0, 0, 1]
 
 
 def _color_test_laplacians():
@@ -380,13 +480,18 @@ class TestSolveMany:
         assert h.stats.cycles <= 12 * 32
 
     def test_solves_never_use_triangular_solves(self, rng, monkeypatch):
-        g = grid_graph(40)
-        h = setup(laplacian(g), SolverConfig())
+        # The smoother and the setup's test vectors both sweep color
+        # classes, so neither setup nor a solve reaches a triangular solve.
+        import scipy.sparse.linalg
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("spsolve_triangular reached from a solve")
+            raise AssertionError("spsolve_triangular reached from setup or a solve")
 
-        monkeypatch.setattr(solver_module, "spsolve_triangular", forbidden)
+        assert not hasattr(solver_module, "spsolve_triangular")
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve_triangular", forbidden)
+        g = grid_graph(40)
+        h = setup(laplacian(g), SolverConfig())
+        assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         supplies = rng.standard_normal((3, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         for pot in solve_many(h, supplies):
