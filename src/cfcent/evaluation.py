@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .centrality import (
     Measure,
@@ -50,14 +49,34 @@ def compare_rankings(exact: Sequence[float], approx: Sequence[float]) -> RankCom
     )
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks with ties given the mean of their positions.
+
+    Equal values form one group of consecutive positions in a stable
+    sort; the group's rank is the mean of its first and last position.
+    Any NaN makes every rank NaN, as ``scipy.stats.rankdata`` does.
+    """
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    group = np.cumsum(first) - 1
+    bounds = np.r_[np.flatnonzero(first), x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (bounds[group + 1] + bounds[group] + 1)
+    return ranks
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Rank correlation: Pearson correlation of average fractional ranks."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise DomainError("inputs must have equal length >= 2")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     sx = rx - rx.mean()
     sy = ry - ry.mean()
     vx = float(sx @ sx)

@@ -34,8 +34,6 @@ __all__ = [
     "sketch_distance_sums",
 ]
 
-SKETCH_ROW_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class SupplySpec:
@@ -201,6 +199,12 @@ def build_sketch(
     Each projection row uses i.i.d. +-1/sqrt(k) signs, is pushed through
     the weighted incidence matrix by sparse multiplication, and is then
     solved against the Laplacian.  Deterministic for a fixed seed.
+
+    Signs are drawn ``BLOCK_COLUMNS`` rows at a time, which leaves the
+    random stream as one draw of all k rows would make it, and rows are
+    pushed and solved in chunks of ``BLOCK_COLUMNS * threads`` that start
+    on block boundaries, so ``z`` is independent of ``threads``.  Besides
+    ``z``, memory is ``O(BLOCK_COLUMNS * threads * (n + m))``.
     """
     if not 0 < epsilon <= 1:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -210,29 +214,40 @@ def build_sketch(
     k = sketch_dimension(n, epsilon)
     b_inc, weights = incidence_and_weights(g)
     scaled_t = b_inc.multiply(np.sqrt(weights)[:, None]).T.tocsr()  # n x m
+    del b_inc, weights
 
     rng = np.random.default_rng(seed)
     inv_sqrt_k = 1.0 / math.sqrt(k)
-    rhs = np.empty((k, n))
-    for start in range(0, k, SKETCH_ROW_BLOCK):
-        stop = min(start + SKETCH_ROW_BLOCK, k)
-        q_block = (
-            rng.integers(0, 2, size=(stop - start, m)).astype(np.float64) * 2.0 - 1.0
-        ) * inv_sqrt_k
-        rhs[start:stop] = (scaled_t @ q_block.T).T
-    del q_block  # the dense m-wide signs are dead once pushed to node space
+    z = np.empty((k, n))
+    max_res = 0.0
+    width = BLOCK_COLUMNS * max(1, threads)
+    for start in range(0, k, width):
+        # The chunk's right-hand sides are staged in the rows of ``z`` that
+        # their solutions then overwrite.
+        rhs = z[start : start + width]
+        for lo in range(0, rhs.shape[0], BLOCK_COLUMNS):
+            hi = min(lo + BLOCK_COLUMNS, rhs.shape[0])
+            # Transposed on conversion, so the sparse product reads a
+            # C-ordered m x rows block without a relayout copy.
+            q_block = rng.integers(0, 2, size=(hi - lo, m)).T.astype(np.float64, order="C")
+            q_block *= 2.0
+            q_block -= 1.0
+            q_block *= inv_sqrt_k
+            rhs[lo:hi] = (scaled_t @ q_block).T
+            del q_block  # the dense m-wide signs are dead once pushed to node space
 
-    # Each row is a signed combination of incidence rows, so it must sum
-    # to zero already; re-centering only removes accumulated roundoff.
-    row_sums = rhs.sum(axis=1)
-    scale = np.abs(rhs).sum(axis=1) + 1.0
-    assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
-    rhs -= rhs.mean(axis=1, keepdims=True)
+        # Each row is a signed combination of incidence rows, so it must sum
+        # to zero already; re-centering only removes accumulated roundoff.
+        row_sums = rhs.sum(axis=1)
+        scale = np.abs(rhs).sum(axis=1) + 1.0
+        assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
+        rhs -= rhs.mean(axis=1, keepdims=True)
 
-    solved = solve_many(hierarchy, rhs, config, threads=threads)
-    del rhs  # so stacking the rows below holds two k x n arrays, not three
-    z = np.vstack([pot.values for pot in solved])
-    max_res = max((pot.achieved_residual for pot in solved), default=0.0)
+        solved = solve_many(hierarchy, rhs, config, threads=threads)
+        for row, pot in enumerate(solved):
+            rhs[row] = pot.values
+            max_res = max(max_res, pot.achieved_residual)
+        del solved, pot  # each row is a view that keeps the chunk alive
     return ResistanceSketch(z=z, k=k, epsilon=epsilon, seed=seed, max_residual=max_res)
 
 

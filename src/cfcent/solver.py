@@ -9,15 +9,17 @@ the level's edges, with no per-node Python loop.  Each aggregation
 candidate level is split once into color classes (independent sets), each
 stored as its own block of matrix rows; the same classes smooth the test
 vectors and serve the V-cycle.  The V-cycle smooths with multicolor
-Gauss-Seidel, one sparse row-block product per class, and applies an
-energy line search to the coarse-grid correction.  Solves run flexible conjugate gradients with one V-cycle as
-the preconditioner of every iteration.  Columns that run out of
-iterations, break down or miss the tolerance when their residual is
+Gauss-Seidel, one sparse row-block product per class, and scales the
+coarse-grid correction by an energy line search taken on the coarse
+Galerkin operator.  Solves run flexible conjugate gradients with one
+V-cycle as the preconditioner of every iteration.  Columns that run out
+of iterations, break down or miss the tolerance when their residual is
 recomputed are finished by Jacobi-preconditioned CG, a safety net that
 makes the residual contract hold on any connected input.
 
 Singularity of the Laplacian is handled by mean-centering supplies and
-iterates; the coarsest level is factorized densely with one node grounded.
+iterates; the coarsest level keeps its dense pseudoinverse
+``L+ = (L + J/n)^-1 - J/n``, so a coarsest solve is one dense product.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
@@ -125,8 +126,8 @@ class Level:
     # aggregation transfer and smoother
     p: sp.csr_matrix | None = None
     colors: tuple[ColorClass, ...] = ()
-    # coarsest-level dense factorization of the grounded system
-    grounded_factor: tuple | None = None
+    # coarsest-level dense pseudoinverse
+    pinv: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -576,30 +577,17 @@ def _smoother_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:
     )
 
 
-def _factor_coarsest(matrix: sp.csr_matrix) -> tuple | None:
-    """Dense factorization of the Laplacian with node 0 grounded."""
+def _pseudoinverse(matrix: sp.csr_matrix) -> np.ndarray:
+    """Dense ``L+ = (L + J/n)^-1 - J/n`` of a connected-graph Laplacian:
+    adding the all-ones ``J/n`` lifts the null space to eigenvalue 1."""
     n = matrix.shape[0]
-    if n <= 1:
-        return None
-    dense = matrix.toarray()[1:, 1:]
-    try:
-        return ("cho", scipy.linalg.cho_factor(dense, lower=True, check_finite=False))
-    except scipy.linalg.LinAlgError:
-        return ("lu", scipy.linalg.lu_factor(dense, check_finite=False))
+    pinv = np.linalg.inv(matrix.toarray() + 1.0 / n)
+    pinv -= 1.0 / n
+    return pinv
 
 
 def _direct_solve(level: Level, b: np.ndarray) -> np.ndarray:
-    if level.size == 1 or level.grounded_factor is None:
-        return np.zeros_like(b)
-    kind, factor = level.grounded_factor
-    x = np.zeros_like(b)
-    # One column at a time: LAPACK multi-RHS kernels may reassociate
-    # across columns, and solutions must not depend on batch composition.
-    for j in range(b.shape[1]):
-        if kind == "cho":
-            x[1:, j] = scipy.linalg.cho_solve(factor, b[1:, j], check_finite=False)
-        else:
-            x[1:, j] = scipy.linalg.lu_solve(factor, b[1:, j], check_finite=False)
+    x = level.pinv @ b
     x -= x.mean(axis=0, keepdims=True)
     return x
 
@@ -680,7 +668,7 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
         Level(
             kind=LevelKind.COARSEST,
             matrix=current,
-            grounded_factor=_factor_coarsest(current),
+            pinv=_pseudoinverse(current),
         )
     )
     sizes = [lvl.size for lvl in levels]
@@ -689,20 +677,30 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
 
 
 def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np.ndarray:
-    """One V-cycle for ``L x = b`` starting from zero, on level ``j``."""
+    """One V-cycle for ``L x = b`` starting from zero, on level ``j``.
+
+    ``b`` is only read.  Each level holds its iterate and, while the
+    coarser levels run, nothing else of its own size.
+    """
     level = levels[j]
     if level.kind is LevelKind.COARSEST:
         return _direct_solve(level, b)
 
     if level.kind is LevelKind.ELIMINATION:
         # Exact transfer: no smoothing around elimination levels.
-        bf = b[level.f_nodes]
-        scaled = bf / level.f_degree[:, None]
-        bc = b[level.c_nodes] + level.w_cf @ scaled
+        scaled = b[level.f_nodes]
+        scaled /= level.f_degree[:, None]
+        bc = level.w_cf @ scaled
+        bc += b[level.c_nodes]
         xc = _cycle(levels, j + 1, bc, nu1, nu2)
+        del bc
         x = np.empty_like(b)
         x[level.c_nodes] = xc
-        x[level.f_nodes] = (bf + level.w_fc @ xc) / level.f_degree[:, None]
+        xf = level.w_fc @ xc
+        del xc
+        xf /= level.f_degree[:, None]
+        xf += scaled
+        x[level.f_nodes] = xf
         return x
 
     matrix = level.matrix
@@ -711,16 +709,22 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np
     x = np.zeros_like(b)
     for _ in range(nu1):
         _sweep(level.colors, x, b)
-    residual = b - matrix @ x
-    xc = _cycle(levels, j + 1, level.p.T @ residual, nu1, nu2)
-    direction = level.p @ xc
-    l_dir = matrix @ direction
-    num = np.einsum("ij,ij->j", residual, direction)
-    den = np.einsum("ij,ij->j", direction, l_dir)
-    # Energy line search on the coarse correction; plain aggregation
-    # under-corrects without it.
+    residual = matrix @ x
+    np.subtract(b, residual, out=residual)
+    rc = level.p.T @ residual
+    del residual
+    xc = _cycle(levels, j + 1, rc, nu1, nu2)
+    # Energy line search on the coarse correction d = P xc; plain
+    # aggregation under-corrects without it.  Both inner products are
+    # taken on the coarse level: <r, d> = <P^T r, xc> and
+    # <d, L d> = <xc, P^T L P xc>, whose operator is the next level's.
+    num = np.einsum("ij,ij->j", rc, xc)
+    den = np.einsum("ij,ij->j", xc, levels[j + 1].matrix @ xc)
+    del rc
     alpha = np.divide(num, den, out=np.ones_like(num), where=den > 0)
-    x += direction * alpha
+    xc *= alpha
+    x += level.p @ xc
+    del xc
     for _ in range(nu2):
         _sweep(level.colors[::-1], x, b)
     return x
@@ -787,9 +791,12 @@ def _jacobi_pcg(
 
 
 def _solve_block(
-    hierarchy: MultigridHierarchy, block: np.ndarray, config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``L x = b`` for every column of ``block``.
+    hierarchy: MultigridHierarchy,
+    rows: np.ndarray,
+    config: SolverConfig,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Solve ``L x = b`` for every row ``b`` of ``rows`` into that row of ``out``.
 
     The outer iteration is flexible conjugate gradients preconditioned by
     one V-cycle per iteration (Notay 2000): the cycle's line search makes
@@ -805,31 +812,28 @@ def _solve_block(
     columns share the block, because numpy reduces a one-column array in
     a different order than a wider one; callers that need reproducible
     bits keep block composition fixed, as :func:`solve_many` does.
-    Returns mean-centered solutions and independently recomputed relative
-    residuals.
+    Writes mean-centered solutions into ``out`` (same shape as ``rows``)
+    and returns independently recomputed relative residuals.
     """
     levels = hierarchy.levels
     matrix = levels[0].matrix
     n = matrix.shape[0]
-    if block.shape[0] != n:
-        raise DomainError(f"right-hand side length {block.shape[0]} != {n}")
-    # C order: a transposed row block would stay F-ordered, and every
-    # sparse product on it would pay a relayout copy.
-    b = np.array(block, dtype=np.float64, order="C", copy=True)
-    ncols = b.shape[1]
-    x = np.zeros_like(b)
+    if rows.shape[1] != n:
+        raise DomainError(f"right-hand side length {rows.shape[1]} != {n}")
+    ncols = rows.shape[0]
     if ncols == 0:
-        return x, np.zeros(0)
+        return np.zeros(0)
 
-    l1 = np.abs(b).sum(axis=0)
-    imbalance = np.abs(b.sum(axis=0))
+    l1 = np.abs(rows).sum(axis=1)
+    imbalance = np.abs(rows.sum(axis=1))
     bad = imbalance > 1e-10 * np.maximum(l1, np.finfo(float).tiny)
     if bad.any():
         raise DomainError(
             f"supply vector columns {np.nonzero(bad)[0].tolist()} are not balanced"
         )
-    bnorm = _column_norms(b)
+    bnorm = _column_norms(rows.T)
     nonzero = bnorm > 0
+    out[~nonzero] = 0.0
     tau = config.tau
     stop_tau = STOP_MARGIN * tau
     nu1, nu2 = config.smoothing_steps
@@ -840,13 +844,17 @@ def _solve_block(
     if active.size:
         # Per active column: iterate x, residual r, direction p and L p,
         # in contiguous arrays that are narrowed only on an iteration
-        # where a column converges, breaks down or runs out of cycles.
+        # where a column converges, breaks down or runs out of cycles;
+        # a finished column goes straight to its row of ``out``.
         # ``alpha`` and ``rz`` (= <r, z>) of the last step give the
         # Polak-Ribiere beta = <z_new, r_new - r> / rz = -alpha <z_new, Lp> / rz
         # from the L p already in hand, so no copy of the old r is kept.
         # Starting from alpha = 0 and L p = 0 makes the first beta 0.
-        xa = np.zeros((n, active.size))
-        ra = _center(b.take(active, axis=1))
+        # ``take`` on the transposed rows gathers a C-ordered block, so
+        # sparse products on it need no relayout copy.
+        ra = rows.T.take(active, axis=1)
+        ra -= ra.mean(axis=0, keepdims=True)
+        xa = np.zeros_like(ra)
         pa = np.zeros_like(ra)
         lpa = np.zeros_like(ra)
         norm_a = bnorm[active]
@@ -857,45 +865,56 @@ def _solve_block(
             conv = _column_norms(ra) / norm_a <= stop_tau
             done = conv | broken | (step == config.max_cycles)
             if done.any():
-                x[:, active[done]] = xa[:, done]
+                out[active[done]] = xa[:, done].T
                 net[active[done & ~conv]] = True
                 keep = ~done
                 if not keep.any():
                     break
                 # ``compress`` keeps the arrays C-ordered (``a[:, keep]``
-                # would not), so sparse products need no relayout copy.
-                xa, ra, pa, lpa = (a.compress(keep, axis=1) for a in (xa, ra, pa, lpa))
+                # would not); one array at a time, so only one is held twice.
+                xa = xa.compress(keep, axis=1)
+                ra = ra.compress(keep, axis=1)
+                pa = pa.compress(keep, axis=1)
+                lpa = lpa.compress(keep, axis=1)
                 active, norm_a, alpha, rz = active[keep], norm_a[keep], alpha[keep], rz[keep]
-            z = _center(_cycle(levels, 0, ra, nu1, nu2))
+            z = _cycle(levels, 0, ra, nu1, nu2)
+            z -= z.mean(axis=0, keepdims=True)
             cycles += active.size
             beta = -alpha * np.einsum("ij,ij->j", z, lpa) / rz
+            del lpa
             rz = np.einsum("ij,ij->j", ra, z)
             pa *= beta
             pa += z
-            del z
             lpa = matrix @ pa
             plp = np.einsum("ij,ij->j", pa, lpa)
             broken = (plp <= 0) | (rz <= 0)
             alpha = np.divide(rz, plp, out=np.zeros_like(rz), where=~broken)
-            xa += pa * alpha
-            ra -= lpa * alpha
+            # ``z`` is spent: it holds the scaled steps.
+            xa += np.multiply(pa, alpha, out=z)
+            ra -= np.multiply(lpa, alpha, out=z)
+            del z
+        del xa, ra, pa, lpa
 
-    x = _center(x)
-    res = np.where(nonzero, _column_norms(b - matrix @ x) / np.where(nonzero, bnorm, 1.0), 0.0)
+    out -= out.mean(axis=1, keepdims=True)
+    residual = matrix @ out.T
+    np.subtract(rows.T, residual, out=residual)
+    res = np.where(nonzero, _column_norms(residual) / np.where(nonzero, bnorm, 1.0), 0.0)
+    del residual
     cols = np.flatnonzero(net | (res > tau))
     if cols.size:
         cg_iters = max(2000, int(50 * np.sqrt(n)))
-        x[:, cols], res[cols] = _jacobi_pcg(
-            matrix, x.take(cols, axis=1), b.take(cols, axis=1), bnorm[cols],
-            stop_tau, cg_iters,
+        x, res[cols] = _jacobi_pcg(
+            matrix, out.T.take(cols, axis=1), rows.T.take(cols, axis=1),
+            bnorm[cols], stop_tau, cg_iters,
         )
+        out[cols] = x.T
     if (res[cols] > tau).any():
         raise ConvergenceError(
             f"{int((res[cols] > tau).sum())} solve(s) failed to reach tau={tau:g}",
             best_residual=float(res[cols].max()),
         )
     hierarchy.stats.record(res, cols.size, cycles)
-    return x, res
+    return res
 
 
 def solve(
@@ -910,9 +929,10 @@ def solve(
     recomputed from the matrix, not taken from iteration bookkeeping.
     """
     config = config or hierarchy.config
-    column = np.asarray(b, dtype=np.float64).reshape(-1, 1)
-    x, res = _solve_block(hierarchy, column, config)
-    return PotentialVector(values=x[:, 0], achieved_residual=float(res[0]))
+    row = np.asarray(b, dtype=np.float64).reshape(1, -1)
+    x = np.empty_like(row)
+    res = _solve_block(hierarchy, row, config, x)
+    return PotentialVector(values=x[0], achieved_residual=float(res[0]))
 
 
 def solve_many(
@@ -936,7 +956,7 @@ def solve_many(
     if stacked.ndim == 1:
         stacked = stacked.reshape(1, -1)
     count = stacked.shape[0]
-    out_values = np.zeros((count, hierarchy.n))
+    out_values = np.empty((count, hierarchy.n))
     out_res = np.zeros(count)
     blocks = [
         (start, min(start + BLOCK_COLUMNS, count))
@@ -945,9 +965,7 @@ def solve_many(
 
     def run(bounds: tuple[int, int]) -> None:
         lo, hi = bounds
-        x, res = _solve_block(hierarchy, stacked[lo:hi].T, config)
-        out_values[lo:hi] = x.T
-        out_res[lo:hi] = res
+        out_res[lo:hi] = _solve_block(hierarchy, stacked[lo:hi], config, out_values[lo:hi])
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -49,6 +49,19 @@ class TestSpearman:
         with pytest.raises(DomainError):
             spearman([1.0], [2.0])
 
+    def test_average_ranks_match_scipy_rankdata(self, rng):
+        from scipy.stats import rankdata
+
+        for _ in range(200):
+            size = int(rng.integers(0, 60))
+            values = rng.integers(0, int(rng.integers(1, 12)), size=size).astype(float)
+            values[rng.random(size) < 0.1] *= -0.5  # negatives and -0.0
+            assert np.array_equal(evaluation._average_ranks(values), rankdata(values))
+        with_nan = np.array([2.0, np.nan, 1.0, 2.0])
+        assert np.array_equal(
+            evaluation._average_ranks(with_nan), rankdata(with_nan), equal_nan=True
+        )
+
 
 def all_pairs_inversions(exact, approx):
     """Reference rank_inversions over the full q x q sign matrices."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,11 @@ from cfcent import (
     resistances_from_node,
     setup,
     sketch_distance,
+    solve_many,
 )
 from cfcent import resistance as resistance_module
 from cfcent.generators import complete_graph, grid_graph, path_graph
+from cfcent.graph import incidence_and_weights
 from cfcent.resistance import (
     node_solution,
     node_solution_chunks,
@@ -290,23 +293,46 @@ class TestSketch:
         assert np.median(ratios) == pytest.approx(1.0, abs=0.1)
 
     def test_sign_block_is_freed_before_the_solve(self, monkeypatch):
-        # The dense k x m sign block is dead once the right-hand sides are
-        # built; on grid 60 (m ~ 2n) keeping it alive through the solve
-        # roughly triples the memory held on entering it.
+        # Rows are drawn, pushed and solved in chunks of 64 * threads.  On
+        # entering each chunk's solve, ``z`` (which stages the chunk's
+        # right-hand sides) and little else is held; on grid 60 (m ~ 2n) a
+        # sign block kept alive through the solve would add about twice
+        # the chunk's right-hand sides.
         g = grid_graph(60)
         h = hierarchy_for(g)
         inner = resistance_module.solve_many
-        seen = {}
+        for threads in (1, 2):
+            calls = []
 
-        def spy(hierarchy, supplies, *args, **kwargs):
-            seen["held"] = tracemalloc.get_traced_memory()[0]
-            seen["rhs"] = np.asarray(supplies).nbytes
-            return inner(hierarchy, supplies, *args, **kwargs)
+            def spy(hierarchy, supplies, *args, **kwargs):
+                calls.append((tracemalloc.get_traced_memory()[0], np.asarray(supplies).nbytes))
+                return inner(hierarchy, supplies, *args, **kwargs)
 
-        monkeypatch.setattr(resistance_module, "solve_many", spy)
-        tracemalloc.start()
-        try:
-            build_sketch(g, h, epsilon=0.2, seed=0)
-        finally:
-            tracemalloc.stop()
-        assert seen["held"] < 1.5 * seen["rhs"]
+            monkeypatch.setattr(resistance_module, "solve_many", spy)
+            tracemalloc.start()
+            try:
+                sk = build_sketch(g, h, epsilon=0.2, seed=0, threads=threads)
+            finally:
+                tracemalloc.stop()
+            assert len(calls) == -(-sk.k // (64 * threads)) > 1
+            for held, rhs in calls:
+                assert held < sk.z.nbytes + 1.5 * rhs
+
+    def test_sketch_is_independent_of_threads_and_chunking(self):
+        # One draw of all k sign rows and one solve of all k right-hand
+        # sides give the same bits as the chunked draws and solves.
+        g = grid_graph(30)
+        h = hierarchy_for(g)
+        epsilon, seed = 0.2, 5
+        k = sketch_dimension(g.n, epsilon)
+        assert k > 2 * 64  # several blocks, and a partial last one
+        b_inc, weights = incidence_and_weights(g)
+        scaled_t = b_inc.multiply(np.sqrt(weights)[:, None]).T.tocsr()
+        signs = np.random.default_rng(seed).integers(0, 2, size=(k, g.m))
+        q = (signs.astype(np.float64) * 2.0 - 1.0) * (1.0 / math.sqrt(k))
+        rhs = np.ascontiguousarray((scaled_t @ q.T).T)
+        rhs -= rhs.mean(axis=1, keepdims=True)
+        reference = np.vstack([pot.values for pot in solve_many(h, rhs)])
+        for threads in (1, 2, 4):
+            sk = build_sketch(g, h, epsilon=epsilon, seed=seed, threads=threads)
+            assert np.array_equal(sk.z, reference)

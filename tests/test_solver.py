@@ -497,6 +497,31 @@ class TestSolveMany:
         for pot in solve_many(h, supplies):
             assert pot.achieved_residual <= 1e-5
 
+    @pytest.mark.parametrize(
+        "graph",
+        [lambda: grid_graph(60), lambda: barabasi_albert_graph(4000, 5, seed=0)],
+        ids=["grid60", "ba4000"],
+    )
+    def test_block_solve_peak_is_under_eight_blocks(self, graph, rng):
+        # One 64-column solve holds its returned rows, the four PCG arrays,
+        # the preconditioned residual and the finest level's iterate and
+        # residual, plus the coarse levels: about 7.5 blocks of 64 x n.
+        import tracemalloc
+
+        g = graph()
+        h = setup(laplacian(g), SolverConfig())
+        supplies = rng.standard_normal((64, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solved = solve_many(h, supplies)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert max(pot.achieved_residual for pot in solved) <= 1e-5
+        assert peak <= 8 * supplies.nbytes
+
     def test_batch_position_changes_results_only_at_roundoff(self, rng):
         # A column solved alongside different neighbors may differ by
         # summation-order ulps (numpy reduces multi-column blocks in a
