@@ -28,7 +28,7 @@ __all__ = [
     "degree_correlation_experiment",
 ]
 
-RANK_BLOCK_ELEMENTS = 1 << 20  # pair comparisons held at once by rank_inversions
+RANK_BLOCK_ELEMENTS = 1 << 17  # pair comparisons held at once by rank_inversions
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,16 @@ def rank_inversions(
     q = x.size
     # A pair is concordant or tied in both exactly when the two signs
     # agree.  Row i of a block is compared with columns lo+1..q-1, of
-    # which triu keeps j > i; memory is O(RANK_BLOCK_ELEMENTS).
+    # which triu keeps j > i; the signs overwrite the differences, so
+    # memory is about two float blocks of RANK_BLOCK_ELEMENTS.
     rows = max(1, RANK_BLOCK_ELEMENTS // q)
     count = 0
     for lo in range(0, q - 1, rows):
         hi = min(lo + rows, q - 1)
-        sx = np.sign(x[lo:hi, None] - x[None, lo + 1 :])
-        sy = np.sign(y[lo:hi, None] - y[None, lo + 1 :])
+        sx = np.subtract(x[lo:hi, None], x[None, lo + 1 :])
+        sy = np.subtract(y[lo:hi, None], y[None, lo + 1 :])
+        np.sign(sx, out=sx)
+        np.sign(sy, out=sy)
         count += int(np.count_nonzero(np.triu(sx != sy)))
     pairs = q * (q - 1) // 2
     return count, count / pairs

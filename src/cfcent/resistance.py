@@ -267,18 +267,19 @@ def sketch_distance_sums(
 ) -> np.ndarray:
     """Sum of sketch distances from each given node to all nodes.
 
-    Evaluates ``sum_w ||z_v - z_w||^2`` in closed form from column norms,
-    avoiding the quadratic pairwise expansion.
+    Evaluates ``sum_w ||z_v - z_w||^2`` in closed form from column norms
+    and the product of the sketch with its row sums, avoiding the
+    quadratic pairwise expansion and any copy of the sketch.
     """
     z = sketch.z
     col_sq = np.einsum("ij,ij->j", z, z)
     total_sq = col_sq.sum()
-    col_sum = z.sum(axis=1)
+    cross = z.T @ z.sum(axis=1)
     n = sketch.n
+    sums = total_sq + n * col_sq - 2.0 * cross
     if nodes is None:
-        idx = np.arange(n)
-    else:
-        idx = np.asarray(nodes, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise DomainError("node ids out of range")
-    return total_sq + n * col_sq[idx] - 2.0 * (z[:, idx].T @ col_sum)
+        return sums
+    idx = np.asarray(nodes, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise DomainError("node ids out of range")
+    return sums[idx]

@@ -11,11 +11,15 @@ stored as its own block of matrix rows; the same classes smooth the test
 vectors and serve the V-cycle.  The V-cycle smooths with multicolor
 Gauss-Seidel, one sparse row-block product per class, and scales the
 coarse-grid correction by an energy line search taken on the coarse
-Galerkin operator.  Solves run flexible conjugate gradients with one
-V-cycle as the preconditioner of every iteration.  Columns that run out
-of iterations, break down or miss the tolerance when their residual is
-recomputed are finished by Jacobi-preconditioned CG, a safety net that
-makes the residual contract hold on any connected input.
+Galerkin operator.  A solve restricts its block once through the leading
+elimination levels, which are exact, and runs flexible conjugate
+gradients on the reduced system with one V-cycle as the preconditioner
+of every iteration (a reduced system that is the coarsest level is
+solved directly); each column is back-substituted to the finest level
+when it converges.  Columns that run out of iterations, break down or
+miss the tolerance when their residual is recomputed on the finest level
+are finished by Jacobi-preconditioned CG, a safety net that makes the
+residual contract hold on any connected input.
 
 Singularity of the Laplacian is handled by mean-centering supplies and
 iterates; the coarsest level keeps its dense pseudoinverse
@@ -688,20 +692,10 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np
 
     if level.kind is LevelKind.ELIMINATION:
         # Exact transfer: no smoothing around elimination levels.
-        scaled = b[level.f_nodes]
-        scaled /= level.f_degree[:, None]
-        bc = level.w_cf @ scaled
-        bc += b[level.c_nodes]
+        bc, scaled = _eliminate_restrict(level, b)
         xc = _cycle(levels, j + 1, bc, nu1, nu2)
         del bc
-        x = np.empty_like(b)
-        x[level.c_nodes] = xc
-        xf = level.w_fc @ xc
-        del xc
-        xf /= level.f_degree[:, None]
-        xf += scaled
-        x[level.f_nodes] = xf
-        return x
+        return _eliminate_interpolate(level, xc, scaled)
 
     matrix = level.matrix
     # Pre-smoothing sweeps the classes forward from a zero initial guess,
@@ -727,6 +721,32 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np
     del xc
     for _ in range(nu2):
         _sweep(level.colors[::-1], x, b)
+    return x
+
+
+def _eliminate_restrict(level: Level, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce ``L x = b`` exactly through an elimination level.
+
+    Returns the reduced right-hand side ``b_c + W_cf D_f^-1 b_f`` and
+    ``D_f^-1 b_f``, which :func:`_eliminate_interpolate` needs back.
+    ``b`` is only read.
+    """
+    scaled = b[level.f_nodes]
+    scaled /= level.f_degree[:, None]
+    bc = level.w_cf @ scaled
+    bc += b[level.c_nodes]
+    return bc, scaled
+
+
+def _eliminate_interpolate(level: Level, xc: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Back-substitute ``x_f = D_f^-1 (b_f + W_fc x_c)`` under the reduced
+    solution ``xc``, given ``scaled = D_f^-1 b_f``; returns the level's ``x``."""
+    x = np.empty((level.size, xc.shape[1]))
+    x[level.c_nodes] = xc
+    xf = level.w_fc @ xc
+    xf /= level.f_degree[:, None]
+    xf += scaled
+    x[level.f_nodes] = xf
     return x
 
 
@@ -798,12 +818,22 @@ def _solve_block(
 ) -> np.ndarray:
     """Solve ``L x = b`` for every row ``b`` of ``rows`` into that row of ``out``.
 
-    The outer iteration is flexible conjugate gradients preconditioned by
-    one V-cycle per iteration (Notay 2000): the cycle's line search makes
-    it a nonlinear preconditioner, so each direction is made conjugate
-    to the previous one only, with the Polak-Ribiere ``beta``.  Columns
-    that reach ``max_cycles`` iterations, break down (``<p, Lp> <= 0`` or
-    ``<r, z> <= 0``) or whose recomputed residual exceeds ``tau`` are
+    The block is restricted once through the leading elimination levels
+    to the reduced system ``S x_c = b_c + W_cf D_f^-1 b_f`` of the first
+    other level, as LAMG's solve phase does (Livne & Brandt 2012).  The
+    outer iteration runs on that system: flexible conjugate gradients
+    preconditioned by one V-cycle from that level per iteration (Notay
+    2000); the cycle's line search makes it a nonlinear preconditioner,
+    so each direction is made conjugate to the previous one only, with
+    the Polak-Ribiere ``beta``.  A reduced system that is the coarsest
+    level is solved directly and needs no cycle.  A column stops when
+    its reduced residual falls below ``STOP_MARGIN * tau`` of its fine
+    right-hand side's norm, which is exact: after back-substitution
+    ``x_f = D_f^-1 (b_f + W_fc x_c)``, done per column as it leaves the
+    iteration, the fine residual equals the reduced one on the C rows
+    and is zero on the F rows.  Columns that reach ``max_cycles``
+    iterations, break down (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose
+    residual, recomputed from the finest matrix, exceeds ``tau`` are
     finished by Jacobi-preconditioned CG, the safety net that makes the
     contract hold on any connected input.
 
@@ -842,19 +872,33 @@ def _solve_block(
 
     active = np.flatnonzero(nonzero)
     if active.size:
-        # Per active column: iterate x, residual r, direction p and L p,
-        # in contiguous arrays that are narrowed only on an iteration
-        # where a column converges, breaks down or runs out of cycles;
-        # a finished column goes straight to its row of ``out``.
-        # ``alpha`` and ``rz`` (= <r, z>) of the last step give the
-        # Polak-Ribiere beta = <z_new, r_new - r> / rz = -alpha <z_new, Lp> / rz
-        # from the L p already in hand, so no copy of the old r is kept.
-        # Starting from alpha = 0 and L p = 0 makes the first beta 0.
-        # ``take`` on the transposed rows gathers a C-ordered block, so
-        # sparse products on it need no relayout copy.
+        # Restrict the block once through the leading elimination levels
+        # to the reduced system of level ``top``.  ``take`` on the
+        # transposed rows gathers a C-ordered block, so sparse products
+        # on it need no relayout copy.
+        top = next(j for j, lvl in enumerate(levels) if lvl.kind is not LevelKind.ELIMINATION)
         ra = rows.T.take(active, axis=1)
         ra -= ra.mean(axis=0, keepdims=True)
-        xa = np.zeros_like(ra)
+        scaled = []  # D_f^-1 b_f per elimination level, for back-substitution
+        for level in levels[:top]:
+            ra, f_part = _eliminate_restrict(level, ra)
+            scaled.append(f_part)
+            del f_part  # the list alone holds it, so narrowing frees it
+        reduced = levels[top]
+        # Per active column: iterate x, residual r, direction p and L p
+        # on the reduced system, in contiguous arrays that are narrowed
+        # only on an iteration where a column converges, breaks down or
+        # runs out of cycles.  ``alpha`` and ``rz`` (= <r, z>) of the last
+        # step give the Polak-Ribiere
+        # beta = <z_new, r_new - r> / rz = -alpha <z_new, Lp> / rz
+        # from the L p already in hand, so no copy of the old r is kept.
+        # Starting from alpha = 0 and L p = 0 makes the first beta 0.  A
+        # coarsest reduced level is solved directly, with no cycle.
+        if reduced.kind is LevelKind.COARSEST:
+            xa = _direct_solve(reduced, ra)
+            ra -= reduced.matrix @ xa
+        else:
+            xa = np.zeros_like(ra)
         pa = np.zeros_like(ra)
         lpa = np.zeros_like(ra)
         norm_a = bnorm[active]
@@ -865,19 +909,28 @@ def _solve_block(
             conv = _column_norms(ra) / norm_a <= stop_tau
             done = conv | broken | (step == config.max_cycles)
             if done.any():
-                out[active[done]] = xa[:, done].T
+                x = xa.compress(done, axis=1)
+                f_done = [f_part.compress(done, axis=1) for f_part in scaled]
+                finished = active[done]
                 net[active[done & ~conv]] = True
-                keep = ~done
-                if not keep.any():
-                    break
+                # Narrow before back-substituting, so the finished columns'
+                # fine solutions never sit beside the full PCG arrays.
                 # ``compress`` keeps the arrays C-ordered (``a[:, keep]``
                 # would not); one array at a time, so only one is held twice.
+                keep = ~done
                 xa = xa.compress(keep, axis=1)
                 ra = ra.compress(keep, axis=1)
                 pa = pa.compress(keep, axis=1)
                 lpa = lpa.compress(keep, axis=1)
+                scaled = [f_part.compress(keep, axis=1) for f_part in scaled]
                 active, norm_a, alpha, rz = active[keep], norm_a[keep], alpha[keep], rz[keep]
-            z = _cycle(levels, 0, ra, nu1, nu2)
+                for level in reversed(levels[:top]):
+                    x = _eliminate_interpolate(level, x, f_done.pop())
+                out[finished] = x.T
+                del x
+                if not active.size:
+                    break
+            z = _cycle(levels, top, ra, nu1, nu2)
             z -= z.mean(axis=0, keepdims=True)
             cycles += active.size
             beta = -alpha * np.einsum("ij,ij->j", z, lpa) / rz
@@ -885,7 +938,7 @@ def _solve_block(
             rz = np.einsum("ij,ij->j", ra, z)
             pa *= beta
             pa += z
-            lpa = matrix @ pa
+            lpa = reduced.matrix @ pa
             plp = np.einsum("ij,ij->j", pa, lpa)
             broken = (plp <= 0) | (rz <= 0)
             alpha = np.divide(rz, plp, out=np.zeros_like(rz), where=~broken)
@@ -893,7 +946,7 @@ def _solve_block(
             xa += np.multiply(pa, alpha, out=z)
             ra -= np.multiply(lpa, alpha, out=z)
             del z
-        del xa, ra, pa, lpa
+        del xa, ra, pa, lpa, scaled
 
     out -= out.mean(axis=1, keepdims=True)
     residual = matrix @ out.T

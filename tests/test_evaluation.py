@@ -131,6 +131,23 @@ class TestRankInversions:
         assert count <= 15 * 14 // 2
         assert 0.0 <= pct <= 1.0
 
+    def test_thousand_scores_peak_under_six_mb(self, rng):
+        # The compare command ranks every node, q = n; the row blocks keep
+        # the pair temporaries to a few MB whatever q is.
+        import tracemalloc
+
+        x = rng.standard_normal(1000)
+        y = x + 0.3 * rng.standard_normal(1000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = rank_inversions(x, y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result == all_pairs_inversions(x, y)
+        assert peak <= 6 * 2**20
+
 
 class TestMaxRelativeError:
     def test_identical(self):

@@ -271,6 +271,30 @@ class TestSketch:
             direct = sum(sketch_distance(sk, node, w) for w in range(g.n))
             assert total == pytest.approx(direct, rel=1e-9)
 
+    @pytest.mark.parametrize("nodes", [None, "all", [17, 0, 5, 17]], ids=["none", "all", "subset"])
+    def test_distance_sums_match_pairwise_brute_force(self, rng, nodes):
+        g = random_connected_graph(40, rng)
+        sk = build_sketch(g, hierarchy_for(g), epsilon=0.5, seed=7)
+        diff = sk.z[:, :, None] - sk.z[:, None, :]
+        brute = np.einsum("kvw,kvw->v", diff, diff)
+        idx = np.arange(g.n) if nodes in (None, "all") else np.asarray(nodes)
+        arg = list(range(g.n)) if nodes == "all" else nodes
+        assert sketch_distance_sums(sk, arg) == pytest.approx(brute[idx], rel=1e-9)
+
+    def test_distance_sums_for_all_nodes_do_not_copy_the_sketch(self, rng):
+        g = grid_graph(20)
+        sk = build_sketch(g, hierarchy_for(g), epsilon=0.2, seed=0)
+        assert sk.k >= 100  # so a k x n copy would dwarf the n-vectors
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sums = sketch_distance_sums(sk)
+            held = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sums.shape == (g.n,)
+        assert held < 0.1 * sk.z.nbytes
+
     def test_distortion_concentrates_around_one(self, rng):
         # Relative distortion of sketched distances is chi-square-like
         # with sqrt(2/k) spread: most pairs land in the (1 +- eps) band,

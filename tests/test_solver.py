@@ -522,6 +522,83 @@ class TestSolveMany:
         assert max(pot.achieved_residual for pot in solved) <= 1e-5
         assert peak <= 8 * supplies.nbytes
 
+    def test_block_solve_on_the_reduced_system_peaks_under_five_blocks(self, rng):
+        # grid60 starts with an elimination level (3600 -> 1800 nodes), so
+        # the PCG arrays are half-size, and finished columns are
+        # back-substituted only after the arrays are narrowed: about 4.6
+        # blocks of 64 x n, the returned rows included.
+        import tracemalloc
+
+        g = grid_graph(60)
+        h = setup(laplacian(g), SolverConfig())
+        assert h.levels[0].kind is LevelKind.ELIMINATION
+        supplies = rng.standard_normal((64, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solved = solve_many(h, supplies)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert max(pot.achieved_residual for pot in solved) <= 1e-5
+        assert peak <= 5 * supplies.nbytes
+
+    def test_iteration_never_cycles_on_a_leading_elimination_level(self, rng, monkeypatch):
+        g = grid_graph(40)
+        h = setup(laplacian(g), SolverConfig())
+        assert h.levels[0].kind is LevelKind.ELIMINATION
+        cycle = solver_module._cycle
+        visited = []
+
+        def spy(levels, j, *args):
+            visited.append(j)
+            return cycle(levels, j, *args)
+
+        monkeypatch.setattr(solver_module, "_cycle", spy)
+        supplies = rng.standard_normal((10, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        for pot in solve_many(h, supplies):
+            assert pot.achieved_residual <= 1e-5
+        assert visited and 0 not in visited
+
+    def test_star_is_solved_by_elimination_and_the_coarsest_level_alone(self, rng):
+        # Eliminating the 299 leaves leaves the center alone, so the
+        # reduced system is the coarsest level: no V-cycle is needed.
+        g = star_graph(300)
+        h = setup(laplacian(g), SolverConfig())
+        assert [lvl.kind for lvl in h.levels] == [LevelKind.ELIMINATION, LevelKind.COARSEST]
+        supplies = rng.standard_normal((5, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        solved = solve_many(h, supplies)
+        assert h.stats.cycles == 0
+        assert max(pot.achieved_residual for pot in solved) <= 1e-12
+
+    def test_chain_of_elimination_levels_back_substitutes_exactly(self, rng):
+        # Three elimination levels in a row over a path, built by hand:
+        # the block is restricted through all of them and each column is
+        # back-substituted through all of them.
+        lap = laplacian(path_graph(64))
+        levels = []
+        current = lap
+        for _ in range(3):
+            current, level = coarsen_eliminate(current)
+            levels.append(level)
+        levels.append(
+            solver_module.Level(
+                kind=LevelKind.COARSEST,
+                matrix=current,
+                pinv=solver_module._pseudoinverse(current),
+            )
+        )
+        h = solver_module.MultigridHierarchy(levels=levels, config=SolverConfig())
+        supplies = rng.standard_normal((3, 64))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        dense = lap.toarray()
+        for pot, b in zip(solve_many(h, supplies), supplies):
+            assert pot.values == pytest.approx(dense_solve_oracle(dense, b), abs=1e-9)
+        assert h.stats.cycles == 0
+
     def test_batch_position_changes_results_only_at_roundoff(self, rng):
         # A column solved alongside different neighbors may differ by
         # summation-order ulps (numpy reduces multi-column blocks in a
