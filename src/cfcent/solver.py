@@ -1,9 +1,12 @@
 """Multigrid solver for Laplacian systems of connected graphs.
 
-The hierarchy alternates two coarsening stages.  Elimination removes an
-independent set of low-degree nodes exactly via the Schur complement;
-aggregation partitions nodes by the affinity of relaxed test vectors and
-coarsens with the Galerkin product of the piecewise-constant interpolation.
+Each level is coarsened by one rule, as in LAMG (Livne & Brandt 2012):
+eliminate, else aggregate, else stop.  Elimination removes an independent
+set of low-degree nodes exactly via the Schur complement; aggregation
+partitions nodes by the affinity of relaxed test vectors and coarsens with
+the Galerkin product of the piecewise-constant interpolation.  Each must
+remove ``MIN_REDUCTION`` of the level's nodes; where neither does, the
+level is the coarsest.
 Aggregation seeds and attaches nodes in rounds of whole-array passes over
 the level's edges, with no per-node Python loop.  Each aggregation
 candidate level is split once into color classes (independent sets), each
@@ -18,8 +21,10 @@ of every iteration (a reduced system that is the coarsest level is
 solved directly); each column is back-substituted to the finest level
 when it converges.  Columns that run out of iterations, break down or
 miss the tolerance when their residual is recomputed on the finest level
-are finished by Jacobi-preconditioned CG, a safety net that makes the
-residual contract hold on any connected input.
+are finished by Jacobi-preconditioned CG, the safety net.  The contract
+is a recomputed relative residual at most ``tau`` for every column, or
+:class:`ConvergenceError` when even the safety net misses it (as it does
+on some graphs whose edge weights span many orders of magnitude).
 
 Singularity of the Laplacian is handled by mean-centering supplies and
 iterates; the coarsest level keeps its dense pseudoinverse
@@ -72,8 +77,10 @@ class SolverConfig:
 
     ``max_cycles`` caps the flexible-PCG iterations per column, one
     V-cycle each; a column still above ``tau`` then goes to the Jacobi-CG
-    safety net.  ``smoothing_steps`` is (pre, post) multicolor
-    Gauss-Seidel sweeps per V-cycle.
+    safety net.  ``max_direct_size`` is the size at or below which a
+    level is solved directly instead of coarsened; a larger level where
+    coarsening stalls is solved directly as well.  ``smoothing_steps`` is
+    (pre, post) multicolor Gauss-Seidel sweeps per V-cycle.
     """
 
     tau: float = 1e-5
@@ -254,10 +261,12 @@ def coarsen_eliminate(
     """Exact Schur-complement elimination of an independent low-degree set.
 
     Nodes with at most ``degree_cap`` neighbors are selected greedily in
-    ascending id order subject to pairwise independence.  Returns the
-    Schur complement on the remaining nodes (again a Laplacian) and the
-    elimination level that transfers to it, or ``(matrix, None)`` when no
-    node is eligible.
+    ascending id order subject to pairwise independence, and never all of
+    the nodes.  Returns the Schur complement on the remaining nodes (again
+    a Laplacian) and the elimination level that transfers to it, or
+    ``(matrix, None)`` when fewer than ``MIN_REDUCTION`` of the nodes are
+    selected; that is decided before the Schur complement is built, so a
+    rejected elimination costs only the selection.
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
@@ -274,7 +283,7 @@ def coarsen_eliminate(
         blocked[i] = True
     if len(chosen) == n and n > 0:
         chosen.pop()  # never eliminate every node
-    if not chosen:
+    if not chosen or len(chosen) < MIN_REDUCTION * n:
         return matrix, None
 
     f = np.asarray(chosen, dtype=np.int64)
@@ -450,49 +459,8 @@ def coarsen_aggregate(
         node, nbr = node[live], nbr[live]
 
     left = agg < 0
-    agg[left] = n_seeds + np.arange(int(left.sum()))
-    return _galerkin(matrix, agg, n_seeds + int(left.sum()))
-
-
-def _matching_aggregation(
-    matrix: sp.csr_matrix, test_vectors: np.ndarray
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Pairwise matching by descending affinity; guarantees a reduction
-    whenever the graph has at least one edge."""
-    matrix = matrix.tocsr()
-    n = matrix.shape[0]
-    coo = matrix.tocoo()
-    upper = (coo.row < coo.col)
-    eu, ev = coo.row[upper], coo.col[upper]
-    x = test_vectors
-    norms2 = np.einsum("ij,ij->i", x, x)
-    dots = np.einsum("ij,ij->i", x[eu], x[ev])
-    denom = norms2[eu] * norms2[ev]
-    aff = np.where(denom > 0, dots * dots / denom, 0.0)
-    order = np.lexsort((ev, eu, -aff))
-    partner = -np.ones(n, dtype=np.int64)
-    for e in order:
-        u, v = int(eu[e]), int(ev[e])
-        if partner[u] < 0 and partner[v] < 0:
-            partner[u] = v
-            partner[v] = u
-    agg = -np.ones(n, dtype=np.int64)
-    next_id = 0
-    for u in range(n):
-        if agg[u] >= 0:
-            continue
-        agg[u] = next_id
-        if partner[u] > u:
-            agg[partner[u]] = next_id
-        next_id += 1
-    return _galerkin(matrix, agg, next_id)
-
-
-def _galerkin(
-    matrix: sp.csr_matrix, agg: np.ndarray, n_agg: int
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Coarse Laplacian ``P.T @ L @ P`` and the piecewise-constant ``P``."""
-    n = matrix.shape[0]
+    n_agg = n_seeds + int(left.sum())
+    agg[left] = np.arange(n_seeds, n_agg)
     p = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, n_agg))
     return _rebuild_laplacian(p.T @ matrix @ p), p
 
@@ -599,74 +567,32 @@ def _direct_solve(level: Level, b: np.ndarray) -> np.ndarray:
 def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridHierarchy:
     """Build the multigrid hierarchy for a connected-graph Laplacian.
 
-    Stages alternate starting with elimination; a stage that would shrink
-    the level by less than 10% is skipped in favor of the other.  When
-    neither stage clears the bar, the better reduction is taken anyway
-    (affinity matching guarantees progress on any graph with edges), so
-    the recursion always reaches ``max_direct_size``.
+    One rule per level above ``max_direct_size``: eliminate if
+    :func:`coarsen_eliminate` gives a level, else aggregate if that removes
+    at least ``MIN_REDUCTION`` of the nodes, else stop.  The coarsest level
+    gets the dense pseudoinverse; it is at most ``max_direct_size`` or the
+    level where coarsening stalled, which happens on dense levels such as
+    cliques.
     """
     config = config or SolverConfig()
     current = _validate_laplacian(matrix)
     rng = np.random.default_rng(config.seed)
     levels: list[Level] = []
-    preferred = LevelKind.ELIMINATION
 
     while current.shape[0] > config.max_direct_size:
-        n_cur = current.shape[0]
-        need = MIN_REDUCTION * n_cur
-        candidates: dict[LevelKind, tuple] = {}
-
-        def try_stage(kind: LevelKind):
-            if kind in candidates:
-                return candidates[kind]
-            if kind is LevelKind.ELIMINATION:
-                schur, level = coarsen_eliminate(current, config.elimination_degree_cap)
-                red = 0 if level is None else level.f_nodes.size
-                candidates[kind] = (red, schur, level)
-            else:
-                # One coloring serves the test vectors and the smoother.
-                colors = _smoother_classes(current)
-                vectors = relaxed_test_vectors(
-                    current, config.aggregation_test_vectors, rng, colors
-                )
-                coarse, p = coarsen_aggregate(current, vectors)
-                red = n_cur - coarse.shape[0]
-                if red < need:
-                    mcoarse, mp = _matching_aggregation(current, vectors)
-                    mred = n_cur - mcoarse.shape[0]
-                    if mred > red:
-                        coarse, p, red = mcoarse, mp, mred
-                level = Level(
-                    kind=LevelKind.AGGREGATION, matrix=current, p=p, colors=colors
-                )
-                candidates[kind] = (red, coarse, level)
-            return candidates[kind]
-
-        other = (
-            LevelKind.AGGREGATION
-            if preferred is LevelKind.ELIMINATION
-            else LevelKind.ELIMINATION
-        )
-        applied = None
-        for kind in (preferred, other):
-            if try_stage(kind)[0] >= need:
-                applied = kind
+        coarse, level = coarsen_eliminate(current, config.elimination_degree_cap)
+        if level is None:
+            # One coloring serves the test vectors and the smoother.
+            colors = _smoother_classes(current)
+            vectors = relaxed_test_vectors(
+                current, config.aggregation_test_vectors, rng, colors
+            )
+            coarse, p = coarsen_aggregate(current, vectors)
+            if current.shape[0] - coarse.shape[0] < MIN_REDUCTION * current.shape[0]:
                 break
-        if applied is None:
-            # Neither stage cleared the bar: accept the larger reduction.
-            applied = max(candidates, key=lambda k: candidates[k][0])
-            if candidates[applied][0] <= 0:
-                raise ConvergenceError(
-                    "coarsening made no progress", best_residual=float("inf")
-                )
-
-        _, current, level = candidates[applied]
+            level = Level(kind=LevelKind.AGGREGATION, matrix=current, p=p, colors=colors)
         levels.append(level)
-        preferred = (
-            LevelKind.AGGREGATION
-            if applied is LevelKind.ELIMINATION
-            else LevelKind.ELIMINATION
-        )
+        current = coarse
 
     levels.append(
         Level(
@@ -834,8 +760,8 @@ def _solve_block(
     and is zero on the F rows.  Columns that reach ``max_cycles``
     iterations, break down (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose
     residual, recomputed from the finest matrix, exceeds ``tau`` are
-    finished by Jacobi-preconditioned CG, the safety net that makes the
-    contract hold on any connected input.
+    finished by Jacobi-preconditioned CG, the safety net; a column it
+    leaves above ``tau`` raises :class:`ConvergenceError`.
 
     Every column runs its own iteration and leaves the loop at its own
     convergence step.  Its low-order bits may still depend on which

@@ -61,13 +61,57 @@ class TestSetup:
         assert first.c_nodes.tolist() == [0]
         assert h.levels[1].size == 1
 
-    def test_level_sizes_strictly_decrease(self, rng):
+    def test_level_sizes_strictly_decrease(self, rng, monkeypatch):
+        # Every level but the coarsest removes MIN_REDUCTION of its nodes;
+        # the coarsest is at most max_direct_size, or the level where
+        # neither elimination nor the last aggregation cleared that bar.
+        aggregated = []  # (fine size, coarse size) of each aggregation call
+        real_aggregate = solver_module.coarsen_aggregate
+
+        def recording_aggregate(matrix, vectors):
+            coarse, p = real_aggregate(matrix, vectors)
+            aggregated.append((matrix.shape[0], coarse.shape[0]))
+            return coarse, p
+
+        monkeypatch.setattr(solver_module, "coarsen_aggregate", recording_aggregate)
+        cfg = SolverConfig(max_direct_size=20)
         for n in (50, 200, 400):
-            g = random_connected_graph(n, rng)
-            h = setup(laplacian(g), SolverConfig(max_direct_size=20))
+            aggregated.clear()
+            h = setup(laplacian(random_connected_graph(n, rng)), cfg)
             sizes = h.level_sizes
             assert all(a > b for a, b in zip(sizes, sizes[1:]))
-            assert sizes[-1] <= 20
+            assert all(
+                a - b >= solver_module.MIN_REDUCTION * a for a, b in zip(sizes, sizes[1:])
+            )
+            if sizes[-1] > cfg.max_direct_size:
+                coarsest = h.levels[-1].matrix
+                assert coarsen_eliminate(coarsest, cfg.elimination_degree_cap)[1] is None
+                fine, coarse = aggregated[-1]
+                assert fine == sizes[-1]
+                assert fine - coarse < solver_module.MIN_REDUCTION * fine
+
+    def test_path_is_eliminated_exactly(self, rng):
+        # A tree needs no aggregation: elimination levels repeat down to
+        # the coarsest level, and solves are exact with no V-cycle.
+        h = setup(laplacian(path_graph(5000)), SolverConfig())
+        kinds = [lvl.kind for lvl in h.levels]
+        assert kinds[-1] is LevelKind.COARSEST
+        assert set(kinds[:-1]) == {LevelKind.ELIMINATION}
+        supplies = rng.standard_normal((64, 5000))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        solved = solve_many(h, supplies)
+        assert h.stats.cycles == 0
+        assert max(pot.achieved_residual for pot in solved) <= 1e-8
+
+    def test_clique_stalls_into_one_coarsest_level(self, rng):
+        # No node of K300 is eligible for elimination and aggregation
+        # cannot shrink it, so the clique itself is factored directly.
+        h = setup(laplacian(complete_graph(300)), SolverConfig())
+        assert [lvl.kind for lvl in h.levels] == [LevelKind.COARSEST]
+        supplies = rng.standard_normal((5, 300))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        solved = solve_many(h, supplies)
+        assert max(pot.achieved_residual for pot in solved) <= 1e-12
 
     def test_depth_stays_bounded_on_hub_heavy_graphs(self):
         # Attachment runs until no node attaches, so aggregation keeps
@@ -122,6 +166,16 @@ class TestEliminate:
         schur, record = coarsen_eliminate(lap, degree_cap=4)
         assert record is None
         assert schur is lap
+
+    def test_set_below_min_reduction_is_rejected(self):
+        # Grid 100's first Schur complement has 5000 nodes, of which only
+        # six, next to two corners, are within the degree cap: far fewer
+        # than MIN_REDUCTION of the level.
+        level1, _ = coarsen_eliminate(laplacian(grid_graph(100)).tocsr())
+        assert level1.shape == (5000, 5000)
+        schur, record = coarsen_eliminate(level1)
+        assert record is None
+        assert schur is level1
 
     def test_elimination_exactness_against_dense_oracle(self, rng):
         # solving the Schur system and back-substituting reproduces the
