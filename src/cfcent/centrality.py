@@ -4,7 +4,9 @@ Five measures share the :class:`ScoreTable` result type: exact
 current-flow closeness, its pivot-sampling and random-projection
 estimators, shortest-path closeness, and the degree-based asymptotic
 surrogate.  Scores of a connected graph with at least two nodes are
-always positive.
+always positive.  Exact closeness solves the Laplacian for the nodes of
+a vertex cover only; the pseudoinverse diagonal of the independent set
+left over follows from its neighbors' solutions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
 from .resistance import build_sketch, node_solution_chunks, sketch_distance_sums
-from .solver import MultigridHierarchy, SolverConfig
+from .solver import MultigridHierarchy, SolverConfig, _greedy_seeds
 
 __all__ = [
     "Measure",
@@ -72,6 +74,23 @@ def pivot_set(n: int, k: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
+def _independent_set(g: Graph) -> np.ndarray:
+    """Greedy maximal independent set by ascending degree, ties by id.
+
+    Nodes are relabelled by (unweighted degree, id) rank and handed to
+    :func:`_greedy_seeds`, which takes a node once none of its
+    lower-ranked neighbors was taken.  Returns a boolean mask by node id.
+    """
+    order = np.argsort(np.diff(g.indptr), kind="stable")
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    eu, ev, _ = g.edge_array()
+    lo = np.minimum(rank[eu], rank[ev])
+    hi = np.maximum(rank[eu], rank[ev])
+    by_lo = np.argsort(lo, kind="stable")
+    return _greedy_seeds(g.n, lo[by_lo], hi[by_lo])[rank]
+
+
 def cf_closeness_exact(
     g: Graph,
     hierarchy: MultigridHierarchy,
@@ -83,15 +102,36 @@ def cf_closeness_exact(
 
     Exact up to the solver tolerance.  On a connected graph the resistance
     sum is ``sum_w R(v, w) = n L+_vv + tr L+``, so only the diagonal of the
-    pseudoinverse is needed: every node's solution is streamed once and
-    only its own entry is kept, in ``O(BLOCK_COLUMNS * threads * n)``
-    memory.
+    pseudoinverse is needed.  It is solved for on a vertex cover only.
+    For a node ``v`` of an independent set F, with weighted degree
+    ``d_v``, row ``v`` of ``L L+ = I - 11^T/n`` and the symmetry of L+
+    give ``L+_vv = (1 - 1/n + sum_u w_vu L+_uv) / d_v``, and every
+    neighbor ``u`` of ``v`` lies in the cover, whose solutions hold
+    ``L+_uv``.  F is the greedy maximal independent set by ascending
+    degree (:func:`_independent_set`), so ``n - |F|`` node solutions are
+    streamed, each once, in ``O(BLOCK_COLUMNS * threads * n + m)``
+    memory.  One term ``w_vu L+_uv`` is kept per cover-to-F edge and the
+    terms are summed per F node in edge order after the last chunk, so
+    the scores do not depend on ``threads``.
     """
     nodes = _check_query(g, query_nodes)
     n = g.n
+    independent = _independent_set(g)
+    cover = np.flatnonzero(~independent)
+    src = np.repeat(np.arange(n), np.diff(g.indptr))
+    into_f = independent[g.indices]
+    row = np.searchsorted(cover, src[into_f])  # position of the edge's cover end
+    dst, weight = g.indices[into_f], g.weights[into_f]
+    terms = np.empty(dst.size)
     diag = np.empty(n)
-    for chunk, z in node_solution_chunks(hierarchy, np.arange(n), config, threads):
+    done = 0
+    for chunk, z in node_solution_chunks(hierarchy, cover, config, threads):
         diag[chunk] = z[np.arange(chunk.size), chunk]
+        lo, hi = np.searchsorted(row, [done, done + chunk.size])
+        terms[lo:hi] = weight[lo:hi] * z[row[lo:hi] - done, dst[lo:hi]]
+        done += chunk.size
+    sums = np.bincount(dst, weights=terms, minlength=n)
+    diag[independent] = (1.0 - 1.0 / n + sums[independent]) / g.degrees()[independent]
     trace = float(diag.sum())
     scores = {v: (n - 1) / (n * float(diag[v]) + trace) for v in nodes}
     tau = (config or hierarchy.config).tau

@@ -24,11 +24,15 @@ class CapacityError(CfcentError):
 class ConvergenceError(CfcentError):
     """A linear solve failed to reach the requested residual tolerance.
 
-    ``best_residual`` records the smallest relative residual achieved.
+    ``best_residual`` records the largest final relative residual among
+    the columns that missed the tolerance; ``message`` says how many did.
     """
 
     def __init__(self, message: str, best_residual: float):
-        super().__init__(f"{message} (best relative residual {best_residual:.3e})")
+        super().__init__(
+            f"{message} (largest relative residual among the failed columns "
+            f"{best_residual:.3e})"
+        )
         self.best_residual = best_residual
 
 

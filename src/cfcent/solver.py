@@ -780,7 +780,8 @@ def _solve_block(
     if ncols == 0:
         return np.zeros(0)
 
-    l1 = np.abs(rows).sum(axis=1)
+    # One row at a time, so the check holds one row-sized temporary.
+    l1 = np.array([np.abs(row).sum() for row in rows])
     imbalance = np.abs(rows.sum(axis=1))
     bad = imbalance > 1e-10 * np.maximum(l1, np.finfo(float).tiny)
     if bad.any():

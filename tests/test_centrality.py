@@ -18,8 +18,14 @@ from cfcent import (
     setup,
     sp_closeness,
 )
-from cfcent.centrality import pivot_set
-from cfcent.generators import barabasi_albert_graph, complete_graph, path_graph, star_graph
+from cfcent.centrality import _independent_set, pivot_set
+from cfcent.generators import (
+    barabasi_albert_graph,
+    complete_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+)
 from cfcent.resistance import node_solution, resistances_from_node
 
 from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix_oracle
@@ -104,6 +110,63 @@ class TestExact:
         orig = cf_closeness_exact(g, h, range(15), cfg).vector(range(15))
         relabeled = cf_closeness_exact(gp, hp, range(15), cfg).vector(range(15))
         assert relabeled[perm] == pytest.approx(orig, rel=1e-5)
+
+
+class TestCoverIdentity:
+    """Exact closeness solves only the cover, the nodes outside F; the diagonal
+    entries of the independent set F come from their neighbors' rows."""
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(7)
+        return [
+            star_graph(300),
+            path_graph(201),
+            grid_graph(15),
+            barabasi_albert_graph(400, 3, seed=2),
+            random_connected_graph(120, rng, weighted=True),
+            random_connected_graph(250, rng, extra_edge_prob=0.02, weighted=True),
+        ]
+
+    def test_matches_pseudoinverse_oracle(self):
+        for g in self.graphs():
+            h, cfg = hierarchy_for(g, tau=1e-10)
+            got = cf_closeness_exact(g, h, range(g.n), cfg).vector(range(g.n))
+            assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
+
+    def test_solves_only_the_cover(self):
+        solves = []
+        for g in self.graphs():
+            h, cfg = hierarchy_for(g)
+            before = h.stats.solves
+            cf_closeness_exact(g, h, [0], cfg)
+            solves.append(h.stats.solves - before)
+            assert solves[-1] == g.n - int(_independent_set(g).sum())
+        assert solves[0] == 1  # the star: its center alone
+
+    def test_independent_set_is_maximal(self):
+        for g in self.graphs():
+            f = _independent_set(g)
+            eu, ev, _ = g.edge_array()
+            assert not np.any(f[eu] & f[ev])
+            src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+            covered = np.bincount(src, weights=f[g.indices], minlength=g.n) > 0
+            assert np.all(covered[~f])
+
+    def test_independent_set_takes_low_degree_first(self):
+        # The star's leaves all go before its center; on a path the
+        # degree-one ends are taken, then every other node by id.
+        assert np.flatnonzero(~_independent_set(star_graph(50))).tolist() == [0]
+        f = _independent_set(path_graph(7))
+        assert np.flatnonzero(f).tolist() == [0, 2, 4, 6]
+
+    def test_bitwise_independent_of_threads(self):
+        g = grid_graph(30)
+        h, cfg = hierarchy_for(g)
+        assert g.n - int(_independent_set(g).sum()) > 2 * 192
+        one = cf_closeness_exact(g, h, range(g.n), cfg, threads=1).scores
+        three = cf_closeness_exact(g, h, range(g.n), cfg, threads=3).scores
+        assert one == three
 
 
 class TestSampling:

@@ -695,7 +695,7 @@ class TestFallback:
 
     def test_unreachable_tolerance_raises_with_best_residual(self, rng):
         # far below machine precision: every stage must give up, and the
-        # error reports the best residual actually achieved
+        # error reports the count and the worst residual of the failed columns
         cfg = SolverConfig(tau=1e-300, max_cycles=8)
         h = setup(laplacian(path_graph(30)), cfg)
         b = rng.standard_normal(30)
@@ -703,3 +703,7 @@ class TestFallback:
         with pytest.raises(ConvergenceError) as err:
             solve(h, b, cfg)
         assert 0 < err.value.best_residual < 1e-10
+        assert str(err.value).startswith("1 solve(s) failed to reach tau=1e-300")
+        worst = f"among the failed columns {err.value.best_residual:.3e})"
+        assert f"largest relative residual {worst}" in str(err.value)
+        assert "best" not in str(err.value)
