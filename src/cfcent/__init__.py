@@ -38,7 +38,6 @@ from .graph import (
 )
 from .resistance import (
     ResistanceSketch,
-    SupplySpec,
     build_sketch,
     effective_resistance,
     resistances_from_node,
@@ -46,7 +45,6 @@ from .resistance import (
 )
 from .solver import (
     MultigridHierarchy,
-    PotentialVector,
     SolverConfig,
     setup,
     solve,
@@ -64,12 +62,10 @@ __all__ = [
     "Graph",
     "Measure",
     "MultigridHierarchy",
-    "PotentialVector",
     "RankComparison",
     "ResistanceSketch",
     "ScoreTable",
     "SolverConfig",
-    "SupplySpec",
     "UndefinedMetricError",
     "UndefinedScoreError",
     "build_sketch",

@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
-from .resistance import build_sketch, node_solution_chunks, sketch_distance_sums
+from .resistance import build_sketch, node_solution_chunks, pair_resistances, sketch_distance_sums
 from .solver import MultigridHierarchy, SolverConfig, _greedy_seeds
 
 __all__ = [
@@ -138,23 +138,6 @@ def cf_closeness_exact(
     return ScoreTable(Measure.CF_EXACT, {"tau": tau}, scores)
 
 
-def _pivot_distance_sums(
-    z_query: np.ndarray, query: np.ndarray, z_pivot: np.ndarray, pivots: np.ndarray
-) -> np.ndarray:
-    """Resistance sums from each query node to all pivots.
-
-    Row ``i`` of ``z_query`` is the node solution of ``query[i]`` and row
-    ``j`` of ``z_pivot`` that of ``pivots[j]``.  Uses the four-entry
-    formula and the ``v == p`` rule of :func:`resistances_from_node`, in
-    the same order, so the sums match it bit for bit.
-    """
-    own = z_query[np.arange(query.size), query]
-    at_pivot = z_pivot[np.arange(pivots.size), pivots]
-    dist = (own[:, None] - z_query[:, pivots]) - z_pivot[:, query].T + at_pivot
-    dist[query[:, None] == pivots] = 0.0
-    return dist.sum(axis=1)
-
-
 def cf_closeness_sampling(
     g: Graph,
     hierarchy: MultigridHierarchy,
@@ -188,7 +171,7 @@ def cf_closeness_sampling(
     )
     totals: dict[int, float] = {}
     for chunk, z in blocks:
-        sums = _pivot_distance_sums(z, chunk, z_pivot, pivots)
+        sums = pair_resistances(z, chunk, z_pivot, pivots).sum(axis=1)
         totals.update(zip(chunk.tolist(), sums.tolist()))
     scores: dict[int, float] = {}
     for v in nodes:

@@ -3,11 +3,11 @@
 The exact route solves one Laplacian system per unit source/sink supply.
 The amortized route solves ``L z_x = e_x - 1/n`` once per node ``x`` and
 recovers any pairwise resistance from four entries of the node
-solutions; :func:`node_solution_chunks` streams those solutions in
-fixed-width blocks, and :func:`node_solution` caches them.  The sketched
-route projects the edge-space embedding whose pairwise squared distances
-are the resistances onto a random low-dimensional subspace, at the cost
-of one solve per sketch row.
+solutions (:func:`pair_resistances`); :func:`node_solution_chunks`
+streams those solutions in fixed-width blocks.  The sketched route
+projects the edge-space embedding whose pairwise squared distances are
+the resistances onto a random low-dimensional subspace, at the cost of
+one solve per sketch row.
 """
 
 from __future__ import annotations
@@ -23,36 +23,15 @@ from .graph import Graph, incidence_and_weights
 from .solver import BLOCK_COLUMNS, MultigridHierarchy, SolverConfig, solve, solve_many
 
 __all__ = [
-    "SupplySpec",
     "ResistanceSketch",
     "effective_resistance",
     "resistances_from_node",
     "node_solution_chunks",
-    "node_solution",
+    "pair_resistances",
     "build_sketch",
     "sketch_distance",
     "sketch_distance_sums",
 ]
-
-
-@dataclass(frozen=True)
-class SupplySpec:
-    """Unit current injection: +1 at ``source``, -1 at ``sink``."""
-
-    source: int
-    sink: int
-
-    def __post_init__(self):
-        if self.source == self.sink:
-            raise DomainError("source and sink must differ")
-
-    def vector(self, n: int) -> np.ndarray:
-        if not (0 <= self.source < n and 0 <= self.sink < n):
-            raise DomainError("supply nodes out of range")
-        b = np.zeros(n)
-        b[self.source] = 1.0
-        b[self.sink] = -1.0
-        return b
 
 
 def effective_resistance(
@@ -71,8 +50,11 @@ def effective_resistance(
         raise DomainError("node ids out of range")
     if u == v:
         return 0.0
-    potential = solve(hierarchy, SupplySpec(u, v).vector(n), config)
-    return float(potential.values[u] - potential.values[v])
+    b = np.zeros(n)
+    b[u] = 1.0
+    b[v] = -1.0
+    x, _ = solve(hierarchy, b, config)
+    return float(x[u] - x[v])
 
 
 def node_solution_chunks(
@@ -85,10 +67,11 @@ def node_solution_chunks(
 
     Yields ``(chunk, z)`` in node order, where ``chunk`` holds the next
     ``BLOCK_COLUMNS * max(1, threads)`` node ids and row ``i`` of ``z`` is
-    the mean-centered solution for ``chunk[i]``.  Each chunk is one
-    :func:`solve_many` call; chunks start on block boundaries, so every
-    value is independent of ``threads``.  Only the current chunk is held,
-    so memory is ``O(BLOCK_COLUMNS * threads * n)`` for any node count.
+    the mean-centered solution for ``chunk[i]``; ``z`` is the array
+    :func:`solve_many` returned.  Each chunk is one :func:`solve_many`
+    call; chunks start on block boundaries, so every value is independent
+    of ``threads``.  Only the current chunk is held, so memory is
+    ``O(BLOCK_COLUMNS * threads * n)`` for any node count.
     """
     n = hierarchy.n
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
@@ -99,32 +82,26 @@ def node_solution_chunks(
         chunk = nodes[start : start + width]
         supplies = np.full((chunk.size, n), -1.0 / n)
         supplies[np.arange(chunk.size), chunk] += 1.0
-        solved = solve_many(hierarchy, supplies, config, threads=threads)
-        del supplies  # stacking the rows then holds two chunk arrays, not three
-        z = np.vstack([pot.values for pot in solved])
-        del solved  # hold only ``z`` while the caller works
+        z, _ = solve_many(hierarchy, supplies, config, threads=threads)
+        del supplies  # hold only ``z`` while the caller works
         yield chunk, z
 
 
-def node_solution(
-    hierarchy: MultigridHierarchy,
-    nodes: Sequence[int],
-    config: SolverConfig | None = None,
-    cache: dict[int, np.ndarray] | None = None,
-    threads: int = 1,
-) -> dict[int, np.ndarray]:
-    """Mean-centered solutions of ``L z_x = e_x - (1/n) 1`` for each node.
+def pair_resistances(
+    z_a: np.ndarray, a: np.ndarray, z_b: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Resistances between every node of ``a`` and every node of ``b``.
 
-    Passing a ``cache`` dict makes repeated calls reuse earlier solves;
-    the same dict can be shared by many resistance queries.  The cache
-    holds one n-vector per node, so callers that need each solution only
-    once should stream :func:`node_solution_chunks` instead.
+    Row ``i`` of ``z_a`` is the node solution of ``a[i]`` and row ``j`` of
+    ``z_b`` that of ``b[j]``.  Entry ``(i, j)`` is the four-entry formula
+    ``R(u, w) = z_u[u] - z_u[w] - z_w[u] + z_w[w]``, and exactly 0 where
+    ``a[i] == b[j]``.
     """
-    cache = cache if cache is not None else {}
-    missing = sorted({int(x) for x in nodes} - cache.keys())
-    for chunk, z in node_solution_chunks(hierarchy, missing, config, threads):
-        cache.update(zip(chunk.tolist(), z))
-    return cache
+    own = z_a[np.arange(a.size), a]
+    at_b = z_b[np.arange(b.size), b]
+    dist = (own[:, None] - z_a[:, b]) - z_b[:, a].T + at_b
+    dist[a[:, None] == b] = 0.0
+    return dist
 
 
 def resistances_from_node(
@@ -132,29 +109,26 @@ def resistances_from_node(
     v: int,
     targets: Sequence[int],
     config: SolverConfig | None = None,
-    cache: dict[int, np.ndarray] | None = None,
     threads: int = 1,
 ) -> np.ndarray:
     """Effective resistances from ``v`` to every target node.
 
-    Uses the cached node solutions, so computing resistances from many
-    query nodes to a shared target set costs one solve per distinct node
-    instead of one per pair.  Agrees with the pairwise route to within
-    the solver tolerance.
+    Solves for ``v`` once and streams the targets' node solutions past
+    it (:func:`node_solution_chunks`), so memory is
+    ``O(BLOCK_COLUMNS * threads * n)`` for any number of targets.  Agrees
+    with the pairwise route to within the solver tolerance.
     """
     n = hierarchy.n
     targets = np.asarray(targets, dtype=np.int64)
     if not (0 <= v < n) or (targets.size and (targets.min() < 0 or targets.max() >= n)):
         raise DomainError("node ids out of range")
-    cache = node_solution(
-        hierarchy, np.r_[targets, v], config, cache=cache, threads=threads
-    )
-    z_v = cache[int(v)]
-    size = targets.size
-    at_v = np.fromiter((cache[int(w)][v] for w in targets), np.float64, size)
-    at_w = np.fromiter((cache[int(w)][w] for w in targets), np.float64, size)
-    out = (z_v[v] - z_v[targets]) - at_v + at_w
-    out[targets == v] = 0.0
+    source = np.array([v], dtype=np.int64)
+    [(_, z_v)] = node_solution_chunks(hierarchy, source, config)
+    out = np.empty(targets.size)
+    done = 0
+    for chunk, z in node_solution_chunks(hierarchy, targets, config, threads):
+        out[done : done + chunk.size] = pair_resistances(z_v, source, z, chunk)[0]
+        done += chunk.size
     return out
 
 
@@ -243,11 +217,10 @@ def build_sketch(
         assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
         rhs -= rhs.mean(axis=1, keepdims=True)
 
-        solved = solve_many(hierarchy, rhs, config, threads=threads)
-        for row, pot in enumerate(solved):
-            rhs[row] = pot.values
-            max_res = max(max_res, pot.achieved_residual)
-        del solved, pot  # each row is a view that keeps the chunk alive
+        x, res = solve_many(hierarchy, rhs, config, threads=threads)
+        rhs[...] = x
+        max_res = max(max_res, float(res.max()))
+        del x
     return ResistanceSketch(z=z, k=k, epsilon=epsilon, seed=seed, max_residual=max_res)
 
 

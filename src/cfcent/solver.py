@@ -51,7 +51,6 @@ __all__ = [
     "ColorClass",
     "Level",
     "MultigridHierarchy",
-    "PotentialVector",
     "setup",
     "coarsen_eliminate",
     "coarsen_aggregate",
@@ -194,14 +193,6 @@ class MultigridHierarchy:
             }
             for lvl in self.levels
         ]
-
-
-@dataclass
-class PotentialVector:
-    """Solution of ``L p = b`` normalized to zero mean."""
-
-    values: np.ndarray
-    achieved_residual: float
 
 
 def _max_abs(matrix: sp.spmatrix) -> float:
@@ -901,18 +892,19 @@ def solve(
     hierarchy: MultigridHierarchy,
     b: Sequence[float] | np.ndarray,
     config: SolverConfig | None = None,
-) -> PotentialVector:
+) -> tuple[np.ndarray, float]:
     """Solve one Laplacian system to the configured relative residual.
 
     The supply must be balanced (column sum zero within ``1e-10`` of its
-    1-norm).  The returned potential is mean-centered; its residual is
-    recomputed from the matrix, not taken from iteration bookkeeping.
+    1-norm).  Returns the mean-centered potential and its relative
+    residual, recomputed from the matrix, not taken from iteration
+    bookkeeping.
     """
     config = config or hierarchy.config
     row = np.asarray(b, dtype=np.float64).reshape(1, -1)
     x = np.empty_like(row)
     res = _solve_block(hierarchy, row, config, x)
-    return PotentialVector(values=x[0], achieved_residual=float(res[0]))
+    return x[0], float(res[0])
 
 
 def solve_many(
@@ -920,24 +912,26 @@ def solve_many(
     supplies: Sequence[Sequence[float]] | np.ndarray,
     config: SolverConfig | None = None,
     threads: int = 1,
-) -> list[PotentialVector]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve many systems over one hierarchy; results are bitwise
     independent of execution order and of ``threads``.
 
     ``supplies`` holds one right-hand side per row (or a 2-D array of
-    such rows).  Rows are solved in blocks of ``BLOCK_COLUMNS`` whose
-    boundaries depend only on the row count, so every block, and every
-    bit of its result, is the same whichever worker runs it.  A row may
-    differ at roundoff from the same supply solved in another batch (see
-    :func:`_solve_block`).
+    such rows).  Returns ``(x, residuals)``: the C-ordered ``(count, n)``
+    array whose row ``i`` is the mean-centered solution for supply ``i``,
+    and the ``(count,)`` recomputed relative residuals.  Rows are solved
+    in blocks of ``BLOCK_COLUMNS`` whose boundaries depend only on the
+    row count, so every block, and every bit of its result, is the same
+    whichever worker runs it.  A row may differ at roundoff from the
+    same supply solved in another batch (see :func:`_solve_block`).
     """
     config = config or hierarchy.config
     stacked = np.asarray(supplies, dtype=np.float64)
     if stacked.ndim == 1:
         stacked = stacked.reshape(1, -1)
     count = stacked.shape[0]
-    out_values = np.empty((count, hierarchy.n))
-    out_res = np.zeros(count)
+    x = np.empty((count, hierarchy.n))
+    residuals = np.zeros(count)
     blocks = [
         (start, min(start + BLOCK_COLUMNS, count))
         for start in range(0, count, BLOCK_COLUMNS)
@@ -945,7 +939,7 @@ def solve_many(
 
     def run(bounds: tuple[int, int]) -> None:
         lo, hi = bounds
-        out_res[lo:hi] = _solve_block(hierarchy, stacked[lo:hi], config, out_values[lo:hi])
+        residuals[lo:hi] = _solve_block(hierarchy, stacked[lo:hi], config, x[lo:hi])
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -953,7 +947,4 @@ def solve_many(
     else:
         for bounds in blocks:
             run(bounds)
-    return [
-        PotentialVector(values=out_values[i], achieved_residual=float(out_res[i]))
-        for i in range(count)
-    ]
+    return x, residuals

@@ -26,7 +26,7 @@ from cfcent.generators import (
     path_graph,
     star_graph,
 )
-from cfcent.resistance import node_solution, resistances_from_node
+from cfcent.resistance import node_solution_chunks, resistances_from_node
 
 from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix_oracle
 
@@ -37,12 +37,20 @@ def hierarchy_for(g, **cfg):
 
 
 def pair_formula_sums(h, cfg, query, targets):
-    """Resistance sums from each query node to ``targets``, pair by pair,
-    from one cache of node solutions."""
-    cache = node_solution(h, np.union1d(query, targets), cfg)
-    return np.array(
-        [resistances_from_node(h, v, targets, cfg, cache=cache).sum() for v in query]
-    )
+    """Resistance sums from each query node to ``targets`` by the four-entry
+    formula, from one stream of node solutions over their sorted union."""
+    targets = np.asarray(targets)
+    union = np.union1d(query, targets)
+    z = np.vstack([z for _, z in node_solution_chunks(h, union, cfg)])
+    z_t = z[np.searchsorted(union, targets)]
+    at_t = z_t[np.arange(targets.size), targets]
+    sums = []
+    for v in query:
+        z_v = z[np.searchsorted(union, v)]
+        dist = (z_v[v] - z_v[targets]) - z_t[:, v] + at_t
+        dist[targets == v] = 0.0
+        sums.append(dist.sum())
+    return np.array(sums)
 
 
 def traced_peak_bytes(fn):
@@ -238,8 +246,8 @@ class TestSampling:
 
 
 class TestStreamingMemory:
-    """Both solve-per-node estimators hold O((k + 64 threads) n) floats,
-    never the n x n matrix of all node solutions."""
+    """The solve-per-node routes hold O((k + 64 threads) n) floats, never
+    the n x n matrix of all node solutions."""
 
     @pytest.fixture(scope="class")
     def ba2000(self):
@@ -257,6 +265,15 @@ class TestStreamingMemory:
         peak = traced_peak_bytes(
             lambda: cf_closeness_sampling(g, h, range(g.n), k=20, seed=0, config=cfg)
         )
+        assert peak < g.n * g.n * 8
+
+    def test_resistances_from_node_all_targets_below_n_squared(self, ba2000):
+        g, h, cfg = ba2000
+        out = []
+        peak = traced_peak_bytes(
+            lambda: out.append(resistances_from_node(h, 0, np.arange(g.n), cfg))
+        )
+        assert out[0].shape == (g.n,) and out[0][0] == 0.0
         assert peak < g.n * g.n * 8
 
 

@@ -9,7 +9,6 @@ from cfcent import (
     DomainError,
     Graph,
     SolverConfig,
-    SupplySpec,
     build_sketch,
     effective_resistance,
     laplacian,
@@ -22,8 +21,8 @@ from cfcent import resistance as resistance_module
 from cfcent.generators import complete_graph, grid_graph, path_graph
 from cfcent.graph import incidence_and_weights
 from cfcent.resistance import (
-    node_solution,
     node_solution_chunks,
+    pair_resistances,
     sketch_dimension,
     sketch_distance_sums,
 )
@@ -34,17 +33,6 @@ from conftest import random_connected_graph, resistance_matrix_oracle
 def hierarchy_for(g, **cfg):
     config = SolverConfig(**cfg) if cfg else SolverConfig()
     return setup(laplacian(g), config)
-
-
-class TestSupplySpec:
-    def test_vector(self):
-        b = SupplySpec(0, 2).vector(3)
-        assert b.tolist() == [1.0, 0.0, -1.0]
-        assert b.sum() == 0.0
-
-    def test_source_equals_sink_rejected(self):
-        with pytest.raises(DomainError):
-            SupplySpec(1, 1)
 
 
 class TestEffectiveResistance:
@@ -103,14 +91,34 @@ class TestResistancesFromNode:
             pairwise = effective_resistance(h, 3, int(w))
             assert abs(pairwise - d) <= 10 * tau * scale
 
-    def test_cache_reused_across_queries(self, rng):
-        g = random_connected_graph(20, rng)
-        h = hierarchy_for(g)
-        cache = {}
-        resistances_from_node(h, 0, np.arange(20), cache=cache)
-        solves_before = h.stats.solves
-        resistances_from_node(h, 1, np.arange(20), cache=cache)
-        assert h.stats.solves == solves_before  # node 1 was already cached
+    def test_streamed_targets_independent_of_threads(self, rng):
+        # More targets than one 64-wide block, with repeats and the source
+        # itself among them: the stream's chunks start on block boundaries.
+        g = random_connected_graph(300, rng, extra_edge_prob=0.02)
+        h = hierarchy_for(g, max_direct_size=16)
+        v = 7
+        targets = np.r_[np.arange(150), [v, 3, 3, 299, v], np.arange(140, 60, -1)]
+        assert targets.size > 2 * 64
+        out = {t: resistances_from_node(h, v, targets, threads=t) for t in (1, 2)}
+        assert np.array_equal(out[1], out[2])
+        assert np.all(out[1][targets == v] == 0.0)
+        assert np.all(out[1][targets != v] > 0.0)
+        oracle = resistance_matrix_oracle(g)[v, targets]
+        assert out[1] == pytest.approx(oracle, rel=1e-4)
+
+
+class TestPairResistances:
+    def test_four_entry_formula_matches_oracle(self, rng):
+        g = random_connected_graph(40, rng, weighted=True)
+        h = hierarchy_for(g, tau=1e-10)
+        a, b = np.array([0, 5, 5, 9]), np.array([9, 0, 3])
+        [(_, z_a)] = node_solution_chunks(h, a)
+        [(_, z_b)] = node_solution_chunks(h, b)
+        dist = pair_resistances(z_a, a, z_b, b)
+        assert dist.shape == (4, 3)
+        assert dist[0, 1] == 0.0 and dist[3, 0] == 0.0  # a[i] == b[j]
+        oracle = resistance_matrix_oracle(g)[np.ix_(a, b)]
+        assert dist == pytest.approx(oracle, rel=1e-7, abs=1e-12)
 
 
 class TestNodeSolutionChunks:
@@ -135,14 +143,22 @@ class TestNodeSolutionChunks:
         assert np.abs(z @ lap - supplies).max() < 1e-7
         assert np.abs(z.sum(axis=1)).max() < 1e-10
 
-    def test_cache_rows_equal_streamed_rows(self, rng):
-        g = random_connected_graph(30, rng)
+    def test_yields_the_array_solve_many_returned(self, rng, monkeypatch):
+        # No stacking copy: each chunk's ``z`` is the solver's own output.
+        g = random_connected_graph(100, rng)
         h = hierarchy_for(g)
-        cache = node_solution(h, [4, 9, 4])
-        [(chunk, z)] = node_solution_chunks(h, [4, 9])
-        assert sorted(cache) == [4, 9]
-        for x, row in zip(chunk, z):
-            assert np.array_equal(cache[int(x)], row)
+        inner = resistance_module.solve_many
+        returned = []
+
+        def spy(*args, **kwargs):
+            returned.append(inner(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(resistance_module, "solve_many", spy)
+        chunks = list(node_solution_chunks(h, np.arange(100)))
+        assert len(chunks) == len(returned) == 2
+        for (_, z), (x, _) in zip(chunks, returned):
+            assert z is x
 
     def test_out_of_range_rejected(self):
         h = hierarchy_for(path_graph(4))
@@ -356,7 +372,7 @@ class TestSketch:
         q = (signs.astype(np.float64) * 2.0 - 1.0) * (1.0 / math.sqrt(k))
         rhs = np.ascontiguousarray((scaled_t @ q.T).T)
         rhs -= rhs.mean(axis=1, keepdims=True)
-        reference = np.vstack([pot.values for pot in solve_many(h, rhs)])
+        reference, _ = solve_many(h, rhs)
         for threads in (1, 2, 4):
             sk = build_sketch(g, h, epsilon=epsilon, seed=seed, threads=threads)
             assert np.array_equal(sk.z, reference)

@@ -99,9 +99,9 @@ class TestSetup:
         assert set(kinds[:-1]) == {LevelKind.ELIMINATION}
         supplies = rng.standard_normal((64, 5000))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        solved = solve_many(h, supplies)
+        _, res = solve_many(h, supplies)
         assert h.stats.cycles == 0
-        assert max(pot.achieved_residual for pot in solved) <= 1e-8
+        assert res.max() <= 1e-8
 
     def test_clique_stalls_into_one_coarsest_level(self, rng):
         # No node of K300 is eligible for elimination and aggregation
@@ -110,8 +110,8 @@ class TestSetup:
         assert [lvl.kind for lvl in h.levels] == [LevelKind.COARSEST]
         supplies = rng.standard_normal((5, 300))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        solved = solve_many(h, supplies)
-        assert max(pot.achieved_residual for pot in solved) <= 1e-12
+        _, res = solve_many(h, supplies)
+        assert res.max() <= 1e-12
 
     def test_depth_stays_bounded_on_hub_heavy_graphs(self):
         # Attachment runs until no node attaches, so aggregation keeps
@@ -438,14 +438,14 @@ class TestDescribe:
 class TestSolve:
     def test_zero_rhs(self):
         h = setup(laplacian(path_graph(5)), SolverConfig())
-        p = solve(h, np.zeros(5))
-        assert np.all(p.values == 0.0)
-        assert p.achieved_residual == 0.0
+        x, res = solve(h, np.zeros(5))
+        assert np.all(x == 0.0)
+        assert res == 0.0
 
     def test_p2_unit_supply(self):
         h = setup(laplacian(path_graph(2)), SolverConfig())
-        p = solve(h, np.array([1.0, -1.0]))
-        assert p.values == pytest.approx([0.5, -0.5], abs=1e-12)
+        x, _ = solve(h, np.array([1.0, -1.0]))
+        assert x == pytest.approx([0.5, -0.5], abs=1e-12)
 
     def test_grid_residual_contract(self, rng):
         g = grid_graph(64)
@@ -453,10 +453,10 @@ class TestSolve:
         lap = laplacian(g)
         b = rng.standard_normal(g.n)
         b -= b.mean()
-        p = solve(h, b)
-        recomputed = np.linalg.norm(b - lap @ p.values) / np.linalg.norm(b)
+        x, _ = solve(h, b)
+        recomputed = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
         assert recomputed <= 1e-5
-        assert abs(p.values.mean()) < 1e-12
+        assert abs(x.mean()) < 1e-12
 
     def test_unbalanced_supply_rejected(self):
         h = setup(laplacian(path_graph(4)), SolverConfig())
@@ -470,9 +470,9 @@ class TestSolve:
             h = setup(laplacian(g), SolverConfig(tau=1e-10, max_direct_size=2))
             b = rng.standard_normal(n)
             b -= b.mean()
-            p = solve(h, b)
+            x, _ = solve(h, b)
             expected = dense_solve_oracle(dense_laplacian(g), b)
-            assert p.values == pytest.approx(expected, abs=1e-7 * max(1, np.abs(expected).max()))
+            assert x == pytest.approx(expected, abs=1e-7 * max(1, np.abs(expected).max()))
 
     def test_translation_invariance_of_centering(self, rng):
         # Lp = b has a one-parameter family of solutions; the solver
@@ -482,28 +482,40 @@ class TestSolve:
         h = setup(laplacian(g), SolverConfig())
         b = rng.standard_normal(40)
         b -= b.mean()
-        p1 = solve(h, b)
-        p2 = solve(h, b.copy())
-        assert np.array_equal(p1.values, p2.values)
-        assert abs(p1.values.mean()) < 1e-12
+        x1, _ = solve(h, b)
+        x2, _ = solve(h, b.copy())
+        assert np.array_equal(x1, x2)
+        assert abs(x1.mean()) < 1e-12
 
 
 class TestSolveMany:
+    def test_returns_one_c_ordered_array_and_a_residual_vector(self, rng):
+        g = grid_graph(12)
+        h = setup(laplacian(g), SolverConfig())
+        supplies = rng.standard_normal((70, g.n))  # two blocks, one partial
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        x, res = solve_many(h, supplies)
+        assert isinstance(x, np.ndarray) and isinstance(res, np.ndarray)
+        assert x.shape == (70, g.n) and x.dtype == np.float64
+        assert x.flags.c_contiguous
+        assert res.shape == (70,) and res.dtype == np.float64
+        assert res.max() <= 1e-5
+
     def test_identical_supplies_identical_results(self, rng):
         g = grid_graph(12)
         h = setup(laplacian(g), SolverConfig())
         b = rng.standard_normal(g.n)
         b -= b.mean()
-        res = solve_many(h, [b, b])
-        assert np.array_equal(res[0].values, res[1].values)
+        x, _ = solve_many(h, [b, b])
+        assert np.array_equal(x[0], x[1])
 
     def test_negated_supply_negates_solution(self, rng):
         g = grid_graph(12)
         h = setup(laplacian(g), SolverConfig())
         b = rng.standard_normal(g.n)
         b -= b.mean()
-        res = solve_many(h, [b, -b])
-        assert np.array_equal(res[0].values, -res[1].values)
+        x, _ = solve_many(h, [b, -b])
+        assert np.array_equal(x[0], -x[1])
 
     def test_thread_count_does_not_change_results(self, rng):
         # grid:40 has aggregation levels, so the multicolor smoother runs
@@ -512,13 +524,12 @@ class TestSolveMany:
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         supplies = rng.standard_normal((130, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        serial = solve_many(h, supplies, threads=1)
+        serial, serial_res = solve_many(h, supplies, threads=1)
         serial_cycles = h.stats.cycles
-        threaded = solve_many(h, supplies, threads=4)
+        threaded, threaded_res = solve_many(h, supplies, threads=4)
         assert h.stats.cycles - serial_cycles == serial_cycles > 0
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.values, b.values)
-            assert a.achieved_residual == b.achieved_residual
+        assert np.array_equal(serial, threaded)
+        assert np.array_equal(serial_res, threaded_res)
 
     def test_pcg_needs_few_cycles_on_a_mesh(self, rng):
         # On meshes one V-cycle contracts the error by only ~0.69, so a
@@ -528,8 +539,8 @@ class TestSolveMany:
         h = setup(laplacian(g), SolverConfig())
         supplies = rng.standard_normal((32, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        for pot in solve_many(h, supplies):
-            assert pot.achieved_residual <= 1e-5
+        _, res = solve_many(h, supplies)
+        assert res.max() <= 1e-5
         assert h.stats.fallback_solves == 0
         assert h.stats.cycles <= 12 * 32
 
@@ -548,8 +559,8 @@ class TestSolveMany:
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         supplies = rng.standard_normal((3, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        for pot in solve_many(h, supplies):
-            assert pot.achieved_residual <= 1e-5
+        _, res = solve_many(h, supplies)
+        assert res.max() <= 1e-5
 
     @pytest.mark.parametrize(
         "graph",
@@ -569,11 +580,11 @@ class TestSolveMany:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            solved = solve_many(h, supplies)
+            _, res = solve_many(h, supplies)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert max(pot.achieved_residual for pot in solved) <= 1e-5
+        assert res.max() <= 1e-5
         assert peak <= 8 * supplies.nbytes
 
     def test_block_solve_on_the_reduced_system_peaks_under_five_blocks(self, rng):
@@ -591,11 +602,11 @@ class TestSolveMany:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            solved = solve_many(h, supplies)
+            _, res = solve_many(h, supplies)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert max(pot.achieved_residual for pot in solved) <= 1e-5
+        assert res.max() <= 1e-5
         assert peak <= 5 * supplies.nbytes
 
     def test_iteration_never_cycles_on_a_leading_elimination_level(self, rng, monkeypatch):
@@ -612,8 +623,8 @@ class TestSolveMany:
         monkeypatch.setattr(solver_module, "_cycle", spy)
         supplies = rng.standard_normal((10, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        for pot in solve_many(h, supplies):
-            assert pot.achieved_residual <= 1e-5
+        _, res = solve_many(h, supplies)
+        assert res.max() <= 1e-5
         assert visited and 0 not in visited
 
     def test_star_is_solved_by_elimination_and_the_coarsest_level_alone(self, rng):
@@ -624,9 +635,9 @@ class TestSolveMany:
         assert [lvl.kind for lvl in h.levels] == [LevelKind.ELIMINATION, LevelKind.COARSEST]
         supplies = rng.standard_normal((5, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        solved = solve_many(h, supplies)
+        _, res = solve_many(h, supplies)
         assert h.stats.cycles == 0
-        assert max(pot.achieved_residual for pot in solved) <= 1e-12
+        assert res.max() <= 1e-12
 
     def test_chain_of_elimination_levels_back_substitutes_exactly(self, rng):
         # Three elimination levels in a row over a path, built by hand:
@@ -649,8 +660,9 @@ class TestSolveMany:
         supplies = rng.standard_normal((3, 64))
         supplies -= supplies.mean(axis=1, keepdims=True)
         dense = lap.toarray()
-        for pot, b in zip(solve_many(h, supplies), supplies):
-            assert pot.values == pytest.approx(dense_solve_oracle(dense, b), abs=1e-9)
+        x, _ = solve_many(h, supplies)
+        for row, b in zip(x, supplies):
+            assert row == pytest.approx(dense_solve_oracle(dense, b), abs=1e-9)
         assert h.stats.cycles == 0
 
     def test_batch_position_changes_results_only_at_roundoff(self, rng):
@@ -663,9 +675,9 @@ class TestSolveMany:
         b -= b.mean()
         others = rng.standard_normal((5, g.n))
         others -= others.mean(axis=1, keepdims=True)
-        alone = solve_many(h, [b])[0]
-        grouped = solve_many(h, np.vstack([others, b[None, :]]))[-1]
-        assert alone.values == pytest.approx(grouped.values, abs=1e-12)
+        alone = solve_many(h, [b])[0][0]
+        grouped = solve_many(h, np.vstack([others, b[None, :]]))[0][-1]
+        assert alone == pytest.approx(grouped, abs=1e-12)
 
     def test_random_graph_many_rhs_residuals(self, rng):
         g = random_connected_graph(1000, rng)
@@ -673,8 +685,9 @@ class TestSolveMany:
         lap = laplacian(g)
         supplies = rng.standard_normal((20, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        for pot, b in zip(solve_many(h, supplies), supplies):
-            recomputed = np.linalg.norm(b - lap @ pot.values) / np.linalg.norm(b)
+        x, _ = solve_many(h, supplies)
+        for row, b in zip(x, supplies):
+            recomputed = np.linalg.norm(b - lap @ row) / np.linalg.norm(b)
             assert recomputed <= 1e-5
 
 
@@ -688,8 +701,8 @@ class TestFallback:
         lap = laplacian(g)
         b = rng.standard_normal(g.n)
         b -= b.mean()
-        p = solve(h, b, cfg)
-        recomputed = np.linalg.norm(b - lap @ p.values) / np.linalg.norm(b)
+        x, _ = solve(h, b, cfg)
+        recomputed = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
         assert recomputed <= 1e-5
         assert h.stats.fallback_solves >= 1
 
