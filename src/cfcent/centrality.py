@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
 from .resistance import build_sketch, node_solution_chunks, pair_resistances, sketch_distance_sums
-from .solver import MultigridHierarchy, SolverConfig, _greedy_seeds
+from .solver import MultigridHierarchy, _greedy_seeds
 
 __all__ = [
     "Measure",
@@ -95,7 +95,7 @@ def cf_closeness_exact(
     g: Graph,
     hierarchy: MultigridHierarchy,
     query_nodes: Sequence[int],
-    config: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> ScoreTable:
     """Current-flow closeness from resistances to every other node.
@@ -125,7 +125,7 @@ def cf_closeness_exact(
     terms = np.empty(dst.size)
     diag = np.empty(n)
     done = 0
-    for chunk, z in node_solution_chunks(hierarchy, cover, config, threads):
+    for chunk, z in node_solution_chunks(hierarchy, cover, threads=threads):
         diag[chunk] = z[np.arange(chunk.size), chunk]
         lo, hi = np.searchsorted(row, [done, done + chunk.size])
         terms[lo:hi] = weight[lo:hi] * z[row[lo:hi] - done, dst[lo:hi]]
@@ -134,8 +134,7 @@ def cf_closeness_exact(
     diag[independent] = (1.0 - 1.0 / n + sums[independent]) / g.degrees()[independent]
     trace = float(diag.sum())
     scores = {v: (n - 1) / (n * float(diag[v]) + trace) for v in nodes}
-    tau = (config or hierarchy.config).tau
-    return ScoreTable(Measure.CF_EXACT, {"tau": tau}, scores)
+    return ScoreTable(Measure.CF_EXACT, {"tau": hierarchy.config.tau}, scores)
 
 
 def cf_closeness_sampling(
@@ -144,7 +143,7 @@ def cf_closeness_sampling(
     query_nodes: Sequence[int],
     k: int,
     seed: int,
-    config: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> ScoreTable:
     """Pivot-sampling estimator of current-flow closeness.
@@ -161,13 +160,13 @@ def cf_closeness_sampling(
     n = g.n
     pivots = pivot_set(n, k, seed)
     z_pivot = np.vstack(
-        [z for _, z in node_solution_chunks(hierarchy, pivots, config, threads)]
+        [z for _, z in node_solution_chunks(hierarchy, pivots, threads=threads)]
     )
     # Query nodes that are pivots reuse their pivot rows; the rest stream.
     queried_pivots = np.intersect1d(nodes, pivots)
     blocks = itertools.chain(
         [(queried_pivots, z_pivot[np.searchsorted(pivots, queried_pivots)])],
-        node_solution_chunks(hierarchy, np.setdiff1d(nodes, pivots), config, threads),
+        node_solution_chunks(hierarchy, np.setdiff1d(nodes, pivots), threads=threads),
     )
     totals: dict[int, float] = {}
     for chunk, z in blocks:
@@ -180,8 +179,8 @@ def cf_closeness_sampling(
                 f"pivot distance sum is zero for node {v}; score undefined"
             )
         scores[v] = (k / n) * (n - 1) / totals[v]
-    tau = (config or hierarchy.config).tau
-    return ScoreTable(Measure.CF_SAMPLING, {"k": k, "seed": seed, "tau": tau}, scores)
+    params = {"k": k, "seed": seed, "tau": hierarchy.config.tau}
+    return ScoreTable(Measure.CF_SAMPLING, params, scores)
 
 
 def cf_closeness_projection(
@@ -190,13 +189,13 @@ def cf_closeness_projection(
     query_nodes: Sequence[int],
     epsilon: float,
     seed: int,
-    config: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> ScoreTable:
     """Projection estimator: closeness from sketched resistance sums."""
     nodes = _check_query(g, query_nodes)
     n = g.n
-    sketch = build_sketch(g, hierarchy, epsilon, seed, config, threads=threads)
+    sketch = build_sketch(g, hierarchy, epsilon, seed, threads=threads)
     sums = sketch_distance_sums(sketch, nodes)
     scores: dict[int, float] = {}
     for v, total in zip(nodes, sums):
@@ -205,12 +204,8 @@ def cf_closeness_projection(
                 f"sketch distance sum is nonpositive for node {v}"
             )
         scores[v] = (n - 1) / float(total)
-    tau = (config or hierarchy.config).tau
-    return ScoreTable(
-        Measure.CF_PROJECTION,
-        {"epsilon": epsilon, "k": sketch.k, "seed": seed, "tau": tau},
-        scores,
-    )
+    params = {"epsilon": epsilon, "k": sketch.k, "seed": seed, "tau": hierarchy.config.tau}
+    return ScoreTable(Measure.CF_PROJECTION, params, scores)
 
 
 def sp_closeness(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:

@@ -152,22 +152,20 @@ def _measures(args, default: str) -> list[Measure]:
     return out
 
 
-def _score_table(measure: Measure, g, hierarchy, query, args, config, seed):
+def _score_table(measure: Measure, g, hierarchy, query, args):
     if measure is Measure.SP_CLOSENESS:
         return sp_closeness(g, query)
     if measure is Measure.DEGREE_ASYMPTOTIC:
         return degree_asymptotic(g, query)
     if measure is Measure.CF_EXACT:
-        return cf_closeness_exact(g, hierarchy, query, config, threads=args.threads)
+        return cf_closeness_exact(g, hierarchy, query, threads=args.threads)
     if measure is Measure.CF_SAMPLING:
         return cf_closeness_sampling(
-            g, hierarchy, query, k=args.pivots, seed=seed, config=config,
-            threads=args.threads,
+            g, hierarchy, query, k=args.pivots, seed=args.seed, threads=args.threads
         )
     if measure is Measure.CF_PROJECTION:
         return cf_closeness_projection(
-            g, hierarchy, query, epsilon=args.epsilon, seed=seed, config=config,
-            threads=args.threads,
+            g, hierarchy, query, epsilon=args.epsilon, seed=args.seed, threads=args.threads
         )
     raise CfcentError(f"unsupported measure {measure}")
 
@@ -188,7 +186,7 @@ def cmd_score(args, out) -> int:
     config = SolverConfig(tau=args.tau, seed=args.seed)
     hierarchy = setup(laplacian(g), config) if _needs_solver([measure]) else None
     query = _query_nodes(args, g)
-    table = _score_table(measure, g, hierarchy, query, args, config, args.seed)
+    table = _score_table(measure, g, hierarchy, query, args)
     max_residual = hierarchy.stats.max_residual if hierarchy else 0.0
     params = " ".join(
         f"{k}={v}" for k, v in sorted(table.params.items()) if k != "seed"
@@ -206,12 +204,11 @@ def cmd_score(args, out) -> int:
 def cmd_compare(args, out) -> int:
     measures = _measures(args, default="cf_sampling,cf_projection")
     g = _load_graph(args)
-    config = SolverConfig(tau=args.tau, seed=args.seed)
-    hierarchy = setup(laplacian(g), config)
+    hierarchy = setup(laplacian(g), SolverConfig(tau=args.tau, seed=args.seed))
     query = _query_nodes(args, g)
 
     start = time.perf_counter()
-    exact = cf_closeness_exact(g, hierarchy, query, config, threads=args.threads)
+    exact = cf_closeness_exact(g, hierarchy, query, threads=args.threads)
     exact_seconds = time.perf_counter() - start
     exact_vec = exact.vector(query)
 
@@ -229,7 +226,7 @@ def cmd_compare(args, out) -> int:
             table, seconds = exact, exact_seconds
         else:
             start = time.perf_counter()
-            table = _score_table(measure, g, hierarchy, query, args, config, args.seed)
+            table = _score_table(measure, g, hierarchy, query, args)
             seconds = time.perf_counter() - start
         vec = table.vector(query)
         ranks = compare_rankings(exact_vec, vec)

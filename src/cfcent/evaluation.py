@@ -146,14 +146,14 @@ def _measure_scores(
     measure: Measure,
     params: dict,
     query_nodes: Sequence[int],
-    config: SolverConfig,
+    config: SolverConfig | None,
     threads: int = 1,
 ) -> np.ndarray:
     if measure is Measure.SP_CLOSENESS:
         return sp_closeness(g, query_nodes).vector(query_nodes)
     hierarchy = setup(laplacian(g), config)
     if measure is Measure.CF_EXACT:
-        table = cf_closeness_exact(g, hierarchy, query_nodes, config, threads=threads)
+        table = cf_closeness_exact(g, hierarchy, query_nodes, threads=threads)
     elif measure is Measure.CF_SAMPLING:
         table = cf_closeness_sampling(
             g,
@@ -161,7 +161,6 @@ def _measure_scores(
             query_nodes,
             k=params.get("k", 20),
             seed=params.get("seed", 0),
-            config=config,
             threads=threads,
         )
     else:
@@ -198,7 +197,6 @@ def noise_resilience(
     for fraction in fractions:
         if not 0 <= fraction <= 0.5:
             raise DomainError(f"fractions must lie in [0, 0.5], got {fraction}")
-    config = config or SolverConfig()
     params = measure_params or {}
     baseline = _measure_scores(g, measure, params, query_nodes, config, threads)
     results = []
@@ -230,7 +228,6 @@ def degree_correlation_experiment(
     Raises :class:`UndefinedMetricError` on regular graphs, where the
     degree score is constant.
     """
-    config = config or SolverConfig()
     base = degree_asymptotic(g, query_nodes).vector(query_nodes)
     if np.ptp(base) == 0.0:
         raise UndefinedMetricError(
@@ -239,7 +236,7 @@ def degree_correlation_experiment(
     sp_scores = sp_closeness(g, query_nodes).vector(query_nodes)
     hierarchy = setup(laplacian(g), config)
     cf_scores = cf_closeness_sampling(
-        g, hierarchy, query_nodes, k=pivots, seed=seed, config=config, threads=threads
+        g, hierarchy, query_nodes, k=pivots, seed=seed, threads=threads
     ).vector(query_nodes)
     return {
         Measure.SP_CLOSENESS: spearman(sp_scores, base),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import Graph, incidence_and_weights
-from .solver import BLOCK_COLUMNS, MultigridHierarchy, SolverConfig, solve, solve_many
+from .solver import BLOCK_COLUMNS, MultigridHierarchy, solve, solve_many
 
 __all__ = [
     "ResistanceSketch",
@@ -34,12 +34,7 @@ __all__ = [
 ]
 
 
-def effective_resistance(
-    hierarchy: MultigridHierarchy,
-    u: int,
-    v: int,
-    config: SolverConfig | None = None,
-) -> float:
+def effective_resistance(hierarchy: MultigridHierarchy, u: int, v: int) -> float:
     """Potential difference at ``u`` and ``v`` under a unit u-v supply.
 
     Returns exactly 0 for ``u == v`` without solving; positive for
@@ -53,14 +48,14 @@ def effective_resistance(
     b = np.zeros(n)
     b[u] = 1.0
     b[v] = -1.0
-    x, _ = solve(hierarchy, b, config)
+    x, _ = solve(hierarchy, b)
     return float(x[u] - x[v])
 
 
 def node_solution_chunks(
     hierarchy: MultigridHierarchy,
     nodes: Sequence[int],
-    config: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream the solutions of ``L z_x = e_x - (1/n) 1`` for ``nodes``.
@@ -82,7 +77,7 @@ def node_solution_chunks(
         chunk = nodes[start : start + width]
         supplies = np.full((chunk.size, n), -1.0 / n)
         supplies[np.arange(chunk.size), chunk] += 1.0
-        z, _ = solve_many(hierarchy, supplies, config, threads=threads)
+        z, _ = solve_many(hierarchy, supplies, threads=threads)
         del supplies  # hold only ``z`` while the caller works
         yield chunk, z
 
@@ -108,7 +103,7 @@ def resistances_from_node(
     hierarchy: MultigridHierarchy,
     v: int,
     targets: Sequence[int],
-    config: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> np.ndarray:
     """Effective resistances from ``v`` to every target node.
@@ -123,10 +118,10 @@ def resistances_from_node(
     if not (0 <= v < n) or (targets.size and (targets.min() < 0 or targets.max() >= n)):
         raise DomainError("node ids out of range")
     source = np.array([v], dtype=np.int64)
-    [(_, z_v)] = node_solution_chunks(hierarchy, source, config)
+    [(_, z_v)] = node_solution_chunks(hierarchy, source)
     out = np.empty(targets.size)
     done = 0
-    for chunk, z in node_solution_chunks(hierarchy, targets, config, threads):
+    for chunk, z in node_solution_chunks(hierarchy, targets, threads=threads):
         out[done : done + chunk.size] = pair_resistances(z_v, source, z, chunk)[0]
         done += chunk.size
     return out
@@ -165,7 +160,7 @@ def build_sketch(
     hierarchy: MultigridHierarchy,
     epsilon: float,
     seed: int,
-    config: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> ResistanceSketch:
     """Project the resistance embedding onto ``k`` random directions.
@@ -217,7 +212,7 @@ def build_sketch(
         assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
         rhs -= rhs.mean(axis=1, keepdims=True)
 
-        x, res = solve_many(hierarchy, rhs, config, threads=threads)
+        x, res = solve_many(hierarchy, rhs, threads=threads)
         rhs[...] = x
         max_res = max(max_res, float(res.max()))
         del x

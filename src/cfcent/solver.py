@@ -62,9 +62,13 @@ __all__ = [
 
 # Fixed algorithm parameters (not part of the public configuration).
 AFFINITY_THRESHOLD = 0.5
+AGGREGATION_TEST_VECTORS = 4
 TEST_VECTOR_SWEEPS = 3
+ELIMINATION_DEGREE_CAP = 4    # most neighbors of an eliminated node
 MAX_AGGREGATE_SIZE = 8        # unbounded growth destroys mesh convergence
 MIN_REDUCTION = 0.10          # a stage must shrink the level by 10% to be used
+SMOOTHING_STEPS = (1, 2)      # (pre, post) multicolor Gauss-Seidel sweeps
+MAX_CYCLES = 100              # flexible-PCG iterations per column, then the net
 BLOCK_COLUMNS = 64            # fixed so results never depend on thread count
 STOP_MARGIN = 0.9             # iterate slightly past tau so independently
                               # recomputed residuals stay below it
@@ -72,37 +76,24 @@ STOP_MARGIN = 0.9             # iterate slightly past tau so independently
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs for hierarchy construction and solves.
+    """The settings a hierarchy is built with and then solves under.
 
-    ``max_cycles`` caps the flexible-PCG iterations per column, one
-    V-cycle each; a column still above ``tau`` then goes to the Jacobi-CG
-    safety net.  ``max_direct_size`` is the size at or below which a
-    level is solved directly instead of coarsened; a larger level where
-    coarsening stalls is solved directly as well.  ``smoothing_steps`` is
-    (pre, post) multicolor Gauss-Seidel sweeps per V-cycle.
+    ``tau`` is the relative residual every solve must reach.
+    ``max_direct_size`` is the size at or below which a level is solved
+    directly instead of coarsened; a larger level where coarsening stalls
+    is solved directly as well.  ``seed`` drives the aggregation test
+    vectors.
     """
 
     tau: float = 1e-5
-    max_cycles: int = 100
     max_direct_size: int = 200
-    smoothing_steps: tuple[int, int] = (1, 2)
-    elimination_degree_cap: int = 4
-    aggregation_test_vectors: int = 4
     seed: int = 0
 
     def __post_init__(self):
         if self.tau <= 0:
             raise DomainError("tau must be positive")
-        counts = (
-            self.max_cycles,
-            self.max_direct_size,
-            self.smoothing_steps[0],
-            self.smoothing_steps[1],
-            self.elimination_degree_cap,
-            self.aggregation_test_vectors,
-        )
-        if any(c < 1 for c in counts):
-            raise DomainError("all solver counts must be >= 1")
+        if self.max_direct_size < 1:
+            raise DomainError("max_direct_size must be >= 1")
 
 
 class LevelKind(Enum):
@@ -246,14 +237,12 @@ def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     return _rebuild_laplacian(matrix)
 
 
-def coarsen_eliminate(
-    matrix: sp.csr_matrix, degree_cap: int = 4
-) -> tuple[sp.csr_matrix, Level | None]:
+def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | None]:
     """Exact Schur-complement elimination of an independent low-degree set.
 
-    Nodes with at most ``degree_cap`` neighbors are selected greedily in
-    ascending id order subject to pairwise independence, and never all of
-    the nodes.  Returns the Schur complement on the remaining nodes (again
+    Nodes with at most ``ELIMINATION_DEGREE_CAP`` neighbors are selected
+    greedily in ascending id order subject to pairwise independence, and
+    never all of the nodes.  Returns the Schur complement on the remaining nodes (again
     a Laplacian) and the elimination level that transfers to it, or
     ``(matrix, None)`` when fewer than ``MIN_REDUCTION`` of the nodes are
     selected; that is decided before the Schur complement is built, so a
@@ -266,7 +255,7 @@ def coarsen_eliminate(
     offdeg = np.bincount(rows[indices != rows], minlength=n)
     blocked = np.zeros(n, dtype=bool)
     chosen: list[int] = []
-    for i in np.nonzero(offdeg <= degree_cap)[0]:
+    for i in np.nonzero(offdeg <= ELIMINATION_DEGREE_CAP)[0]:
         if blocked[i]:
             continue
         chosen.append(int(i))
@@ -571,13 +560,11 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
     levels: list[Level] = []
 
     while current.shape[0] > config.max_direct_size:
-        coarse, level = coarsen_eliminate(current, config.elimination_degree_cap)
+        coarse, level = coarsen_eliminate(current)
         if level is None:
             # One coloring serves the test vectors and the smoother.
             colors = _smoother_classes(current)
-            vectors = relaxed_test_vectors(
-                current, config.aggregation_test_vectors, rng, colors
-            )
+            vectors = relaxed_test_vectors(current, AGGREGATION_TEST_VECTORS, rng, colors)
             coarse, p = coarsen_aggregate(current, vectors)
             if current.shape[0] - coarse.shape[0] < MIN_REDUCTION * current.shape[0]:
                 break
@@ -597,7 +584,7 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
     return MultigridHierarchy(levels=levels, config=config)
 
 
-def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np.ndarray:
+def _cycle(levels: list[Level], j: int, b: np.ndarray) -> np.ndarray:
     """One V-cycle for ``L x = b`` starting from zero, on level ``j``.
 
     ``b`` is only read.  Each level holds its iterate and, while the
@@ -610,13 +597,14 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np
     if level.kind is LevelKind.ELIMINATION:
         # Exact transfer: no smoothing around elimination levels.
         bc, scaled = _eliminate_restrict(level, b)
-        xc = _cycle(levels, j + 1, bc, nu1, nu2)
+        xc = _cycle(levels, j + 1, bc)
         del bc
         return _eliminate_interpolate(level, xc, scaled)
 
     matrix = level.matrix
     # Pre-smoothing sweeps the classes forward from a zero initial guess,
     # post-smoothing sweeps them in reverse.
+    nu1, nu2 = SMOOTHING_STEPS
     x = np.zeros_like(b)
     for _ in range(nu1):
         _sweep(level.colors, x, b)
@@ -624,7 +612,7 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray, nu1: int, nu2: int) -> np
     np.subtract(b, residual, out=residual)
     rc = level.p.T @ residual
     del residual
-    xc = _cycle(levels, j + 1, rc, nu1, nu2)
+    xc = _cycle(levels, j + 1, rc)
     # Energy line search on the coarse correction d = P xc; plain
     # aggregation under-corrects without it.  Both inner products are
     # taken on the coarse level: <r, d> = <P^T r, xc> and
@@ -730,7 +718,6 @@ def _jacobi_pcg(
 def _solve_block(
     hierarchy: MultigridHierarchy,
     rows: np.ndarray,
-    config: SolverConfig,
     out: np.ndarray,
 ) -> np.ndarray:
     """Solve ``L x = b`` for every row ``b`` of ``rows`` into that row of ``out``.
@@ -748,7 +735,7 @@ def _solve_block(
     right-hand side's norm, which is exact: after back-substitution
     ``x_f = D_f^-1 (b_f + W_fc x_c)``, done per column as it leaves the
     iteration, the fine residual equals the reduced one on the C rows
-    and is zero on the F rows.  Columns that reach ``max_cycles``
+    and is zero on the F rows.  Columns that reach ``MAX_CYCLES``
     iterations, break down (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose
     residual, recomputed from the finest matrix, exceeds ``tau`` are
     finished by Jacobi-preconditioned CG, the safety net; a column it
@@ -782,9 +769,8 @@ def _solve_block(
     bnorm = _column_norms(rows.T)
     nonzero = bnorm > 0
     out[~nonzero] = 0.0
-    tau = config.tau
+    tau = hierarchy.config.tau
     stop_tau = STOP_MARGIN * tau
-    nu1, nu2 = config.smoothing_steps
     net = np.zeros(ncols, dtype=bool)  # columns for the Jacobi-CG net
     cycles = 0
 
@@ -823,9 +809,9 @@ def _solve_block(
         alpha = np.zeros(active.size)
         rz = np.ones(active.size)
         broken = np.zeros(active.size, dtype=bool)
-        for step in range(config.max_cycles + 1):
+        for step in range(MAX_CYCLES + 1):
             conv = _column_norms(ra) / norm_a <= stop_tau
-            done = conv | broken | (step == config.max_cycles)
+            done = conv | broken | (step == MAX_CYCLES)
             if done.any():
                 x = xa.compress(done, axis=1)
                 f_done = [f_part.compress(done, axis=1) for f_part in scaled]
@@ -848,7 +834,7 @@ def _solve_block(
                 del x
                 if not active.size:
                     break
-            z = _cycle(levels, top, ra, nu1, nu2)
+            z = _cycle(levels, top, ra)
             z -= z.mean(axis=0, keepdims=True)
             cycles += active.size
             beta = -alpha * np.einsum("ij,ij->j", z, lpa) / rz
@@ -891,26 +877,24 @@ def _solve_block(
 def solve(
     hierarchy: MultigridHierarchy,
     b: Sequence[float] | np.ndarray,
-    config: SolverConfig | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Solve one Laplacian system to the configured relative residual.
+    """Solve one Laplacian system to the hierarchy's relative residual ``tau``.
 
     The supply must be balanced (column sum zero within ``1e-10`` of its
     1-norm).  Returns the mean-centered potential and its relative
     residual, recomputed from the matrix, not taken from iteration
     bookkeeping.
     """
-    config = config or hierarchy.config
     row = np.asarray(b, dtype=np.float64).reshape(1, -1)
     x = np.empty_like(row)
-    res = _solve_block(hierarchy, row, config, x)
+    res = _solve_block(hierarchy, row, x)
     return x[0], float(res[0])
 
 
 def solve_many(
     hierarchy: MultigridHierarchy,
     supplies: Sequence[Sequence[float]] | np.ndarray,
-    config: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve many systems over one hierarchy; results are bitwise
@@ -925,7 +909,6 @@ def solve_many(
     whichever worker runs it.  A row may differ at roundoff from the
     same supply solved in another batch (see :func:`_solve_block`).
     """
-    config = config or hierarchy.config
     stacked = np.asarray(supplies, dtype=np.float64)
     if stacked.ndim == 1:
         stacked = stacked.reshape(1, -1)
@@ -939,7 +922,7 @@ def solve_many(
 
     def run(bounds: tuple[int, int]) -> None:
         lo, hi = bounds
-        residuals[lo:hi] = _solve_block(hierarchy, stacked[lo:hi], config, x[lo:hi])
+        residuals[lo:hi] = _solve_block(hierarchy, stacked[lo:hi], x[lo:hi])
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -47,12 +47,10 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, line
 
 
-def exact_scores_all_nodes(g, hierarchy, config, threads=4):
+def exact_scores_all_nodes(g, hierarchy, threads=4):
     """Exact current-flow closeness of every node from all n node solutions."""
     n = g.n
-    z = np.vstack(
-        [z for _, z in node_solution_chunks(hierarchy, np.arange(n), config, threads=threads)]
-    )
+    z = np.vstack([z for _, z in node_solution_chunks(hierarchy, np.arange(n), threads=threads)])
     diag = z.diagonal()
     scores = np.empty(n)
     for v in range(n):
@@ -64,10 +62,8 @@ def exact_scores_all_nodes(g, hierarchy, config, threads=4):
 @pytest.fixture(scope="module")
 def ba2000():
     g = gen.barabasi_albert_graph(2000, 3, seed=1)
-    config = SolverConfig()
-    hierarchy = setup(laplacian(g), config)
-    exact = exact_scores_all_nodes(g, hierarchy, config)
-    return g, hierarchy, config, exact
+    hierarchy = setup(laplacian(g), SolverConfig())
+    return g, hierarchy, exact_scores_all_nodes(g, hierarchy)
 
 
 def test_criterion_01_exact_matches_pseudoinverse_oracle(rng):
@@ -79,7 +75,7 @@ def test_criterion_01_exact_matches_pseudoinverse_oracle(rng):
         # path is exercised even at these sizes
         config = SolverConfig(max_direct_size=16 if trial % 2 else 200)
         hierarchy = setup(laplacian(g), config)
-        got = cf_closeness_exact(g, hierarchy, range(n), config).vector(range(n))
+        got = cf_closeness_exact(g, hierarchy, range(n)).vector(range(n))
         expected = cf_scores_oracle(g)
         worst = max(worst, float(np.abs(got / expected - 1.0).max()))
     report("1 oracle equivalence", worst <= 1e-4, f"max relative error {worst:.2e}")
@@ -108,7 +104,7 @@ def test_criterion_02_solver_contract_1000_rhs():
         hierarchy = setup(lap, config)
         supplies = rng.standard_normal((count, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
-        x, _ = solve_many(hierarchy, supplies, config, threads=4)
+        x, _ = solve_many(hierarchy, supplies, threads=4)
         for b, row in zip(supplies, x):
             recomputed = np.linalg.norm(b - lap @ row) / np.linalg.norm(b)
             worst = max(worst, float(recomputed))
@@ -122,11 +118,11 @@ def test_criterion_02_solver_contract_1000_rhs():
 
 def test_criterion_03_sampling_accuracy_desk_scale(ba2000):
     graphs = {}
-    g_ba, h_ba, config, exact_ba = ba2000
+    g_ba, h_ba, exact_ba = ba2000
     graphs["BA"] = (g_ba, h_ba, exact_ba)
     g_er, _ = largest_connected_component(gen.erdos_renyi_graph(2000, 8.0 / 2000, seed=2))
-    h_er = setup(laplacian(g_er), config)
-    graphs["ER"] = (g_er, h_er, exact_scores_all_nodes(g_er, h_er, config))
+    h_er = setup(laplacian(g_er), h_ba.config)
+    graphs["ER"] = (g_er, h_er, exact_scores_all_nodes(g_er, h_er))
 
     ok = True
     details = []
@@ -135,9 +131,7 @@ def test_criterion_03_sampling_accuracy_desk_scale(ba2000):
         for seed in range(5):
             rng = np.random.default_rng(300 + seed)
             query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
-            table = cf_closeness_sampling(
-                g, hierarchy, query, k=20, seed=seed, config=config, threads=4
-            )
+            table = cf_closeness_sampling(g, hierarchy, query, k=20, seed=seed, threads=4)
             approx = table.vector(query)
             spearmans.append(spearman(exact[query], approx))
             inversion_pcts.append(rank_inversions(exact[query], approx)[1])
@@ -157,12 +151,11 @@ def test_criterion_03b_pgp_if_supplied():
         pytest.skip("PGP graph not supplied (set CFCENT_PGP_PATH)")
     with open(path) as handle:
         g, _ = largest_connected_component(load_edge_list(handle))
-    config = SolverConfig()
-    hierarchy = setup(laplacian(g), config)
+    hierarchy = setup(laplacian(g), SolverConfig())
     rng = np.random.default_rng(0)
     query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
-    exact = exact_scores_all_nodes(g, hierarchy, config)[query]
-    table = cf_closeness_sampling(g, hierarchy, query, k=20, seed=0, config=config)
+    exact = exact_scores_all_nodes(g, hierarchy)[query]
+    table = cf_closeness_sampling(g, hierarchy, query, k=20, seed=0)
     rho = spearman(exact, table.vector(query))
     report("3b PGP sampling", rho >= 0.999, f"spearman {rho:.5f} at 20 pivots")
 
@@ -170,12 +163,11 @@ def test_criterion_03b_pgp_if_supplied():
 def test_criterion_04_unbiasedness_exhaustive(rng):
     n = 7
     g = random_connected_graph(n, rng, weighted=True)
-    config = SolverConfig(tau=1e-10)
-    hierarchy = setup(laplacian(g), config)
+    hierarchy = setup(laplacian(g), SolverConfig(tau=1e-10))
     start = time.perf_counter()
     worst = 0.0
     for v in range(n):
-        dist = resistances_from_node(hierarchy, v, np.arange(n), config)
+        dist = resistances_from_node(hierarchy, v, np.arange(n))
         s_v = dist.sum()
         for k in range(1, n + 1):
             subsets = list(itertools.combinations(range(n), k))
@@ -204,11 +196,10 @@ def _projection_band_stats(epsilon, seeds):
     iu, iv = np.triu_indices(n, 1)
     exact_pairs = oracle[iu, iv]
     exact_scores = (n - 1) / oracle.sum(axis=1)
-    config = SolverConfig()
-    hierarchy = setup(laplacian(g), config)
+    hierarchy = setup(laplacian(g), SolverConfig())
     in_band_fractions, emaxes = [], []
     for seed in range(seeds):
-        sketch = build_sketch(g, hierarchy, epsilon, seed, config, threads=4)
+        sketch = build_sketch(g, hierarchy, epsilon, seed, threads=4)
         z = sketch.z
         col_sq = np.einsum("ij,ij->j", z, z)
         gram = z.T @ z
@@ -247,7 +238,7 @@ def test_criterion_05b_projection_closeness_error():
 
 
 def test_criterion_06_discriminative_power(ba2000):
-    g, _, _, exact = ba2000
+    g, _, exact = ba2000
     sp_all = sp_closeness(g, range(g.n)).vector(range(g.n))
     wins = 0
     pairs = []
@@ -262,19 +253,19 @@ def test_criterion_06_discriminative_power(ba2000):
 
 
 def test_criterion_07_noise_resilience_direction(ba2000):
-    g, hierarchy, config, _ = ba2000
+    g, hierarchy, _ = ba2000
     cf_vals, sp_vals = [], []
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
         query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
         perturbed = insert_noise_edges(g, 0.10, query, seed=800 + seed)
-        h_pert = setup(laplacian(perturbed), config)
+        h_pert = setup(laplacian(perturbed), hierarchy.config)
 
         base_cf = cf_closeness_sampling(
-            g, hierarchy, query, k=20, seed=seed, config=config, threads=4
+            g, hierarchy, query, k=20, seed=seed, threads=4
         ).vector(query)
         pert_cf = cf_closeness_sampling(
-            perturbed, h_pert, query, k=20, seed=seed, config=config, threads=4
+            perturbed, h_pert, query, k=20, seed=seed, threads=4
         ).vector(query)
         cf_vals.append(spearman(base_cf, pert_cf))
 
@@ -290,14 +281,14 @@ def test_criterion_07_noise_resilience_direction(ba2000):
 
 
 def test_criterion_08a_degree_correlation_complex(ba2000):
-    g, hierarchy, config, _ = ba2000
+    g, hierarchy, _ = ba2000
     c_a = degree_asymptotic(g, range(g.n)).vector(range(g.n))
     values = []
     for seed in range(5):
         rng = np.random.default_rng(810 + seed)
         query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
         approx = cf_closeness_sampling(
-            g, hierarchy, query, k=20, seed=seed, config=config, threads=4
+            g, hierarchy, query, k=20, seed=seed, threads=4
         ).vector(query)
         values.append(spearman(approx, c_a[query]))
     mean_rho = float(np.mean(values))
@@ -306,15 +297,14 @@ def test_criterion_08a_degree_correlation_complex(ba2000):
 
 def test_criterion_08b_degree_correlation_grid():
     g = gen.grid_graph(50)
-    config = SolverConfig()
-    hierarchy = setup(laplacian(g), config)
+    hierarchy = setup(laplacian(g), SolverConfig())
     c_a = degree_asymptotic(g, range(g.n)).vector(range(g.n))
     values = []
     for seed in range(5):
         rng = np.random.default_rng(820 + seed)
         query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
         approx = cf_closeness_sampling(
-            g, hierarchy, query, k=20, seed=seed, config=config, threads=4
+            g, hierarchy, query, k=20, seed=seed, threads=4
         ).vector(query)
         values.append(spearman(approx, c_a[query]))
     mean_abs = float(np.abs(np.mean(values)))
@@ -334,7 +324,7 @@ def test_criterion_09_near_linear_scaling():
             g = gen.grid_graph(k)
             start = time.perf_counter()
             hierarchy = setup(laplacian(g), config)
-            cf_closeness_sampling(g, hierarchy, [0], k=20, seed=0, config=config)
+            cf_closeness_sampling(g, hierarchy, [0], k=20, seed=0)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -355,19 +345,19 @@ def test_criterion_10_metric_laws(rng):
     for n in range(2, 9):
         g = gen.path_graph(n)
         h = setup(laplacian(g), config)
-        series_ok &= abs(effective_resistance(h, 0, n - 1, config) - (n - 1)) < 1e-6
+        series_ok &= abs(effective_resistance(h, 0, n - 1) - (n - 1)) < 1e-6
     weights = [0.5, 2.0, 1.0, 4.0, 0.25, 1.5, 3.0]
     for n in range(2, 9):
         w = weights[: n - 1]
         g = Graph.from_edges(list(range(n - 1)), list(range(1, n)), w)
         h = setup(laplacian(g), config)
         expected = sum(1.0 / x for x in w)
-        series_ok &= abs(effective_resistance(h, 0, n - 1, config) - expected) < 1e-6
+        series_ok &= abs(effective_resistance(h, 0, n - 1) - expected) < 1e-6
 
     # parallel law: duplicate edges merge as added conductances
     g = Graph.from_edges([0, 0, 0], [1, 1, 1], [1.0, 2.0, 5.0])
     h = setup(laplacian(g), config)
-    parallel_ok = abs(effective_resistance(h, 0, 1, config) - 1.0 / 8.0) < 1e-9
+    parallel_ok = abs(effective_resistance(h, 0, 1) - 1.0 / 8.0) < 1e-9
 
     # triangle inequality: exhaustive over all connected graphs on up to
     # 5 nodes, plus random weighted graphs up to n=8
@@ -389,7 +379,7 @@ def test_criterion_10_metric_laws(rng):
         g = random_connected_graph(n, rng, weighted=True)
         h = setup(laplacian(g), config)
         r = np.array(
-            [[effective_resistance(h, a, b, config) for b in range(n)] for a in range(n)]
+            [[effective_resistance(h, a, b) for b in range(n)] for a in range(n)]
         )
         triangle_ok &= bool(np.allclose(r, r.T, atol=1e-8))
         for a, b, c in itertools.permutations(range(n), 3):

@@ -32,16 +32,15 @@ from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix
 
 
 def hierarchy_for(g, **cfg):
-    config = SolverConfig(**cfg) if cfg else SolverConfig()
-    return setup(laplacian(g), config), config
+    return setup(laplacian(g), SolverConfig(**cfg))
 
 
-def pair_formula_sums(h, cfg, query, targets):
+def pair_formula_sums(h, query, targets):
     """Resistance sums from each query node to ``targets`` by the four-entry
     formula, from one stream of node solutions over their sorted union."""
     targets = np.asarray(targets)
     union = np.union1d(query, targets)
-    z = np.vstack([z for _, z in node_solution_chunks(h, union, cfg)])
+    z = np.vstack([z for _, z in node_solution_chunks(h, union)])
     z_t = z[np.searchsorted(union, targets)]
     at_t = z_t[np.arange(targets.size), targets]
     sums = []
@@ -65,15 +64,15 @@ def traced_peak_bytes(fn):
 class TestExact:
     def test_k3(self):
         g = complete_graph(3)
-        h, cfg = hierarchy_for(g)
-        table = cf_closeness_exact(g, h, [0, 1, 2], cfg)
+        h = hierarchy_for(g)
+        table = cf_closeness_exact(g, h, [0, 1, 2])
         for v in range(3):
             assert table.scores[v] == pytest.approx(1.5, rel=1e-6)
 
     def test_p3_middle_and_end(self):
         g = path_graph(3)
-        h, cfg = hierarchy_for(g)
-        table = cf_closeness_exact(g, h, [0, 1], cfg)
+        h = hierarchy_for(g)
+        table = cf_closeness_exact(g, h, [0, 1])
         assert table.scores[1] == pytest.approx(1.0, rel=1e-6)
         assert table.scores[0] == pytest.approx(2.0 / 3.0, rel=1e-6)
 
@@ -81,9 +80,9 @@ class TestExact:
         for trial in range(6):
             n = int(rng.integers(5, 60))
             g = random_connected_graph(n, rng, weighted=trial % 2 == 1)
-            h, cfg = hierarchy_for(g, max_direct_size=16)
+            h = hierarchy_for(g, max_direct_size=16)
             expected = cf_scores_oracle(g)
-            table = cf_closeness_exact(g, h, list(range(n)), cfg)
+            table = cf_closeness_exact(g, h, list(range(n)))
             got = table.vector(range(n))
             assert got == pytest.approx(expected, rel=1e-4)
 
@@ -96,16 +95,16 @@ class TestExact:
             if g.n < 4 or not g.is_connected():
                 continue
             h = setup(laplacian(g), cfg)
-            got = cf_closeness_exact(g, h, range(4), cfg).vector(range(4))
+            got = cf_closeness_exact(g, h, range(4)).vector(range(4))
             assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
 
     def test_diagonal_identity_matches_pair_formula(self, rng):
         g = random_connected_graph(150, rng, extra_edge_prob=0.03, weighted=True)
-        h, cfg = hierarchy_for(g, max_direct_size=16)
+        h = hierarchy_for(g, max_direct_size=16)
         assert len(h.levels) > 1
         query = list(range(0, 150, 3))
-        sums = pair_formula_sums(h, cfg, query, np.arange(150))
-        got = cf_closeness_exact(g, h, query, cfg).vector(query)
+        sums = pair_formula_sums(h, query, np.arange(150))
+        got = cf_closeness_exact(g, h, query).vector(query)
         assert got == pytest.approx((150 - 1) / sums, rel=1e-6)
 
     def test_permutation_equivariance(self, rng):
@@ -113,10 +112,10 @@ class TestExact:
         perm = rng.permutation(15)
         eu, ev, ew = g.edge_array()
         gp = Graph.from_edges(perm[eu], perm[ev], ew, n=15)
-        h, cfg = hierarchy_for(g)
-        hp, _ = hierarchy_for(gp)
-        orig = cf_closeness_exact(g, h, range(15), cfg).vector(range(15))
-        relabeled = cf_closeness_exact(gp, hp, range(15), cfg).vector(range(15))
+        h = hierarchy_for(g)
+        hp = hierarchy_for(gp)
+        orig = cf_closeness_exact(g, h, range(15)).vector(range(15))
+        relabeled = cf_closeness_exact(gp, hp, range(15)).vector(range(15))
         assert relabeled[perm] == pytest.approx(orig, rel=1e-5)
 
 
@@ -138,16 +137,16 @@ class TestCoverIdentity:
 
     def test_matches_pseudoinverse_oracle(self):
         for g in self.graphs():
-            h, cfg = hierarchy_for(g, tau=1e-10)
-            got = cf_closeness_exact(g, h, range(g.n), cfg).vector(range(g.n))
+            h = hierarchy_for(g, tau=1e-10)
+            got = cf_closeness_exact(g, h, range(g.n)).vector(range(g.n))
             assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
 
     def test_solves_only_the_cover(self):
         solves = []
         for g in self.graphs():
-            h, cfg = hierarchy_for(g)
+            h = hierarchy_for(g)
             before = h.stats.solves
-            cf_closeness_exact(g, h, [0], cfg)
+            cf_closeness_exact(g, h, [0])
             solves.append(h.stats.solves - before)
             assert solves[-1] == g.n - int(_independent_set(g).sum())
         assert solves[0] == 1  # the star: its center alone
@@ -170,27 +169,27 @@ class TestCoverIdentity:
 
     def test_bitwise_independent_of_threads(self):
         g = grid_graph(30)
-        h, cfg = hierarchy_for(g)
+        h = hierarchy_for(g)
         assert g.n - int(_independent_set(g).sum()) > 2 * 192
-        one = cf_closeness_exact(g, h, range(g.n), cfg, threads=1).scores
-        three = cf_closeness_exact(g, h, range(g.n), cfg, threads=3).scores
+        one = cf_closeness_exact(g, h, range(g.n), threads=1).scores
+        three = cf_closeness_exact(g, h, range(g.n), threads=3).scores
         assert one == three
 
 
 class TestSampling:
     def test_k_equals_n_reduces_to_exact(self, rng):
         g = random_connected_graph(12, rng)
-        h, cfg = hierarchy_for(g)
-        exact = cf_closeness_exact(g, h, range(12), cfg).vector(range(12))
-        sampled = cf_closeness_sampling(g, h, range(12), k=12, seed=5, config=cfg)
+        h = hierarchy_for(g)
+        exact = cf_closeness_exact(g, h, range(12)).vector(range(12))
+        sampled = cf_closeness_sampling(g, h, range(12), k=12, seed=5)
         assert sampled.vector(range(12)) == pytest.approx(exact, rel=1e-9)
 
     def test_k1_own_pivot_is_undefined(self):
         g = path_graph(3)
-        h, cfg = hierarchy_for(g)
+        h = hierarchy_for(g)
         pivot = int(pivot_set(3, 1, seed=0)[0])
         with pytest.raises(UndefinedScoreError):
-            cf_closeness_sampling(g, h, [pivot], k=1, seed=0, config=cfg)
+            cf_closeness_sampling(g, h, [pivot], k=1, seed=0)
 
     def test_unbiasedness_by_exhaustive_enumeration(self, rng):
         # the expectation of the scaled pivot distance sum over all
@@ -216,31 +215,31 @@ class TestSampling:
 
     def test_deterministic_scores(self, rng):
         g = random_connected_graph(40, rng)
-        h, cfg = hierarchy_for(g)
-        a = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9, config=cfg)
-        b = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9, config=cfg)
+        h = hierarchy_for(g)
+        a = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9)
+        b = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9)
         assert a.scores == b.scores
 
     def test_streamed_scores_equal_pair_formula(self, rng):
         n, k = 200, 12
         g = random_connected_graph(n, rng, extra_edge_prob=0.03)
-        h, cfg = hierarchy_for(g, max_direct_size=16)
+        h = hierarchy_for(g, max_direct_size=16)
         assert len(h.levels) > 1
         pivots = pivot_set(n, k, seed=4)
         others = np.setdiff1d(np.arange(n), pivots)
         query = [int(v) for v in rng.choice(others, 90, replace=False)]
         query += [int(p) for p in pivots[::3]]  # pivots that are also queried
-        sums = pair_formula_sums(h, cfg, query, pivots)
-        table = cf_closeness_sampling(g, h, query, k=k, seed=4, config=cfg)
+        sums = pair_formula_sums(h, query, pivots)
+        table = cf_closeness_sampling(g, h, query, k=k, seed=4)
         expected = [(k / n) * (n - 1) / float(total) for total in sums]
         assert table.vector(query).tolist() == expected
 
     def test_estimator_close_to_exact_on_medium_graph(self, rng):
         g = random_connected_graph(300, rng)
-        h, cfg = hierarchy_for(g)
+        h = hierarchy_for(g)
         query = [int(x) for x in rng.choice(300, 30, replace=False)]
-        exact = cf_closeness_exact(g, h, query, cfg).vector(query)
-        sampled = cf_closeness_sampling(g, h, query, k=50, seed=1, config=cfg)
+        exact = cf_closeness_exact(g, h, query).vector(query)
+        sampled = cf_closeness_sampling(g, h, query, k=50, seed=1)
         ratio = sampled.vector(query) / exact
         assert np.all((ratio > 0.5) & (ratio < 2.0))
 
@@ -252,26 +251,25 @@ class TestStreamingMemory:
     @pytest.fixture(scope="class")
     def ba2000(self):
         g = barabasi_albert_graph(2000, 3, seed=1)
-        h, cfg = hierarchy_for(g)
-        return g, h, cfg
+        return g, hierarchy_for(g)
 
     def test_exact_all_nodes_below_n_squared(self, ba2000):
-        g, h, cfg = ba2000
-        peak = traced_peak_bytes(lambda: cf_closeness_exact(g, h, range(g.n), cfg))
+        g, h = ba2000
+        peak = traced_peak_bytes(lambda: cf_closeness_exact(g, h, range(g.n)))
         assert peak < g.n * g.n * 8
 
     def test_sampling_all_nodes_below_n_squared(self, ba2000):
-        g, h, cfg = ba2000
+        g, h = ba2000
         peak = traced_peak_bytes(
-            lambda: cf_closeness_sampling(g, h, range(g.n), k=20, seed=0, config=cfg)
+            lambda: cf_closeness_sampling(g, h, range(g.n), k=20, seed=0)
         )
         assert peak < g.n * g.n * 8
 
     def test_resistances_from_node_all_targets_below_n_squared(self, ba2000):
-        g, h, cfg = ba2000
+        g, h = ba2000
         out = []
         peak = traced_peak_bytes(
-            lambda: out.append(resistances_from_node(h, 0, np.arange(g.n), cfg))
+            lambda: out.append(resistances_from_node(h, 0, np.arange(g.n)))
         )
         assert out[0].shape == (g.n,) and out[0][0] == 0.0
         assert peak < g.n * g.n * 8
@@ -280,39 +278,37 @@ class TestStreamingMemory:
 class TestProjection:
     def test_p2_score_within_band(self):
         g = path_graph(2)
-        h, cfg = hierarchy_for(g)
+        h = hierarchy_for(g)
         hits = 0
         for seed in range(10):
-            table = cf_closeness_projection(g, h, [0], epsilon=0.5, seed=seed, config=cfg)
+            table = cf_closeness_projection(g, h, [0], epsilon=0.5, seed=seed)
             if 1 / 1.5 <= table.scores[0] <= 1 / 0.5:
                 hits += 1
         assert hits >= 6  # true closeness is 1
 
     def test_scores_strictly_positive(self, rng):
         g = random_connected_graph(60, rng)
-        h, cfg = hierarchy_for(g)
-        table = cf_closeness_projection(g, h, range(60), epsilon=0.3, seed=2, config=cfg)
+        h = hierarchy_for(g)
+        table = cf_closeness_projection(g, h, range(60), epsilon=0.3, seed=2)
         assert all(s > 0 for s in table.scores.values())
 
     def test_deterministic_under_seed(self, rng):
         g = random_connected_graph(30, rng)
-        h, cfg = hierarchy_for(g)
-        a = cf_closeness_projection(g, h, [3], epsilon=0.4, seed=8, config=cfg)
-        b = cf_closeness_projection(g, h, [3], epsilon=0.4, seed=8, config=cfg)
+        h = hierarchy_for(g)
+        a = cf_closeness_projection(g, h, [3], epsilon=0.4, seed=8)
+        b = cf_closeness_projection(g, h, [3], epsilon=0.4, seed=8)
         assert a.scores == b.scores
 
     def test_error_decreases_with_epsilon_in_expectation(self, rng):
         g = random_connected_graph(80, rng)
-        h, cfg = hierarchy_for(g)
+        h = hierarchy_for(g)
         query = list(range(0, 80, 4))
-        exact = cf_closeness_exact(g, h, query, cfg).vector(query)
+        exact = cf_closeness_exact(g, h, query).vector(query)
         mean_err = {}
         for eps in (0.5, 0.2, 0.1):
             errs = []
             for seed in range(10):
-                table = cf_closeness_projection(
-                    g, h, query, epsilon=eps, seed=seed, config=cfg
-                )
+                table = cf_closeness_projection(g, h, query, epsilon=eps, seed=seed)
                 errs.append(np.abs(table.vector(query) / exact - 1.0).mean())
             mean_err[eps] = np.mean(errs)
         assert mean_err[0.5] > mean_err[0.2] > mean_err[0.1]
@@ -360,19 +356,19 @@ class TestScoreOrdering:
     def test_cf_and_sp_maximized_at_path_median(self):
         for n in (5, 7):
             g = path_graph(n)
-            h, cfg = hierarchy_for(g)
-            cf = cf_closeness_exact(g, h, range(n), cfg).vector(range(n))
+            h = hierarchy_for(g)
+            cf = cf_closeness_exact(g, h, range(n)).vector(range(n))
             sp = sp_closeness(g, range(n)).vector(range(n))
             assert cf.argmax() == n // 2
             assert sp.argmax() == n // 2
 
     def test_all_measures_positive_and_tagged(self, rng):
         g = random_connected_graph(20, rng)
-        h, cfg = hierarchy_for(g)
+        h = hierarchy_for(g)
         tables = [
-            cf_closeness_exact(g, h, [0, 1], cfg),
-            cf_closeness_sampling(g, h, [0, 1], k=5, seed=0, config=cfg),
-            cf_closeness_projection(g, h, [0, 1], epsilon=0.5, seed=0, config=cfg),
+            cf_closeness_exact(g, h, [0, 1]),
+            cf_closeness_sampling(g, h, [0, 1], k=5, seed=0),
+            cf_closeness_projection(g, h, [0, 1], epsilon=0.5, seed=0),
             sp_closeness(g, [0, 1]),
             degree_asymptotic(g, [0, 1]),
         ]
@@ -380,6 +376,19 @@ class TestScoreOrdering:
         assert kinds == set(Measure)
         for t in tables:
             assert all(v > 0 for v in t.scores.values())
+
+    def test_cf_measures_report_the_hierarchy_tau(self, rng):
+        # The hierarchy is the one source of tau: every estimator solves
+        # to it and reports it.
+        g = random_connected_graph(80, rng)
+        h = hierarchy_for(g, tau=1e-7, max_direct_size=16)
+        tables = [
+            cf_closeness_exact(g, h, [0, 1]),
+            cf_closeness_sampling(g, h, [0, 1], k=5, seed=0),
+            cf_closeness_projection(g, h, [0, 1], epsilon=0.5, seed=0),
+        ]
+        assert [t.params["tau"] for t in tables] == [1e-7] * 3
+        assert 0 < h.stats.max_residual <= 1e-7
 
 
 class TestValidation:

@@ -33,16 +33,17 @@ def dense_solve_oracle(lap_dense, b):
 class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.tau == 1e-5
-        assert cfg.smoothing_steps == (1, 2)
+        assert (cfg.tau, cfg.max_direct_size, cfg.seed) == (1e-5, 200, 0)
+        assert solver_module.AGGREGATION_TEST_VECTORS == 4
+        assert solver_module.ELIMINATION_DEGREE_CAP == 4
+        assert solver_module.SMOOTHING_STEPS == (1, 2)
+        assert solver_module.MAX_CYCLES == 100
 
     def test_validation(self):
         with pytest.raises(DomainError):
             SolverConfig(tau=0.0)
         with pytest.raises(DomainError):
-            SolverConfig(max_cycles=0)
-        with pytest.raises(DomainError):
-            SolverConfig(smoothing_steps=(0, 1))
+            SolverConfig(max_direct_size=0)
 
 
 class TestSetup:
@@ -85,7 +86,7 @@ class TestSetup:
             )
             if sizes[-1] > cfg.max_direct_size:
                 coarsest = h.levels[-1].matrix
-                assert coarsen_eliminate(coarsest, cfg.elimination_degree_cap)[1] is None
+                assert coarsen_eliminate(coarsest)[1] is None
                 fine, coarse = aggregated[-1]
                 assert fine == sizes[-1]
                 assert fine - coarse < solver_module.MIN_REDUCTION * fine
@@ -156,14 +157,14 @@ class TestEliminate:
 
     def test_k5_at_cap_eliminates_one_node(self):
         lap = laplacian(complete_graph(5)).tocsr()
-        schur, record = coarsen_eliminate(lap, degree_cap=4)
+        schur, record = coarsen_eliminate(lap)
         assert record is not None
         assert record.f_nodes.size == 1  # independence in a clique
         assert schur.shape == (4, 4)
 
     def test_no_eligible_nodes_returns_unchanged(self):
         lap = laplacian(complete_graph(7)).tocsr()  # all degrees 6 > cap
-        schur, record = coarsen_eliminate(lap, degree_cap=4)
+        schur, record = coarsen_eliminate(lap)
         assert record is None
         assert schur is lap
 
@@ -692,16 +693,17 @@ class TestSolveMany:
 
 
 class TestFallback:
-    def test_contract_holds_even_with_starved_multigrid(self, rng):
+    def test_contract_holds_even_with_starved_multigrid(self, rng, monkeypatch):
         # One PCG iteration with one smoothing sweep cannot converge, so
         # the solve must be finished by the Jacobi-CG safety net.
+        monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
+        monkeypatch.setattr(solver_module, "SMOOTHING_STEPS", (1, 1))
         g = grid_graph(20)
-        cfg = SolverConfig(max_cycles=1, smoothing_steps=(1, 1), max_direct_size=2)
-        h = setup(laplacian(g), cfg)
+        h = setup(laplacian(g), SolverConfig(max_direct_size=2))
         lap = laplacian(g)
         b = rng.standard_normal(g.n)
         b -= b.mean()
-        x, _ = solve(h, b, cfg)
+        x, _ = solve(h, b)
         recomputed = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
         assert recomputed <= 1e-5
         assert h.stats.fallback_solves >= 1
@@ -709,12 +711,11 @@ class TestFallback:
     def test_unreachable_tolerance_raises_with_best_residual(self, rng):
         # far below machine precision: every stage must give up, and the
         # error reports the count and the worst residual of the failed columns
-        cfg = SolverConfig(tau=1e-300, max_cycles=8)
-        h = setup(laplacian(path_graph(30)), cfg)
+        h = setup(laplacian(path_graph(30)), SolverConfig(tau=1e-300))
         b = rng.standard_normal(30)
         b -= b.mean()
         with pytest.raises(ConvergenceError) as err:
-            solve(h, b, cfg)
+            solve(h, b)
         assert 0 < err.value.best_residual < 1e-10
         assert str(err.value).startswith("1 solve(s) failed to reach tau=1e-300")
         worst = f"among the failed columns {err.value.best_residual:.3e})"
