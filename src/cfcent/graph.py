@@ -280,18 +280,19 @@ def _raise_first_bad_line(data: bytes, min_id: int) -> None:
     _parse_edges(data[cut[bad - 1]:cut[bad]], min_id, first_line=bad)
 
 
-def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
+def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """Extract the largest connected component of ``g``.
 
-    Returns the induced subgraph together with the mapping from old node
-    ids to new ids.  Ties between equal-size components are broken in
-    favor of the component containing the smallest original node label.
+    Returns the induced subgraph together with the kept old node ids as
+    an ascending int64 array: new id ``i`` is old id ``keep[i]``.  Ties
+    between equal-size components are broken in favor of the component
+    containing the smallest original node label.
     """
     if g.n == 0:
         raise DomainError("cannot extract a component of an empty graph")
     ncomp, comp = connected_components(g.adjacency_matrix(), directed=False)
     if ncomp == 1:
-        return g, {i: i for i in range(g.n)}
+        return g, np.arange(g.n, dtype=np.int64)
     sizes = np.bincount(comp, minlength=ncomp)
     best_size = sizes.max()
     candidates = np.nonzero(sizes == best_size)[0]
@@ -301,7 +302,7 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
         min_label = [g.node_labels[comp == c].min() for c in candidates]
         chosen = candidates[int(np.argmin(min_label))]
 
-    keep = np.nonzero(comp == chosen)[0]
+    keep = np.flatnonzero(comp == chosen)
     remap = -np.ones(g.n, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
     eu, ev, ew = g.edge_array()
@@ -313,7 +314,7 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
         n=keep.size,
         node_labels=g.node_labels[keep].copy(),
     )
-    return sub, {int(old): int(new) for old, new in zip(keep, remap[keep])}
+    return sub, keep
 
 
 def laplacian(g: Graph) -> sp.csr_matrix:

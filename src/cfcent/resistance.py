@@ -140,7 +140,6 @@ class ResistanceSketch:
     k: int
     epsilon: float
     seed: int
-    max_residual: float = 0.0
 
     def __post_init__(self):
         self.z.setflags(write=False)
@@ -188,7 +187,6 @@ def build_sketch(
     rng = np.random.default_rng(seed)
     inv_sqrt_k = 1.0 / math.sqrt(k)
     z = np.empty((k, n))
-    max_res = 0.0
     width = BLOCK_COLUMNS * max(1, threads)
     for start in range(0, k, width):
         # The chunk's right-hand sides are staged in the rows of ``z`` that
@@ -212,11 +210,10 @@ def build_sketch(
         assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
         rhs -= rhs.mean(axis=1, keepdims=True)
 
-        x, res = solve_many(hierarchy, rhs, threads=threads)
+        x, _ = solve_many(hierarchy, rhs, threads=threads)
         rhs[...] = x
-        max_res = max(max_res, float(res.max()))
         del x
-    return ResistanceSketch(z=z, k=k, epsilon=epsilon, seed=seed, max_residual=max_res)
+    return ResistanceSketch(z=z, k=k, epsilon=epsilon, seed=seed)
 
 
 def sketch_distance(sketch: ResistanceSketch, u: int, v: int) -> float:

@@ -15,14 +15,15 @@ vectors and serve the V-cycle.  The V-cycle smooths with multicolor
 Gauss-Seidel, one sparse row-block product per class, and scales the
 coarse-grid correction by an energy line search taken on the coarse
 Galerkin operator.  A solve restricts its block once through the leading
-elimination levels, which are exact, and runs flexible conjugate
-gradients on the reduced system with one V-cycle as the preconditioner
-of every iteration (a reduced system that is the coarsest level is
-solved directly); each column is back-substituted to the finest level
-when it converges.  Columns that run out of iterations, break down or
-miss the tolerance when their residual is recomputed on the finest level
-are finished by Jacobi-preconditioned CG, the safety net.  The contract
-is a recomputed relative residual at most ``tau`` for every column, or
+elimination levels, which are exact, and runs one flexible conjugate
+gradient routine on the reduced system with one V-cycle as the
+preconditioner of every iteration (a reduced system that is the coarsest
+level is solved directly); each column is back-substituted to the finest
+level when it converges.  Columns that run out of iterations, break down
+or miss the tolerance when their residual is recomputed on the finest
+level are finished by the safety net: the same routine on the finest
+matrix with a Jacobi preconditioner.  The contract is a recomputed
+relative residual at most ``tau`` for every column, or
 :class:`ConvergenceError` when even the safety net misses it (as it does
 on some graphs whose edge weights span many orders of magnitude).
 
@@ -37,7 +38,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,7 +141,7 @@ class SolveStats:
     """Aggregate bookkeeping across solves on one hierarchy.
 
     ``cycles`` counts V-cycle applications summed over columns;
-    ``fallback_solves`` counts columns finished by the Jacobi-CG net.
+    ``fallback_solves`` counts columns finished by the safety net.
     """
 
     solves: int = 0
@@ -673,46 +674,74 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", block, block))
 
 
-def _center(block: np.ndarray) -> np.ndarray:
-    return block - block.mean(axis=0, keepdims=True)
-
-
-def _jacobi_pcg(
+def _fcg(
     matrix: sp.csr_matrix,
     x: np.ndarray,
-    b: np.ndarray,
-    bnorm: np.ndarray,
-    tau: float,
+    r: np.ndarray,
+    norm: np.ndarray,
+    stop: float,
     max_iters: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-preconditioned CG on the mean-centered subspace."""
-    dinv = 1.0 / np.maximum(matrix.diagonal(), np.finfo(float).tiny)
-    r = _center(b - matrix @ x)
-    z = dinv[:, None] * r
-    p = z.copy()
-    rz = np.einsum("ij,ij->j", r, z)
-    res = _column_norms(b - matrix @ x) / bnorm
-    frozen = res <= tau
-    for _ in range(max_iters):
-        if frozen.all():
-            break
+    precondition: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Flexible preconditioned CG on ``matrix x = b`` per column of ``x``.
+
+    ``x`` is the starting iterate and ``r = b - matrix @ x`` its residual,
+    both mean-centered; ``precondition(r)`` returns the preconditioned
+    residual, which is then centered.  Each direction is made conjugate
+    to the previous one only, with the Polak-Ribiere ``beta`` (Notay
+    2000), so a nonlinear preconditioner such as a V-cycle with a line
+    search is allowed.  A column leaves when ``|r| <= stop * norm``, when
+    it breaks down (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or after
+    ``max_iters`` iterations.  Each time columns leave, yields
+    ``(done, x_done, converged)``: the mask of the leaving columns among
+    those still iterating, their iterates, and which of them met the
+    stop test.  The arrays are narrowed before the yield, so a caller
+    that drops its own ``x`` and ``r`` after creating the generator
+    holds the leaving columns beside the remaining ones only.
+    """
+    # Per column: iterate x, residual r, direction p and L p, in
+    # contiguous arrays that are narrowed only on an iteration where a
+    # column leaves.  ``alpha`` and ``rz`` (= <r, z>) of the last step give
+    # the Polak-Ribiere beta = <z_new, r_new - r> / rz = -alpha <z_new, Lp> / rz
+    # from the L p already in hand, so no copy of the old r is kept.
+    # Starting from alpha = 0 and L p = 0 makes the first beta 0.
+    p = np.zeros_like(r)
+    lp = np.zeros_like(r)
+    alpha = np.zeros(norm.size)
+    rz = np.ones(norm.size)
+    broken = np.zeros(norm.size, dtype=bool)
+    for step in range(max_iters + 1):
+        conv = _column_norms(r) / norm <= stop
+        done = conv | broken | (step == max_iters)
+        if done.any():
+            x_done = x.compress(done, axis=1)
+            # ``compress`` keeps the arrays C-ordered (``a[:, keep]`` would
+            # not); one array at a time, so only one is held twice.
+            keep = ~done
+            x = x.compress(keep, axis=1)
+            r = r.compress(keep, axis=1)
+            p = p.compress(keep, axis=1)
+            lp = lp.compress(keep, axis=1)
+            norm, alpha, rz = norm[keep], alpha[keep], rz[keep]
+            yield done, x_done, conv[done]
+            del x_done
+            if not norm.size:
+                return
+        z = precondition(r)
+        z -= z.mean(axis=0, keepdims=True)
+        beta = -alpha * np.einsum("ij,ij->j", z, lp) / rz
+        del lp
+        rz = np.einsum("ij,ij->j", r, z)
+        p *= beta
+        p += z
         lp = matrix @ p
         plp = np.einsum("ij,ij->j", p, lp)
-        alpha = np.divide(rz, plp, out=np.zeros_like(rz), where=plp > 0)
-        alpha[frozen] = 0.0
-        x += p * alpha
-        r -= lp * alpha
-        res = _column_norms(r) / bnorm
-        frozen = frozen | (res <= tau)
-        z = dinv[:, None] * r
-        rz_new = np.einsum("ij,ij->j", r, z)
-        beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=rz > 0)
-        beta[frozen] = 0.0
-        p = z + p * beta
-        rz = rz_new
-    x = _center(x)
-    res = _column_norms(b - matrix @ x) / bnorm
-    return x, res
+        broken = (plp <= 0) | (rz <= 0)
+        alpha = np.divide(rz, plp, out=np.zeros_like(rz), where=~broken)
+        # ``z`` is spent: it holds the scaled steps.
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(lp, alpha, out=z)
+        del z
 
 
 def _solve_block(
@@ -726,11 +755,9 @@ def _solve_block(
     to the reduced system ``S x_c = b_c + W_cf D_f^-1 b_f`` of the first
     other level, as LAMG's solve phase does (Livne & Brandt 2012).  The
     outer iteration runs on that system: flexible conjugate gradients
-    preconditioned by one V-cycle from that level per iteration (Notay
-    2000); the cycle's line search makes it a nonlinear preconditioner,
-    so each direction is made conjugate to the previous one only, with
-    the Polak-Ribiere ``beta``.  A reduced system that is the coarsest
-    level is solved directly and needs no cycle.  A column stops when
+    (:func:`_fcg`) preconditioned by one V-cycle from that level per
+    iteration.  A reduced system that is the coarsest level is solved
+    directly and needs no cycle.  A column stops when
     its reduced residual falls below ``STOP_MARGIN * tau`` of its fine
     right-hand side's norm, which is exact: after back-substitution
     ``x_f = D_f^-1 (b_f + W_fc x_c)``, done per column as it leaves the
@@ -738,8 +765,10 @@ def _solve_block(
     and is zero on the F rows.  Columns that reach ``MAX_CYCLES``
     iterations, break down (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose
     residual, recomputed from the finest matrix, exceeds ``tau`` are
-    finished by Jacobi-preconditioned CG, the safety net; a column it
-    leaves above ``tau`` raises :class:`ConvergenceError`.
+    finished by the safety net: :func:`_fcg` again, on the finest matrix
+    with a Jacobi preconditioner, from the columns' current solutions and
+    for at most ``max(2000, 50 sqrt(n))`` iterations; a column it leaves
+    above ``tau`` raises :class:`ConvergenceError`.
 
     Every column runs its own iteration and leaves the loop at its own
     convergence step.  Its low-order bits may still depend on which
@@ -771,7 +800,7 @@ def _solve_block(
     out[~nonzero] = 0.0
     tau = hierarchy.config.tau
     stop_tau = STOP_MARGIN * tau
-    net = np.zeros(ncols, dtype=bool)  # columns for the Jacobi-CG net
+    net = np.zeros(ncols, dtype=bool)  # columns for the safety net
     cycles = 0
 
     active = np.flatnonzero(nonzero)
@@ -789,68 +818,33 @@ def _solve_block(
             scaled.append(f_part)
             del f_part  # the list alone holds it, so narrowing frees it
         reduced = levels[top]
-        # Per active column: iterate x, residual r, direction p and L p
-        # on the reduced system, in contiguous arrays that are narrowed
-        # only on an iteration where a column converges, breaks down or
-        # runs out of cycles.  ``alpha`` and ``rz`` (= <r, z>) of the last
-        # step give the Polak-Ribiere
-        # beta = <z_new, r_new - r> / rz = -alpha <z_new, Lp> / rz
-        # from the L p already in hand, so no copy of the old r is kept.
-        # Starting from alpha = 0 and L p = 0 makes the first beta 0.  A
-        # coarsest reduced level is solved directly, with no cycle.
+        # A coarsest reduced level is solved directly, with no cycle.
         if reduced.kind is LevelKind.COARSEST:
             xa = _direct_solve(reduced, ra)
             ra -= reduced.matrix @ xa
         else:
             xa = np.zeros_like(ra)
-        pa = np.zeros_like(ra)
-        lpa = np.zeros_like(ra)
-        norm_a = bnorm[active]
-        alpha = np.zeros(active.size)
-        rz = np.ones(active.size)
-        broken = np.zeros(active.size, dtype=bool)
-        for step in range(MAX_CYCLES + 1):
-            conv = _column_norms(ra) / norm_a <= stop_tau
-            done = conv | broken | (step == MAX_CYCLES)
-            if done.any():
-                x = xa.compress(done, axis=1)
-                f_done = [f_part.compress(done, axis=1) for f_part in scaled]
-                finished = active[done]
-                net[active[done & ~conv]] = True
-                # Narrow before back-substituting, so the finished columns'
-                # fine solutions never sit beside the full PCG arrays.
-                # ``compress`` keeps the arrays C-ordered (``a[:, keep]``
-                # would not); one array at a time, so only one is held twice.
-                keep = ~done
-                xa = xa.compress(keep, axis=1)
-                ra = ra.compress(keep, axis=1)
-                pa = pa.compress(keep, axis=1)
-                lpa = lpa.compress(keep, axis=1)
-                scaled = [f_part.compress(keep, axis=1) for f_part in scaled]
-                active, norm_a, alpha, rz = active[keep], norm_a[keep], alpha[keep], rz[keep]
-                for level in reversed(levels[:top]):
-                    x = _eliminate_interpolate(level, x, f_done.pop())
-                out[finished] = x.T
-                del x
-                if not active.size:
-                    break
-            z = _cycle(levels, top, ra)
-            z -= z.mean(axis=0, keepdims=True)
-            cycles += active.size
-            beta = -alpha * np.einsum("ij,ij->j", z, lpa) / rz
-            del lpa
-            rz = np.einsum("ij,ij->j", ra, z)
-            pa *= beta
-            pa += z
-            lpa = reduced.matrix @ pa
-            plp = np.einsum("ij,ij->j", pa, lpa)
-            broken = (plp <= 0) | (rz <= 0)
-            alpha = np.divide(rz, plp, out=np.zeros_like(rz), where=~broken)
-            # ``z`` is spent: it holds the scaled steps.
-            xa += np.multiply(pa, alpha, out=z)
-            ra -= np.multiply(lpa, alpha, out=z)
-            del z
-        del xa, ra, pa, lpa, scaled
+
+        def v_cycle(r: np.ndarray) -> np.ndarray:
+            nonlocal cycles
+            cycles += r.shape[1]
+            return _cycle(levels, top, r)
+
+        iteration = _fcg(
+            reduced.matrix, xa, ra, bnorm[active], stop_tau, MAX_CYCLES, v_cycle
+        )
+        del xa, ra  # the iteration alone holds them, so narrowing frees them
+        for done, x, converged in iteration:
+            finished, active = active[done], active[~done]
+            net[finished[~converged]] = True
+            # The iteration has narrowed its arrays, so the finished
+            # columns' fine solutions never sit beside the full ones.
+            f_done = [f_part.compress(done, axis=1) for f_part in scaled]
+            scaled = [f_part.compress(~done, axis=1) for f_part in scaled]
+            for level in reversed(levels[:top]):
+                x = _eliminate_interpolate(level, x, f_done.pop())
+            out[finished] = x.T
+            del x
 
     out -= out.mean(axis=1, keepdims=True)
     residual = matrix @ out.T
@@ -859,12 +853,27 @@ def _solve_block(
     del residual
     cols = np.flatnonzero(net | (res > tau))
     if cols.size:
-        cg_iters = max(2000, int(50 * np.sqrt(n)))
-        x, res[cols] = _jacobi_pcg(
-            matrix, out.T.take(cols, axis=1), rows.T.take(cols, axis=1),
-            bnorm[cols], stop_tau, cg_iters,
+        # The safety net: the same iteration on the finest matrix with a
+        # Jacobi preconditioner, from the columns' current solutions.
+        dinv = 1.0 / np.maximum(matrix.diagonal(), np.finfo(float).tiny)[:, None]
+        xn = out.T.take(cols, axis=1)
+        rn = rows.T.take(cols, axis=1)
+        rn -= matrix @ xn
+        rn -= rn.mean(axis=0, keepdims=True)
+        iteration = _fcg(
+            matrix, xn, rn, bnorm[cols], stop_tau, max(2000, int(50 * np.sqrt(n))),
+            lambda r: dinv * r,
         )
-        out[cols] = x.T
+        del xn, rn
+        left = cols
+        for done, x, _ in iteration:
+            finished, left = left[done], left[~done]
+            x -= x.mean(axis=0, keepdims=True)
+            out[finished] = x.T
+            residual = rows.T.take(finished, axis=1)
+            residual -= matrix @ x
+            res[finished] = _column_norms(residual) / bnorm[finished]
+            del x, residual
     if (res[cols] > tau).any():
         raise ConvergenceError(
             f"{int((res[cols] > tau).sum())} solve(s) failed to reach tau={tau:g}",
@@ -885,9 +894,7 @@ def solve(
     residual, recomputed from the matrix, not taken from iteration
     bookkeeping.
     """
-    row = np.asarray(b, dtype=np.float64).reshape(1, -1)
-    x = np.empty_like(row)
-    res = _solve_block(hierarchy, row, x)
+    x, res = solve_many(hierarchy, b)
     return x[0], float(res[0])
 
 

@@ -185,21 +185,21 @@ class TestGraphInvariants:
 class TestLargestConnectedComponent:
     def test_connected_graph_identity(self):
         g = path_graph(3)
-        sub, mapping = largest_connected_component(g)
+        sub, keep = largest_connected_component(g)
         assert sub.n == 3 and sub.m == 2
-        assert mapping == {0: 0, 1: 1, 2: 2}
+        assert keep.dtype == np.int64 and keep.tolist() == [0, 1, 2]
 
     def test_p3_plus_isolated_edge(self):
         g = Graph.from_edges([0, 1, 3], [1, 2, 4], n=5)
-        sub, mapping = largest_connected_component(g)
+        sub, keep = largest_connected_component(g)
         assert sub.n == 3 and sub.m == 2
-        assert mapping == {0: 0, 1: 1, 2: 2}
+        assert keep.dtype == np.int64 and keep.tolist() == [0, 1, 2]
 
     def test_tie_broken_by_smallest_original_id(self):
         g = Graph.from_edges([2, 0], [3, 1], n=4)  # components {2,3} and {0,1}
-        sub, mapping = largest_connected_component(g)
+        sub, keep = largest_connected_component(g)
         assert sub.n == 2
-        assert set(mapping) == {0, 1}
+        assert keep.dtype == np.int64 and keep.tolist() == [0, 1]
 
     def test_labels_preserved(self):
         g = load("5 6\n8 9\n8 7\n")  # {5,6} and {7,8,9}

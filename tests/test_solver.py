@@ -564,16 +564,26 @@ class TestSolveMany:
         assert res.max() <= 1e-5
 
     @pytest.mark.parametrize(
-        "graph",
-        [lambda: grid_graph(60), lambda: barabasi_albert_graph(4000, 5, seed=0)],
-        ids=["grid60", "ba4000"],
+        "graph, starved",
+        [
+            pytest.param(lambda: grid_graph(60), False, id="grid60"),
+            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), False, id="ba4000"),
+            pytest.param(lambda: grid_graph(60), True, id="grid60-starved"),
+            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), True, id="ba4000-starved"),
+        ],
     )
-    def test_block_solve_peak_is_under_eight_blocks(self, graph, rng):
+    def test_block_solve_peak_is_under_eight_blocks(self, graph, starved, rng, monkeypatch):
         # One 64-column solve holds its returned rows, the four PCG arrays,
         # the preconditioned residual and the finest level's iterate and
         # residual, plus the coarse levels: about 7.5 blocks of 64 x n.
+        # Starved, every column is finished by the safety net, which holds
+        # the returned rows and its own four arrays and preconditioned
+        # residual, all on the finest level.
         import tracemalloc
 
+        if starved:
+            monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
+            monkeypatch.setattr(solver_module, "SMOOTHING_STEPS", (1, 1))
         g = graph()
         h = setup(laplacian(g), SolverConfig())
         supplies = rng.standard_normal((64, g.n))
@@ -586,6 +596,7 @@ class TestSolveMany:
         finally:
             tracemalloc.stop()
         assert res.max() <= 1e-5
+        assert (h.stats.fallback_solves == 64) == starved
         assert peak <= 8 * supplies.nbytes
 
     def test_block_solve_on_the_reduced_system_peaks_under_five_blocks(self, rng):
@@ -694,8 +705,9 @@ class TestSolveMany:
 
 class TestFallback:
     def test_contract_holds_even_with_starved_multigrid(self, rng, monkeypatch):
-        # One PCG iteration with one smoothing sweep cannot converge, so
-        # the solve must be finished by the Jacobi-CG safety net.
+        # One flexible-CG iteration with one smoothing sweep cannot
+        # converge, so the solve must be finished by the safety net: the
+        # same iteration on the finest level, preconditioned by Jacobi.
         monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
         monkeypatch.setattr(solver_module, "SMOOTHING_STEPS", (1, 1))
         g = grid_graph(20)
@@ -707,6 +719,23 @@ class TestFallback:
         recomputed = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
         assert recomputed <= 1e-5
         assert h.stats.fallback_solves >= 1
+
+    def test_breakdown_hands_every_column_to_the_net(self, rng, monkeypatch):
+        # A negated cycle makes <r, z> negative, so every column breaks
+        # down at its first iteration and the safety net finishes it.
+        cycle = solver_module._cycle
+        monkeypatch.setattr(solver_module, "_cycle", lambda *args: -cycle(*args))
+        g = grid_graph(30)
+        h = setup(laplacian(g), SolverConfig())
+        supplies = rng.standard_normal((16, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        x, res = solve_many(h, supplies)
+        lap = laplacian(g)
+        recomputed = np.linalg.norm(supplies.T - lap @ x.T, axis=0) / np.linalg.norm(supplies, axis=1)
+        assert h.stats.fallback_solves == 16
+        assert h.stats.cycles == 16
+        assert res.max() <= 1e-5
+        assert recomputed.max() <= 1e-5
 
     def test_unreachable_tolerance_raises_with_best_residual(self, rng):
         # far below machine precision: every stage must give up, and the
