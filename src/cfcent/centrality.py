@@ -11,7 +11,6 @@ left over follows from its neighbors' solutions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -21,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
-from .resistance import build_sketch, node_solution_chunks, pair_resistances, sketch_distance_sums
+from .resistance import build_sketch, node_solution_chunks, resistance_sums, sketch_distance_sums
 from .solver import MultigridHierarchy, _greedy_seeds
 
 __all__ = [
@@ -150,35 +149,23 @@ def cf_closeness_sampling(
 
     One pivot set of ``k`` distinct nodes is drawn uniformly (without
     replacement) and shared by every query node; the resistance sum over
-    pivots is scaled by n/k.  The pivot solutions are kept as one k x n
-    block and the other query nodes are streamed past it, so memory is
-    ``O((k + BLOCK_COLUMNS * threads) * n)`` for any query size.  Zero
-    pivot distance sums (possible only for k=1 with the query node as the
-    pivot) raise :class:`UndefinedScoreError`.
+    pivots (:func:`resistance_sums`) is scaled by n/k.  Each pivot and
+    query node is solved once, and only the pivot rows' entries at the
+    pivot and query nodes are kept, so memory is
+    ``O(BLOCK_COLUMNS * threads * n + k * (q + k))`` for ``q`` query
+    nodes.  Zero pivot distance sums (possible only for k=1 with the
+    query node as the pivot) raise :class:`UndefinedScoreError`.
     """
     nodes = _check_query(g, query_nodes)
     n = g.n
-    pivots = pivot_set(n, k, seed)
-    z_pivot = np.vstack(
-        [z for _, z in node_solution_chunks(hierarchy, pivots, threads=threads)]
-    )
-    # Query nodes that are pivots reuse their pivot rows; the rest stream.
-    queried_pivots = np.intersect1d(nodes, pivots)
-    blocks = itertools.chain(
-        [(queried_pivots, z_pivot[np.searchsorted(pivots, queried_pivots)])],
-        node_solution_chunks(hierarchy, np.setdiff1d(nodes, pivots), threads=threads),
-    )
-    totals: dict[int, float] = {}
-    for chunk, z in blocks:
-        sums = pair_resistances(z, chunk, z_pivot, pivots).sum(axis=1)
-        totals.update(zip(chunk.tolist(), sums.tolist()))
+    totals = resistance_sums(hierarchy, nodes, pivot_set(n, k, seed), threads=threads)
     scores: dict[int, float] = {}
-    for v in nodes:
-        if totals[v] <= 0.0:
+    for v, total in zip(nodes, totals.tolist()):
+        if total <= 0.0:
             raise UndefinedScoreError(
                 f"pivot distance sum is zero for node {v}; score undefined"
             )
-        scores[v] = (k / n) * (n - 1) / totals[v]
+        scores[v] = (k / n) * (n - 1) / total
     params = {"k": k, "seed": seed, "tau": hierarchy.config.tau}
     return ScoreTable(Measure.CF_SAMPLING, params, scores)
 

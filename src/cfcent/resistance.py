@@ -1,13 +1,14 @@
 """Effective resistance between node pairs, exact and sketched.
 
 The exact route solves one Laplacian system per unit source/sink supply.
-The amortized route solves ``L z_x = e_x - 1/n`` once per node ``x`` and
-recovers any pairwise resistance from four entries of the node
-solutions (:func:`pair_resistances`); :func:`node_solution_chunks`
-streams those solutions in fixed-width blocks.  The sketched route
-projects the edge-space embedding whose pairwise squared distances are
-the resistances onto a random low-dimensional subspace, at the cost of
-one solve per sketch row.
+The amortized route solves ``L z_x = e_x - 1/n`` once per node ``x``
+(:func:`node_solution_chunks` streams those solutions in fixed-width
+blocks) and recovers a pairwise resistance from four entries of two node
+solutions; :func:`resistance_sums` is the one place that applies this
+rule, summing the resistances from each target to a set of sources.
+The sketched route projects the edge-space embedding whose pairwise
+squared distances are the resistances onto a random low-dimensional
+subspace, at the cost of one solve per sketch row.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "effective_resistance",
     "resistances_from_node",
     "node_solution_chunks",
-    "pair_resistances",
+    "resistance_sums",
     "build_sketch",
     "sketch_distance",
     "sketch_distance_sums",
@@ -82,21 +83,54 @@ def node_solution_chunks(
         yield chunk, z
 
 
-def pair_resistances(
-    z_a: np.ndarray, a: np.ndarray, z_b: np.ndarray, b: np.ndarray
+def resistance_sums(
+    hierarchy: MultigridHierarchy,
+    targets: Sequence[int],
+    sources: Sequence[int],
+    *,
+    threads: int = 1,
 ) -> np.ndarray:
-    """Resistances between every node of ``a`` and every node of ``b``.
+    """Entry ``i`` is ``sum_s R(targets[i], s)`` over the distinct ``sources``.
 
-    Row ``i`` of ``z_a`` is the node solution of ``a[i]`` and row ``j`` of
-    ``z_b`` that of ``b[j]``.  Entry ``(i, j)`` is the four-entry formula
-    ``R(u, w) = z_u[u] - z_u[w] - z_w[u] + z_w[w]``, and exactly 0 where
-    ``a[i] == b[j]``.
+    Each distinct node is solved once (:func:`node_solution_chunks`).
+    The sources stream first, on their own, and each source row is kept
+    only at the columns of ``union(targets, sources)``; the other union
+    nodes stream next, and each of their rows is reduced as its chunk
+    arrives.  A resistance is the four-entry rule
+    ``R(t, s) = z_t[t] - z_t[s] - z_s[t] + z_s[s]``, exactly 0 for
+    ``t == s``.  Chunks start on block boundaries, so the sums do not
+    depend on ``threads``, and memory is
+    ``O(BLOCK_COLUMNS * threads * n + |S| * (|T| + |S|))``.
     """
-    own = z_a[np.arange(a.size), a]
-    at_b = z_b[np.arange(b.size), b]
-    dist = (own[:, None] - z_a[:, b]) - z_b[:, a].T + at_b
-    dist[a[:, None] == b] = 0.0
-    return dist
+    n = hierarchy.n
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    sources = np.unique(np.asarray(sources, dtype=np.int64))
+    union = np.union1d(targets, sources)
+    if union.size and (union[0] < 0 or union[-1] >= n):
+        raise DomainError("node ids out of range")
+    at_sources = np.searchsorted(union, sources)
+    kept = np.empty((sources.size, union.size))
+    done = 0
+    for chunk, z in node_solution_chunks(hierarchy, sources, threads=threads):
+        kept[done : done + chunk.size] = z[:, union]
+        done += chunk.size
+    own_sources = kept[np.arange(sources.size), at_sources]
+    sums = np.empty(union.size)
+
+    def reduce_rows(z: np.ndarray, nodes: np.ndarray, own: np.ndarray, at_s: np.ndarray) -> None:
+        # Row ``i`` of ``z`` is the solution of ``nodes[i]``, read at
+        # column ``own[i]`` for itself and at columns ``at_s`` for the sources.
+        at = np.searchsorted(union, nodes)
+        self_entry = z[np.arange(nodes.size), own]
+        dist = (self_entry[:, None] - z[:, at_s]) - kept[:, at].T + own_sources
+        dist[nodes[:, None] == sources] = 0.0
+        sums[at] = dist.sum(axis=1)
+
+    reduce_rows(kept, sources, at_sources, at_sources)
+    rest = np.setdiff1d(union, sources, assume_unique=True)
+    for chunk, z in node_solution_chunks(hierarchy, rest, threads=threads):
+        reduce_rows(z, chunk, chunk, sources)
+    return sums[np.searchsorted(union, targets)]
 
 
 def resistances_from_node(
@@ -108,23 +142,12 @@ def resistances_from_node(
 ) -> np.ndarray:
     """Effective resistances from ``v`` to every target node.
 
-    Solves for ``v`` once and streams the targets' node solutions past
-    it (:func:`node_solution_chunks`), so memory is
-    ``O(BLOCK_COLUMNS * threads * n)`` for any number of targets.  Agrees
-    with the pairwise route to within the solver tolerance.
+    :func:`resistance_sums` with the one source ``v``: each distinct node
+    is solved once, so memory is ``O(BLOCK_COLUMNS * threads * n)`` for
+    any number of targets.  Agrees with the pairwise route to within the
+    solver tolerance.
     """
-    n = hierarchy.n
-    targets = np.asarray(targets, dtype=np.int64)
-    if not (0 <= v < n) or (targets.size and (targets.min() < 0 or targets.max() >= n)):
-        raise DomainError("node ids out of range")
-    source = np.array([v], dtype=np.int64)
-    [(_, z_v)] = node_solution_chunks(hierarchy, source)
-    out = np.empty(targets.size)
-    done = 0
-    for chunk, z in node_solution_chunks(hierarchy, targets, threads=threads):
-        out[done : done + chunk.size] = pair_resistances(z_v, source, z, chunk)[0]
-        done += chunk.size
-    return out
+    return resistance_sums(hierarchy, targets, [v], threads=threads)
 
 
 @dataclass(frozen=True)

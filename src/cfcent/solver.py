@@ -124,7 +124,6 @@ class Level:
     c_nodes: np.ndarray | None = None
     f_degree: np.ndarray | None = None
     w_cf: sp.csr_matrix | None = None
-    w_fc: sp.csr_matrix | None = None
     # aggregation transfer and smoother
     p: sp.csr_matrix | None = None
     colors: tuple[ColorClass, ...] = ()
@@ -282,7 +281,6 @@ def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | Non
         c_nodes=c,
         f_degree=d_f,
         w_cf=w_cf,
-        w_fc=w_cf.T.tocsr(),
     )
 
 
@@ -645,11 +643,11 @@ def _eliminate_restrict(level: Level, b: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _eliminate_interpolate(level: Level, xc: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """Back-substitute ``x_f = D_f^-1 (b_f + W_fc x_c)`` under the reduced
+    """Back-substitute ``x_f = D_f^-1 (b_f + W_cf^T x_c)`` under the reduced
     solution ``xc``, given ``scaled = D_f^-1 b_f``; returns the level's ``x``."""
     x = np.empty((level.size, xc.shape[1]))
     x[level.c_nodes] = xc
-    xf = level.w_fc @ xc
+    xf = level.w_cf.T @ xc
     xf /= level.f_degree[:, None]
     xf += scaled
     x[level.f_nodes] = xf
@@ -760,7 +758,7 @@ def _solve_block(
     directly and needs no cycle.  A column stops when
     its reduced residual falls below ``STOP_MARGIN * tau`` of its fine
     right-hand side's norm, which is exact: after back-substitution
-    ``x_f = D_f^-1 (b_f + W_fc x_c)``, done per column as it leaves the
+    ``x_f = D_f^-1 (b_f + W_cf^T x_c)``, done per column as it leaves the
     iteration, the fine residual equals the reduced one on the C rows
     and is zero on the F rows.  Columns that reach ``MAX_CYCLES``
     iterations, break down (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose
@@ -874,12 +872,13 @@ def _solve_block(
             residual -= matrix @ x
             res[finished] = _column_norms(residual) / bnorm[finished]
             del x, residual
+    # Recorded before any raise, so a failed block still shows its work.
+    hierarchy.stats.record(res, cols.size, cycles)
     if (res[cols] > tau).any():
         raise ConvergenceError(
             f"{int((res[cols] > tau).sum())} solve(s) failed to reach tau={tau:g}",
             best_residual=float(res[cols].max()),
         )
-    hierarchy.stats.record(res, cols.size, cycles)
     return res
 
 

@@ -26,6 +26,7 @@ from cfcent.generators import (
     path_graph,
     star_graph,
 )
+from cfcent import resistance as resistance_module
 from cfcent.resistance import node_solution_chunks, resistances_from_node
 
 from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix_oracle
@@ -264,6 +265,29 @@ class TestStreamingMemory:
             lambda: cf_closeness_sampling(g, h, range(g.n), k=20, seed=0)
         )
         assert peak < g.n * g.n * 8
+
+    def test_sampling_keeps_no_pivot_block(self, ba2000, monkeypatch):
+        # The pivot rows are kept only at the pivot and query columns, so
+        # on entering the query node's solve far less than a k x n block
+        # of pivot solutions is held.
+        g, h = ba2000
+        k = 256
+        inner = resistance_module.solve_many
+        held = []
+
+        def spy(hierarchy, supplies, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return inner(hierarchy, supplies, *args, **kwargs)
+
+        monkeypatch.setattr(resistance_module, "solve_many", spy)
+        query = int(np.setdiff1d(np.arange(g.n), pivot_set(g.n, k, seed=0))[0])
+        tracemalloc.start()
+        try:
+            cf_closeness_sampling(g, h, [query], k=k, seed=0)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == k // 64 + 1
+        assert held[-1] < 0.5 * k * g.n * 8
 
     def test_resistances_from_node_all_targets_below_n_squared(self, ba2000):
         g, h = ba2000

@@ -46,6 +46,7 @@ def test_threads_is_keyword_only_on_every_solve_path():
     names = [
         "cfcent.solver.solve_many",
         "cfcent.resistance.node_solution_chunks",
+        "cfcent.resistance.resistance_sums",
         "cfcent.resistance.resistances_from_node",
         "cfcent.resistance.build_sketch",
         "cfcent.centrality.cf_closeness_exact",

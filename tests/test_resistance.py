@@ -22,7 +22,7 @@ from cfcent.generators import complete_graph, grid_graph, path_graph
 from cfcent.graph import incidence_and_weights
 from cfcent.resistance import (
     node_solution_chunks,
-    pair_resistances,
+    resistance_sums,
     sketch_dimension,
     sketch_distance_sums,
 )
@@ -91,15 +91,28 @@ class TestResistancesFromNode:
             pairwise = effective_resistance(h, 3, int(w))
             assert abs(pairwise - d) <= 10 * tau * scale
 
-    def test_streamed_targets_independent_of_threads(self, rng):
+    def test_streamed_targets_independent_of_threads(self, rng, monkeypatch):
         # More targets than one 64-wide block, with repeats and the source
-        # itself among them: the stream's chunks start on block boundaries.
+        # itself among them: the stream's chunks start on block boundaries,
+        # and each distinct node is solved once.
         g = random_connected_graph(300, rng, extra_edge_prob=0.02)
         h = hierarchy_for(g, max_direct_size=16)
         v = 7
         targets = np.r_[np.arange(150), [v, 3, 3, 299, v], np.arange(140, 60, -1)]
         assert targets.size > 2 * 64
-        out = {t: resistances_from_node(h, v, targets, threads=t) for t in (1, 2)}
+        inner = resistance_module.solve_many
+        solved = []
+
+        def spy(hierarchy, supplies, *args, **kwargs):
+            solved.extend(np.argmax(supplies, axis=1).tolist())  # e_x - 1/n peaks at x
+            return inner(hierarchy, supplies, *args, **kwargs)
+
+        monkeypatch.setattr(resistance_module, "solve_many", spy)
+        out = {}
+        for t in (1, 2):
+            solved.clear()
+            out[t] = resistances_from_node(h, v, targets, threads=t)
+            assert sorted(solved) == np.union1d(targets, [v]).tolist()
         assert np.array_equal(out[1], out[2])
         assert np.all(out[1][targets == v] == 0.0)
         assert np.all(out[1][targets != v] > 0.0)
@@ -107,18 +120,17 @@ class TestResistancesFromNode:
         assert out[1] == pytest.approx(oracle, rel=1e-4)
 
 
-class TestPairResistances:
-    def test_four_entry_formula_matches_oracle(self, rng):
+class TestResistanceSums:
+    def test_four_entry_sums_match_oracle(self, rng):
         g = random_connected_graph(40, rng, weighted=True)
         h = hierarchy_for(g, tau=1e-10)
-        a, b = np.array([0, 5, 5, 9]), np.array([9, 0, 3])
-        [(_, z_a)] = node_solution_chunks(h, a)
-        [(_, z_b)] = node_solution_chunks(h, b)
-        dist = pair_resistances(z_a, a, z_b, b)
-        assert dist.shape == (4, 3)
-        assert dist[0, 1] == 0.0 and dist[3, 0] == 0.0  # a[i] == b[j]
-        oracle = resistance_matrix_oracle(g)[np.ix_(a, b)]
-        assert dist == pytest.approx(oracle, rel=1e-7, abs=1e-12)
+        targets, sources = np.array([0, 5, 5, 9]), np.array([9, 0, 3])
+        sums = resistance_sums(h, targets, sources)
+        assert sums.shape == (4,)
+        assert sums[1] == sums[2]  # a repeated target
+        oracle = resistance_matrix_oracle(g)[np.ix_(targets, sources)].sum(axis=1)
+        assert sums == pytest.approx(oracle, rel=1e-7, abs=1e-12)
+        assert resistance_sums(h, [5], [5]).tolist() == [0.0]
 
 
 class TestNodeSolutionChunks:

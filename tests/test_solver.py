@@ -746,6 +746,9 @@ class TestFallback:
         with pytest.raises(ConvergenceError) as err:
             solve(h, b)
         assert 0 < err.value.best_residual < 1e-10
+        # The failed block is still counted.
+        assert (h.stats.solves, h.stats.fallback_solves) == (1, 1)
+        assert h.stats.max_residual == err.value.best_residual
         assert str(err.value).startswith("1 solve(s) failed to reach tau=1e-300")
         worst = f"among the failed columns {err.value.best_residual:.3e})"
         assert f"largest relative residual {worst}" in str(err.value)
