@@ -45,9 +45,7 @@ from .resistance import (
 )
 from .solver import (
     MultigridHierarchy,
-    SolverConfig,
     setup,
-    solve,
     solve_many,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "RankComparison",
     "ResistanceSketch",
     "ScoreTable",
-    "SolverConfig",
     "UndefinedMetricError",
     "UndefinedScoreError",
     "build_sketch",
@@ -88,7 +85,6 @@ __all__ = [
     "resistances_from_node",
     "setup",
     "sketch_distance",
-    "solve",
     "solve_many",
     "sp_closeness",
     "spearman",

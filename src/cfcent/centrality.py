@@ -33,6 +33,8 @@ __all__ = [
     "degree_asymptotic",
 ]
 
+SP_BLOCK_ROWS = 64  # query rows per shortest-path search, so memory is O(64 n)
+
 
 class Measure(Enum):
     CF_EXACT = "cf_exact"
@@ -133,7 +135,7 @@ def cf_closeness_exact(
     diag[independent] = (1.0 - 1.0 / n + sums[independent]) / g.degrees()[independent]
     trace = float(diag.sum())
     scores = {v: (n - 1) / (n * float(diag[v]) + trace) for v in nodes}
-    return ScoreTable(Measure.CF_EXACT, {"tau": hierarchy.config.tau}, scores)
+    return ScoreTable(Measure.CF_EXACT, {"tau": hierarchy.tau}, scores)
 
 
 def cf_closeness_sampling(
@@ -166,7 +168,7 @@ def cf_closeness_sampling(
                 f"pivot distance sum is zero for node {v}; score undefined"
             )
         scores[v] = (k / n) * (n - 1) / total
-    params = {"k": k, "seed": seed, "tau": hierarchy.config.tau}
+    params = {"k": k, "seed": seed, "tau": hierarchy.tau}
     return ScoreTable(Measure.CF_SAMPLING, params, scores)
 
 
@@ -191,7 +193,7 @@ def cf_closeness_projection(
                 f"sketch distance sum is nonpositive for node {v}"
             )
         scores[v] = (n - 1) / float(total)
-    params = {"epsilon": epsilon, "k": sketch.k, "seed": seed, "tau": hierarchy.config.tau}
+    params = {"epsilon": epsilon, "k": sketch.k, "seed": seed, "tau": hierarchy.tau}
     return ScoreTable(Measure.CF_PROJECTION, params, scores)
 
 
@@ -199,17 +201,22 @@ def sp_closeness(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:
     """Shortest-path closeness; path length is the sum of edge weights.
 
     Breadth-first distances are used when all weights are 1, otherwise a
-    priority-queue search.
+    priority-queue search.  The query nodes are searched from
+    ``SP_BLOCK_ROWS`` at a time and each block of distance rows is
+    reduced before the next, so memory is ``O(SP_BLOCK_ROWS * n)`` for
+    any number of query nodes.
     """
     nodes = _check_query(g, query_nodes)
     adjacency = g.adjacency_matrix()
     unweighted = bool(np.all(g.weights == 1.0))
-    dist = dijkstra(adjacency, indices=nodes, unweighted=unweighted, directed=False)
-    if not np.all(np.isfinite(dist)):
-        raise DomainError("graph is not connected")
-    scores = {
-        v: (g.n - 1) / float(row.sum()) for v, row in zip(nodes, np.atleast_2d(dist))
-    }
+    scores: dict[int, float] = {}
+    for start in range(0, len(nodes), SP_BLOCK_ROWS):
+        block = nodes[start : start + SP_BLOCK_ROWS]
+        dist = dijkstra(adjacency, indices=block, unweighted=unweighted, directed=False)
+        if not np.all(np.isfinite(dist)):
+            raise DomainError("graph is not connected")
+        for v, row in zip(block, dist):
+            scores[v] = (g.n - 1) / float(row.sum())
     return ScoreTable(Measure.SP_CLOSENESS, {}, scores)
 
 

@@ -30,7 +30,7 @@ from .evaluation import (
     noise_resilience,
 )
 from .graph import Graph, laplacian, largest_connected_component, load_edge_list
-from .solver import SolverConfig, setup
+from .solver import setup
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,7 +127,10 @@ def _query_nodes(args, g: Graph) -> list[int]:
         return list(range(g.n))
     kind, _, rest = spec.partition(":")
     if kind == "random":
-        q = int(rest)
+        try:
+            q = int(rest)
+        except ValueError:
+            raise CfcentError(f"bad --query spec {spec!r}") from None
         if not 1 <= q <= g.n:
             raise CfcentError(f"query count must be in [1, {g.n}], got {q}")
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xC0]))
@@ -138,6 +141,8 @@ def _query_nodes(args, g: Graph) -> list[int]:
             return [label_to_id[int(tok)] for tok in rest.split(",")]
         except KeyError as exc:
             raise CfcentError(f"query label {exc.args[0]} not in the LCC") from None
+        except ValueError:
+            raise CfcentError(f"bad --query spec {spec!r}") from None
     raise CfcentError(f"bad --query spec {spec!r}")
 
 
@@ -183,8 +188,9 @@ def cmd_score(args, out) -> int:
         raise CfcentError("score takes exactly one --measure")
     measure = measures[0]
     g = _load_graph(args)
-    config = SolverConfig(tau=args.tau, seed=args.seed)
-    hierarchy = setup(laplacian(g), config) if _needs_solver([measure]) else None
+    hierarchy = (
+        setup(laplacian(g), tau=args.tau, seed=args.seed) if _needs_solver([measure]) else None
+    )
     query = _query_nodes(args, g)
     table = _score_table(measure, g, hierarchy, query, args)
     max_residual = hierarchy.stats.max_residual if hierarchy else 0.0
@@ -204,7 +210,7 @@ def cmd_score(args, out) -> int:
 def cmd_compare(args, out) -> int:
     measures = _measures(args, default="cf_sampling,cf_projection")
     g = _load_graph(args)
-    hierarchy = setup(laplacian(g), SolverConfig(tau=args.tau, seed=args.seed))
+    hierarchy = setup(laplacian(g), tau=args.tau, seed=args.seed)
     query = _query_nodes(args, g)
 
     start = time.perf_counter()
@@ -248,7 +254,6 @@ def cmd_noise(args, out) -> int:
             raise CfcentError("noise supports cf_exact or cf_sampling plus sp")
     measures = cf_measures + [Measure.SP_CLOSENESS]
     g = _load_graph(args)
-    config = SolverConfig(tau=args.tau, seed=args.seed)
     query = _query_nodes(args, g)
     out.write(
         f"# command=noise n={g.n} m={g.m} q={len(query)} seed={args.seed} "
@@ -257,14 +262,8 @@ def cmd_noise(args, out) -> int:
     out.write("measure,fraction,spearman\n")
     for measure in measures:
         values = noise_resilience(
-            g,
-            measure,
-            query,
-            NOISE_FRACTIONS,
-            seed=args.seed,
-            measure_params={"k": args.pivots, "seed": args.seed},
-            config=config,
-            threads=args.threads,
+            g, measure, query, NOISE_FRACTIONS, args.seed,
+            pivots=args.pivots, tau=args.tau, threads=args.threads,
         )
         for fraction, value in zip(NOISE_FRACTIONS, values):
             out.write(f"{measure.value},{_fmt(fraction)},{_fmt(value)}\n")
@@ -273,7 +272,6 @@ def cmd_noise(args, out) -> int:
 
 def cmd_degree_corr(args, out) -> int:
     g = _load_graph(args)
-    config = SolverConfig(tau=args.tau, seed=args.seed)
     query = _query_nodes(args, g)
     out.write(
         f"# command=degree-corr n={g.n} m={g.m} q={len(query)} seed={args.seed} "
@@ -282,7 +280,7 @@ def cmd_degree_corr(args, out) -> int:
     out.write("measure,spearman_vs_degree_asymptotic\n")
     try:
         result = degree_correlation_experiment(
-            g, query, pivots=args.pivots, seed=args.seed, config=config,
+            g, query, pivots=args.pivots, seed=args.seed, tau=args.tau,
             threads=args.threads,
         )
     except UndefinedMetricError:
@@ -307,6 +305,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise CfcentError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed < 0:
+            raise CfcentError(f"--seed must be >= 0, got {args.seed}")
+        if not args.tau > 0:
+            raise CfcentError(f"--tau must be positive, got {args.tau}")
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
                 return COMMANDS[args.command](args, out)

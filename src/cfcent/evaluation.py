@@ -16,7 +16,7 @@ from .centrality import (
 )
 from .errors import DomainError, UndefinedMetricError
 from .graph import Graph, insert_noise_edges, laplacian
-from .solver import SolverConfig, setup
+from .solver import setup
 
 __all__ = [
     "RankComparison",
@@ -144,24 +144,20 @@ def relative_std_dev(scores: Sequence[float]) -> float:
 def _measure_scores(
     g: Graph,
     measure: Measure,
-    params: dict,
     query_nodes: Sequence[int],
-    config: SolverConfig | None,
-    threads: int = 1,
+    pivots: int,
+    seed: int,
+    tau: float,
+    threads: int,
 ) -> np.ndarray:
     if measure is Measure.SP_CLOSENESS:
         return sp_closeness(g, query_nodes).vector(query_nodes)
-    hierarchy = setup(laplacian(g), config)
+    hierarchy = setup(laplacian(g), tau=tau, seed=seed)
     if measure is Measure.CF_EXACT:
         table = cf_closeness_exact(g, hierarchy, query_nodes, threads=threads)
     elif measure is Measure.CF_SAMPLING:
         table = cf_closeness_sampling(
-            g,
-            hierarchy,
-            query_nodes,
-            k=params.get("k", 20),
-            seed=params.get("seed", 0),
-            threads=threads,
+            g, hierarchy, query_nodes, k=pivots, seed=seed, threads=threads
         )
     else:
         raise DomainError(f"unsupported noise-resilience measure {measure}")
@@ -179,8 +175,9 @@ def noise_resilience(
     query_nodes: Sequence[int],
     fractions: Sequence[float],
     seed: int,
-    measure_params: dict | None = None,
-    config: SolverConfig | None = None,
+    *,
+    pivots: int = 20,
+    tau: float = 1e-5,
     threads: int = 1,
 ) -> list[float]:
     """Rank stability of a measure under anchored random edge insertions.
@@ -190,15 +187,16 @@ def noise_resilience(
     query nodes, scores are recomputed, and the rank correlation against
     the baseline is reported.  A fraction of 0 is the unperturbed
     control.  Each perturbation is seeded deterministically from
-    ``(seed, fraction)``, so repeated fractions repeat results.
+    ``(seed, fraction)``, so repeated fractions repeat results.  The same
+    ``seed`` draws the ``pivots`` of sampled closeness and seeds every
+    hierarchy, each built to ``tau``.
     """
     if measure not in (Measure.CF_EXACT, Measure.CF_SAMPLING, Measure.SP_CLOSENESS):
         raise DomainError(f"unsupported noise-resilience measure {measure}")
     for fraction in fractions:
         if not 0 <= fraction <= 0.5:
             raise DomainError(f"fractions must lie in [0, 0.5], got {fraction}")
-    params = measure_params or {}
-    baseline = _measure_scores(g, measure, params, query_nodes, config, threads)
+    baseline = _measure_scores(g, measure, query_nodes, pivots, seed, tau, threads)
     results = []
     for fraction in fractions:
         if fraction == 0:
@@ -208,7 +206,7 @@ def noise_resilience(
                 g, fraction, query_nodes, _fraction_seed(seed, fraction)
             )
         perturbed = _measure_scores(
-            perturbed_graph, measure, params, query_nodes, config, threads
+            perturbed_graph, measure, query_nodes, pivots, seed, tau, threads
         )
         results.append(spearman(baseline, perturbed))
     return results
@@ -219,14 +217,16 @@ def degree_correlation_experiment(
     query_nodes: Sequence[int],
     pivots: int = 20,
     seed: int = 0,
-    config: SolverConfig | None = None,
+    *,
+    tau: float = 1e-5,
     threads: int = 1,
 ) -> dict[Measure, float]:
     """Rank correlation of shortest-path and sampled current-flow
     closeness against the degree-based asymptotic score.
 
-    Raises :class:`UndefinedMetricError` on regular graphs, where the
-    degree score is constant.
+    ``seed`` drives both the pivot set and the hierarchy, which is built
+    to ``tau``.  Raises :class:`UndefinedMetricError` on regular graphs,
+    where the degree score is constant.
     """
     base = degree_asymptotic(g, query_nodes).vector(query_nodes)
     if np.ptp(base) == 0.0:
@@ -234,7 +234,7 @@ def degree_correlation_experiment(
             "degree score is constant (regular graph); correlation undefined"
         )
     sp_scores = sp_closeness(g, query_nodes).vector(query_nodes)
-    hierarchy = setup(laplacian(g), config)
+    hierarchy = setup(laplacian(g), tau=tau, seed=seed)
     cf_scores = cf_closeness_sampling(
         g, hierarchy, query_nodes, k=pivots, seed=seed, threads=threads
     ).vector(query_nodes)

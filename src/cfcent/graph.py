@@ -13,7 +13,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, DomainError, EdgeListParseError
 
@@ -400,16 +400,3 @@ def insert_noise_edges(
         n=g.n,
         node_labels=g.node_labels.copy(),
     )
-
-
-def check_connected(g: Graph) -> None:
-    """Raise :class:`DomainError` unless ``g`` is connected (BFS check)."""
-    if g.n == 0:
-        raise DomainError("empty graph")
-    if g.n == 1:
-        return
-    order = breadth_first_order(
-        g.adjacency_matrix(), 0, directed=False, return_predecessors=False
-    )
-    if order.size != g.n:
-        raise DomainError("graph is not connected; extract the LCC first")

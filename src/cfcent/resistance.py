@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import Graph, incidence_and_weights
-from .solver import BLOCK_COLUMNS, MultigridHierarchy, solve, solve_many
+from .solver import BLOCK_COLUMNS, MultigridHierarchy, solve_many
 
 __all__ = [
     "ResistanceSketch",
@@ -49,8 +49,8 @@ def effective_resistance(hierarchy: MultigridHierarchy, u: int, v: int) -> float
     b = np.zeros(n)
     b[u] = 1.0
     b[v] = -1.0
-    x, _ = solve(hierarchy, b)
-    return float(x[u] - x[v])
+    x, _ = solve_many(hierarchy, b)
+    return float(x[0, u] - x[0, v])
 
 
 def node_solution_chunks(

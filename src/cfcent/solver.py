@@ -47,7 +47,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SolverConfig",
     "LevelKind",
     "ColorClass",
     "Level",
@@ -57,11 +56,10 @@ __all__ = [
     "coarsen_aggregate",
     "color_classes",
     "relaxed_test_vectors",
-    "solve",
     "solve_many",
 ]
 
-# Fixed algorithm parameters (not part of the public configuration).
+# Fixed algorithm parameters; ``setup`` takes only ``tau`` and ``seed``.
 AFFINITY_THRESHOLD = 0.5
 AGGREGATION_TEST_VECTORS = 4
 TEST_VECTOR_SWEEPS = 3
@@ -69,32 +67,11 @@ ELIMINATION_DEGREE_CAP = 4    # most neighbors of an eliminated node
 MAX_AGGREGATE_SIZE = 8        # unbounded growth destroys mesh convergence
 MIN_REDUCTION = 0.10          # a stage must shrink the level by 10% to be used
 SMOOTHING_STEPS = (1, 2)      # (pre, post) multicolor Gauss-Seidel sweeps
+MAX_DIRECT_SIZE = 200         # levels this small are solved directly
 MAX_CYCLES = 100              # flexible-PCG iterations per column, then the net
 BLOCK_COLUMNS = 64            # fixed so results never depend on thread count
 STOP_MARGIN = 0.9             # iterate slightly past tau so independently
                               # recomputed residuals stay below it
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The settings a hierarchy is built with and then solves under.
-
-    ``tau`` is the relative residual every solve must reach.
-    ``max_direct_size`` is the size at or below which a level is solved
-    directly instead of coarsened; a larger level where coarsening stalls
-    is solved directly as well.  ``seed`` drives the aggregation test
-    vectors.
-    """
-
-    tau: float = 1e-5
-    max_direct_size: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise DomainError("tau must be positive")
-        if self.max_direct_size < 1:
-            raise DomainError("max_direct_size must be >= 1")
 
 
 class LevelKind(Enum):
@@ -160,8 +137,11 @@ class SolveStats:
 
 @dataclass
 class MultigridHierarchy:
+    """The levels, finest first, and the relative residual ``tau`` every
+    solve on them must reach."""
+
     levels: list[Level]
-    config: SolverConfig
+    tau: float
     stats: SolveStats = field(default_factory=SolveStats)
 
     @property
@@ -288,12 +268,10 @@ def relaxed_test_vectors(
     matrix: sp.csr_matrix,
     count: int,
     rng: np.random.Generator,
-    colors: Sequence[ColorClass] | None = None,
+    colors: Sequence[ColorClass],
 ) -> np.ndarray:
     """Mean-free random vectors smoothed by multicolor Gauss-Seidel sweeps
-    on Lx=0, over ``colors`` (the level's classes, built when omitted)."""
-    if colors is None:
-        colors = _smoother_classes(matrix)
+    on Lx=0, over the level's color classes ``colors``."""
     n = matrix.shape[0]
     vectors = rng.standard_normal((n, count))
     vectors -= vectors.mean(axis=0, keepdims=True)
@@ -449,7 +427,7 @@ def _tie_break(n: int) -> np.ndarray:
 
     Ascending ids would make only a few nodes local maxima per round on
     meshes; a seedless hash keeps the rounds few and the classes
-    independent of ``config.seed`` and of the thread count.
+    independent of the setup ``seed`` and of the thread count.
     """
     z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -543,22 +521,25 @@ def _direct_solve(level: Level, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridHierarchy:
+def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> MultigridHierarchy:
     """Build the multigrid hierarchy for a connected-graph Laplacian.
 
-    One rule per level above ``max_direct_size``: eliminate if
+    ``tau`` is the relative residual every solve on the hierarchy must
+    reach; ``seed`` drives the aggregation test vectors.  One rule per
+    level above ``MAX_DIRECT_SIZE``: eliminate if
     :func:`coarsen_eliminate` gives a level, else aggregate if that removes
     at least ``MIN_REDUCTION`` of the nodes, else stop.  The coarsest level
-    gets the dense pseudoinverse; it is at most ``max_direct_size`` or the
+    gets the dense pseudoinverse; it is at most ``MAX_DIRECT_SIZE`` or the
     level where coarsening stalled, which happens on dense levels such as
     cliques.
     """
-    config = config or SolverConfig()
+    if not tau > 0:
+        raise DomainError("tau must be positive")
     current = _validate_laplacian(matrix)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     levels: list[Level] = []
 
-    while current.shape[0] > config.max_direct_size:
+    while current.shape[0] > MAX_DIRECT_SIZE:
         coarse, level = coarsen_eliminate(current)
         if level is None:
             # One coloring serves the test vectors and the smoother.
@@ -580,7 +561,7 @@ def setup(matrix: sp.spmatrix, config: SolverConfig | None = None) -> MultigridH
     )
     sizes = [lvl.size for lvl in levels]
     assert all(a > b for a, b in zip(sizes, sizes[1:])), sizes
-    return MultigridHierarchy(levels=levels, config=config)
+    return MultigridHierarchy(levels=levels, tau=tau)
 
 
 def _cycle(levels: list[Level], j: int, b: np.ndarray) -> np.ndarray:
@@ -796,7 +777,7 @@ def _solve_block(
     bnorm = _column_norms(rows.T)
     nonzero = bnorm > 0
     out[~nonzero] = 0.0
-    tau = hierarchy.config.tau
+    tau = hierarchy.tau
     stop_tau = STOP_MARGIN * tau
     net = np.zeros(ncols, dtype=bool)  # columns for the safety net
     cycles = 0
@@ -882,21 +863,6 @@ def _solve_block(
     return res
 
 
-def solve(
-    hierarchy: MultigridHierarchy,
-    b: Sequence[float] | np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Solve one Laplacian system to the hierarchy's relative residual ``tau``.
-
-    The supply must be balanced (column sum zero within ``1e-10`` of its
-    1-norm).  Returns the mean-centered potential and its relative
-    residual, recomputed from the matrix, not taken from iteration
-    bookkeeping.
-    """
-    x, res = solve_many(hierarchy, b)
-    return x[0], float(res[0])
-
-
 def solve_many(
     hierarchy: MultigridHierarchy,
     supplies: Sequence[Sequence[float]] | np.ndarray,
@@ -906,14 +872,15 @@ def solve_many(
     """Solve many systems over one hierarchy; results are bitwise
     independent of execution order and of ``threads``.
 
-    ``supplies`` holds one right-hand side per row (or a 2-D array of
-    such rows).  Returns ``(x, residuals)``: the C-ordered ``(count, n)``
-    array whose row ``i`` is the mean-centered solution for supply ``i``,
-    and the ``(count,)`` recomputed relative residuals.  Rows are solved
-    in blocks of ``BLOCK_COLUMNS`` whose boundaries depend only on the
-    row count, so every block, and every bit of its result, is the same
-    whichever worker runs it.  A row may differ at roundoff from the
-    same supply solved in another batch (see :func:`_solve_block`).
+    ``supplies`` holds one right-hand side per row; a 1-D array is a
+    single supply, returned as row 0.  Returns ``(x, residuals)``: the
+    C-ordered ``(count, n)`` array whose row ``i`` is the mean-centered
+    solution for supply ``i``, and the ``(count,)`` recomputed relative
+    residuals.  Rows are solved in blocks of ``BLOCK_COLUMNS`` whose
+    boundaries depend only on the row count, so every block, and every
+    bit of its result, is the same whichever worker runs it.  A row may
+    differ at roundoff from the same supply solved in another batch (see
+    :func:`_solve_block`).
     """
     stacked = np.asarray(supplies, dtype=np.float64)
     if stacked.ndim == 1:

@@ -8,7 +8,6 @@ from cfcent import (
     DomainError,
     Graph,
     Measure,
-    SolverConfig,
     UndefinedScoreError,
     cf_closeness_exact,
     cf_closeness_projection,
@@ -27,13 +26,14 @@ from cfcent.generators import (
     star_graph,
 )
 from cfcent import resistance as resistance_module
+from cfcent import solver as solver_module
 from cfcent.resistance import node_solution_chunks, resistances_from_node
 
 from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix_oracle
 
 
-def hierarchy_for(g, **cfg):
-    return setup(laplacian(g), SolverConfig(**cfg))
+def hierarchy_for(g, **settings):
+    return setup(laplacian(g), **settings)
 
 
 def pair_formula_sums(h, query, targets):
@@ -77,11 +77,12 @@ class TestExact:
         assert table.scores[1] == pytest.approx(1.0, rel=1e-6)
         assert table.scores[0] == pytest.approx(2.0 / 3.0, rel=1e-6)
 
-    def test_matches_pseudoinverse_oracle(self, rng):
+    def test_matches_pseudoinverse_oracle(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 16)
         for trial in range(6):
             n = int(rng.integers(5, 60))
             g = random_connected_graph(n, rng, weighted=trial % 2 == 1)
-            h = hierarchy_for(g, max_direct_size=16)
+            h = hierarchy_for(g)
             expected = cf_scores_oracle(g)
             table = cf_closeness_exact(g, h, list(range(n)))
             got = table.vector(range(n))
@@ -89,19 +90,19 @@ class TestExact:
 
     def test_exhaustive_connected_graphs_n4(self):
         pairs = list(itertools.combinations(range(4), 2))
-        cfg = SolverConfig()
         for mask in range(1, 2 ** len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             g = Graph.from_edges([e[0] for e in edges], [e[1] for e in edges], n=4)
             if g.n < 4 or not g.is_connected():
                 continue
-            h = setup(laplacian(g), cfg)
+            h = setup(laplacian(g))
             got = cf_closeness_exact(g, h, range(4)).vector(range(4))
             assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
 
-    def test_diagonal_identity_matches_pair_formula(self, rng):
+    def test_diagonal_identity_matches_pair_formula(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 16)
         g = random_connected_graph(150, rng, extra_edge_prob=0.03, weighted=True)
-        h = hierarchy_for(g, max_direct_size=16)
+        h = hierarchy_for(g)
         assert len(h.levels) > 1
         query = list(range(0, 150, 3))
         sums = pair_formula_sums(h, query, np.arange(150))
@@ -221,10 +222,11 @@ class TestSampling:
         b = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9)
         assert a.scores == b.scores
 
-    def test_streamed_scores_equal_pair_formula(self, rng):
+    def test_streamed_scores_equal_pair_formula(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 16)
         n, k = 200, 12
         g = random_connected_graph(n, rng, extra_edge_prob=0.03)
-        h = hierarchy_for(g, max_direct_size=16)
+        h = hierarchy_for(g)
         assert len(h.levels) > 1
         pivots = pivot_set(n, k, seed=4)
         others = np.setdiff1d(np.arange(n), pivots)
@@ -288,6 +290,11 @@ class TestStreamingMemory:
             tracemalloc.stop()
         assert len(held) == k // 64 + 1
         assert held[-1] < 0.5 * k * g.n * 8
+
+    def test_sp_all_nodes_below_n_squared(self, ba2000):
+        g, _ = ba2000
+        peak = traced_peak_bytes(lambda: sp_closeness(g, range(g.n)))
+        assert peak < g.n * g.n * 8
 
     def test_resistances_from_node_all_targets_below_n_squared(self, ba2000):
         g, h = ba2000
@@ -401,11 +408,12 @@ class TestScoreOrdering:
         for t in tables:
             assert all(v > 0 for v in t.scores.values())
 
-    def test_cf_measures_report_the_hierarchy_tau(self, rng):
+    def test_cf_measures_report_the_hierarchy_tau(self, rng, monkeypatch):
         # The hierarchy is the one source of tau: every estimator solves
         # to it and reports it.
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 16)
         g = random_connected_graph(80, rng)
-        h = hierarchy_for(g, tau=1e-7, max_direct_size=16)
+        h = hierarchy_for(g, tau=1e-7)
         tables = [
             cf_closeness_exact(g, h, [0, 1]),
             cf_closeness_sampling(g, h, [0, 1], k=5, seed=0),

@@ -249,6 +249,20 @@ class TestArgumentHandling:
         assert code == EXIT_ERROR
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--query", "random:abc"], "bad --query spec"),
+            (["--query", "list:1,x"], "bad --query spec"),
+            (["--query", "random:3", "--seed", "-1"], "--seed must be >= 0"),
+        ],
+        ids=["random-count-not-a-number", "list-label-not-a-number", "negative-seed"],
+    )
+    def test_bad_values_exit_with_a_message(self, flags, message, capsys):
+        code = main(["--command", "score", "--gen", "path:5", "--measure", "sp"] + flags)
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"cfcent: {message}")
+
     def test_query_count_validated(self):
         code = main(["--command", "score", "--gen", "path:5", "--measure", "sp",
                      "--query", "random:10"])

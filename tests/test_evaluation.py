@@ -4,7 +4,6 @@ import pytest
 from cfcent import (
     DomainError,
     Measure,
-    SolverConfig,
     UndefinedMetricError,
     degree_correlation_experiment,
     max_relative_error,
@@ -216,22 +215,8 @@ class TestNoiseResilience:
     def test_values_in_range_and_deterministic(self, rng):
         g = random_connected_graph(80, rng)
         query = [int(x) for x in rng.choice(80, 15, replace=False)]
-        a = noise_resilience(
-            g,
-            Measure.CF_SAMPLING,
-            query,
-            [0.0, 0.1],
-            seed=5,
-            measure_params={"k": 8, "seed": 2},
-        )
-        b = noise_resilience(
-            g,
-            Measure.CF_SAMPLING,
-            query,
-            [0.0, 0.1],
-            seed=5,
-            measure_params={"k": 8, "seed": 2},
-        )
+        a = noise_resilience(g, Measure.CF_SAMPLING, query, [0.0, 0.1], seed=5, pivots=8)
+        b = noise_resilience(g, Measure.CF_SAMPLING, query, [0.0, 0.1], seed=5, pivots=8)
         assert a == b
         assert all(-1.0 <= v <= 1.0 for v in a)
         assert a[0] == pytest.approx(1.0)

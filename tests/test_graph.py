@@ -206,9 +206,7 @@ class TestLargestConnectedComponent:
         sub, _ = largest_connected_component(g)
         assert sorted(sub.node_labels.tolist()) == [7, 8, 9]
 
-    def test_connectivity_by_bfs(self, rng):
-        from cfcent.graph import check_connected
-
+    def test_result_is_connected(self, rng):
         for _ in range(10):
             n = int(rng.integers(4, 40))
             edges = rng.integers(0, n, size=(n, 2))
@@ -217,7 +215,7 @@ class TestLargestConnectedComponent:
                 continue
             g = Graph.from_edges(edges[mask, 0], edges[mask, 1], n=n)
             sub, _ = largest_connected_component(g)
-            check_connected(sub)  # breadth-first traversal, raises on failure
+            assert sub.is_connected()
 
     def test_empty_graph_rejected(self):
         g = load("0 0\n")

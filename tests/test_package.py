@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -20,28 +19,35 @@ def test_every_exported_name_resolves(module_name):
 
 
 
-def test_only_setup_takes_a_solver_config():
-    # The hierarchy carries the one set of solver settings; solves and
-    # estimators read them from it rather than taking an override.
-    takers = [
-        f"{module_name}.{name}"
+def test_only_setup_takes_tau_or_seed():
+    # The hierarchy carries the solver settings; solves and estimators
+    # read tau from it rather than taking an override.  Any other seed
+    # draws an estimator's own sample: pivots or projection signs.
+    takers = {
+        f"{module_name}.{name}": {"tau", "seed"} & set(inspect.signature(obj).parameters)
         for module_name in ("cfcent.solver", "cfcent.resistance", "cfcent.centrality")
         for name, obj in vars(importlib.import_module(module_name)).items()
         if inspect.isfunction(obj)
         and not name.startswith("_")
         and obj.__module__ == module_name
-        and "config" in inspect.signature(obj).parameters
-    ]
-    assert takers == ["cfcent.solver.setup"]
+    }
+    assert {name: got for name, got in takers.items() if got} == {
+        "cfcent.solver.setup": {"tau", "seed"},
+        "cfcent.resistance.build_sketch": {"seed"},
+        "cfcent.centrality.pivot_set": {"seed"},
+        "cfcent.centrality.cf_closeness_sampling": {"seed"},
+        "cfcent.centrality.cf_closeness_projection": {"seed"},
+    }
 
 
-def test_solver_config_holds_only_user_settings():
-    fields = [f.name for f in dataclasses.fields(cfcent.SolverConfig)]
-    assert fields == ["tau", "max_direct_size", "seed"]
+def test_setup_keyword_settings_are_tau_and_seed():
+    params = inspect.signature(cfcent.setup).parameters.values()
+    keyword_only = [p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY]
+    assert keyword_only == ["tau", "seed"]
 
 
 def test_threads_is_keyword_only_on_every_solve_path():
-    # A stale call that passes an int where ``config`` used to be must
+    # A stale call that passes a positional int after the inputs must
     # raise rather than be read as a thread count.
     names = [
         "cfcent.solver.solve_many",

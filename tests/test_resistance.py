@@ -8,7 +8,6 @@ import pytest
 from cfcent import (
     DomainError,
     Graph,
-    SolverConfig,
     build_sketch,
     effective_resistance,
     laplacian,
@@ -18,6 +17,7 @@ from cfcent import (
     solve_many,
 )
 from cfcent import resistance as resistance_module
+from cfcent import solver as solver_module
 from cfcent.generators import complete_graph, grid_graph, path_graph
 from cfcent.graph import incidence_and_weights
 from cfcent.resistance import (
@@ -30,9 +30,8 @@ from cfcent.resistance import (
 from conftest import random_connected_graph, resistance_matrix_oracle
 
 
-def hierarchy_for(g, **cfg):
-    config = SolverConfig(**cfg) if cfg else SolverConfig()
-    return setup(laplacian(g), config)
+def hierarchy_for(g, **settings):
+    return setup(laplacian(g), **settings)
 
 
 class TestEffectiveResistance:
@@ -95,8 +94,9 @@ class TestResistancesFromNode:
         # More targets than one 64-wide block, with repeats and the source
         # itself among them: the stream's chunks start on block boundaries,
         # and each distinct node is solved once.
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 16)
         g = random_connected_graph(300, rng, extra_edge_prob=0.02)
-        h = hierarchy_for(g, max_direct_size=16)
+        h = hierarchy_for(g)
         v = 7
         targets = np.r_[np.arange(150), [v, 3, 3, 299, v], np.arange(140, 60, -1)]
         assert targets.size > 2 * 64
@@ -134,9 +134,10 @@ class TestResistanceSums:
 
 
 class TestNodeSolutionChunks:
-    def test_chunks_are_whole_blocks_independent_of_threads(self, rng):
+    def test_chunks_are_whole_blocks_independent_of_threads(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 16)
         g = random_connected_graph(300, rng, extra_edge_prob=0.02)
-        h = hierarchy_for(g, max_direct_size=16)
+        h = hierarchy_for(g)
         nodes = rng.permutation(300)[:150]
         streamed = {}
         for threads, widths in ((1, [64, 64, 22]), (2, [128, 22])):

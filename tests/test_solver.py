@@ -1,8 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cfcent import ConvergenceError, DomainError, SolverConfig, laplacian, setup, solve, solve_many
+from cfcent import ConvergenceError, DomainError, laplacian, setup, solve_many
 from cfcent.generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -30,32 +32,39 @@ def dense_solve_oracle(lap_dense, b):
     return x - x.mean()
 
 
+def relaxed_vectors(lap, rng):
+    """Four relaxed test vectors over the level's own color classes."""
+    return relaxed_test_vectors(lap, 4, rng, solver_module._smoother_classes(lap))
+
+
 class TestConfig:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert (cfg.tau, cfg.max_direct_size, cfg.seed) == (1e-5, 200, 0)
+        params = inspect.signature(setup).parameters
+        assert (params["tau"].default, params["seed"].default) == (1e-5, 0)
+        assert solver_module.MAX_DIRECT_SIZE == 200
         assert solver_module.AGGREGATION_TEST_VECTORS == 4
         assert solver_module.ELIMINATION_DEGREE_CAP == 4
         assert solver_module.SMOOTHING_STEPS == (1, 2)
         assert solver_module.MAX_CYCLES == 100
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(tau=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(max_direct_size=0)
+        lap = laplacian(path_graph(3))
+        for tau in (0.0, -1e-5, float("nan")):
+            with pytest.raises(DomainError):
+                setup(lap, tau=tau)
 
 
 class TestSetup:
     def test_p2_is_single_coarsest_level(self):
-        h = setup(laplacian(path_graph(2)), SolverConfig())
+        h = setup(laplacian(path_graph(2)))
         assert len(h.levels) == 1
         assert h.levels[0].kind is LevelKind.COARSEST
 
-    def test_star_first_level_eliminates_all_leaves(self):
+    def test_star_first_level_eliminates_all_leaves(self, monkeypatch):
         # center has degree 99 (above the cap); the 99 degree-1 leaves are
         # pairwise independent, so one elimination level removes them all
-        h = setup(laplacian(star_graph(100)), SolverConfig(max_direct_size=10))
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 10)
+        h = setup(laplacian(star_graph(100)))
         first = h.levels[0]
         assert first.kind is LevelKind.ELIMINATION
         assert sorted(first.f_nodes.tolist()) == list(range(1, 100))
@@ -64,7 +73,7 @@ class TestSetup:
 
     def test_level_sizes_strictly_decrease(self, rng, monkeypatch):
         # Every level but the coarsest removes MIN_REDUCTION of its nodes;
-        # the coarsest is at most max_direct_size, or the level where
+        # the coarsest is at most MAX_DIRECT_SIZE, or the level where
         # neither elimination nor the last aggregation cleared that bar.
         aggregated = []  # (fine size, coarse size) of each aggregation call
         real_aggregate = solver_module.coarsen_aggregate
@@ -75,16 +84,16 @@ class TestSetup:
             return coarse, p
 
         monkeypatch.setattr(solver_module, "coarsen_aggregate", recording_aggregate)
-        cfg = SolverConfig(max_direct_size=20)
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 20)
         for n in (50, 200, 400):
             aggregated.clear()
-            h = setup(laplacian(random_connected_graph(n, rng)), cfg)
+            h = setup(laplacian(random_connected_graph(n, rng)))
             sizes = h.level_sizes
             assert all(a > b for a, b in zip(sizes, sizes[1:]))
             assert all(
                 a - b >= solver_module.MIN_REDUCTION * a for a, b in zip(sizes, sizes[1:])
             )
-            if sizes[-1] > cfg.max_direct_size:
+            if sizes[-1] > solver_module.MAX_DIRECT_SIZE:
                 coarsest = h.levels[-1].matrix
                 assert coarsen_eliminate(coarsest)[1] is None
                 fine, coarse = aggregated[-1]
@@ -94,7 +103,7 @@ class TestSetup:
     def test_path_is_eliminated_exactly(self, rng):
         # A tree needs no aggregation: elimination levels repeat down to
         # the coarsest level, and solves are exact with no V-cycle.
-        h = setup(laplacian(path_graph(5000)), SolverConfig())
+        h = setup(laplacian(path_graph(5000)))
         kinds = [lvl.kind for lvl in h.levels]
         assert kinds[-1] is LevelKind.COARSEST
         assert set(kinds[:-1]) == {LevelKind.ELIMINATION}
@@ -107,7 +116,7 @@ class TestSetup:
     def test_clique_stalls_into_one_coarsest_level(self, rng):
         # No node of K300 is eligible for elimination and aggregation
         # cannot shrink it, so the clique itself is factored directly.
-        h = setup(laplacian(complete_graph(300)), SolverConfig())
+        h = setup(laplacian(complete_graph(300)))
         assert [lvl.kind for lvl in h.levels] == [LevelKind.COARSEST]
         supplies = rng.standard_normal((5, 300))
         supplies -= supplies.mean(axis=1, keepdims=True)
@@ -117,12 +126,13 @@ class TestSetup:
     def test_depth_stays_bounded_on_hub_heavy_graphs(self):
         # Attachment runs until no node attaches, so aggregation keeps
         # shrinking BA levels instead of stalling into a long tail.
-        h = setup(laplacian(barabasi_albert_graph(16000, 5, seed=0)), SolverConfig())
+        h = setup(laplacian(barabasi_albert_graph(16000, 5, seed=0)))
         assert len(h.levels) <= 8
 
-    def test_every_level_is_connected_laplacian(self, rng):
+    def test_every_level_is_connected_laplacian(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 10)
         g = random_connected_graph(300, rng, weighted=True)
-        h = setup(laplacian(g), SolverConfig(max_direct_size=10))
+        h = setup(laplacian(g))
         from scipy.sparse.csgraph import connected_components
 
         for level in h.levels:
@@ -137,13 +147,13 @@ class TestSetup:
     def test_rejects_non_laplacian(self):
         bad = sp.eye(5, format="csr")
         with pytest.raises(DomainError):
-            setup(bad, SolverConfig())
+            setup(bad)
 
     def test_rejects_disconnected(self):
         g1 = path_graph(3)
         lap = sp.block_diag([laplacian(g1), laplacian(g1)], format="csr")
         with pytest.raises(DomainError):
-            setup(lap, SolverConfig())
+            setup(lap)
 
 
 class TestEliminate:
@@ -222,7 +232,7 @@ class TestAggregate:
         vs.append(4)
         g = Graph.from_edges(us, vs, n=8)
         lap = laplacian(g).tocsr()
-        vectors = relaxed_test_vectors(lap, 4, np.random.default_rng(0))
+        vectors = relaxed_vectors(lap, np.random.default_rng(0))
         coarse, p = coarsen_aggregate(lap, vectors)
         # at most two aggregates; the bridge node may join either side
         assert p.shape[1] == 2
@@ -234,27 +244,27 @@ class TestAggregate:
     def test_coarse_row_sums_zero(self, rng):
         g = random_connected_graph(80, rng, weighted=True)
         lap = laplacian(g).tocsr()
-        vectors = relaxed_test_vectors(lap, 4, rng)
+        vectors = relaxed_vectors(lap, rng)
         coarse, _ = coarsen_aggregate(lap, vectors)
         nc = coarse.shape[0]
         assert np.abs(coarse @ np.ones(nc)).max() < 1e-9
 
     def test_reduces_when_affinities_high(self, rng):
         lap = laplacian(grid_graph(12)).tocsr()
-        vectors = relaxed_test_vectors(lap, 4, rng)
+        vectors = relaxed_vectors(lap, rng)
         coarse, p = coarsen_aggregate(lap, vectors)
         assert p.shape[1] < lap.shape[0]
 
     def test_galerkin_symmetry(self, rng):
         g = random_connected_graph(60, rng, weighted=True)
         lap = laplacian(g).tocsr()
-        vectors = relaxed_test_vectors(lap, 4, rng)
+        vectors = relaxed_vectors(lap, rng)
         coarse, _ = coarsen_aggregate(lap, vectors)
         assert (abs(coarse - coarse.T)).max() < 1e-12
 
     def test_interpolation_is_the_aggregate_map(self, rng):
         lap = laplacian(grid_graph(12)).tocsr()
-        vectors = relaxed_test_vectors(lap, 4, rng)
+        vectors = relaxed_vectors(lap, rng)
         coarse, p = coarsen_aggregate(lap, vectors)
         assert p.shape == (lap.shape[0], coarse.shape[0])
         assert np.array_equal(np.diff(p.indptr), np.ones(lap.shape[0]))
@@ -307,7 +317,7 @@ class TestAggregateRounds:
     @pytest.mark.parametrize("name", ["ba", "grid", "path", "shuffled_path", "star", "weighted"])
     def test_aggregates_are_capped_and_joined_by_strong_edges(self, name):
         lap = _aggregation_test_laplacians()[name]
-        vectors = relaxed_test_vectors(lap, 4, np.random.default_rng(5))
+        vectors = relaxed_vectors(lap, np.random.default_rng(5))
         _, p = coarsen_aggregate(lap, vectors)
         agg = p.indices
         sizes = np.bincount(agg)
@@ -333,7 +343,7 @@ class TestAggregateRounds:
 
     def test_repeated_calls_are_identical(self):
         lap = _aggregation_test_laplacians()["ba"]
-        vectors = relaxed_test_vectors(lap, 4, np.random.default_rng(5))
+        vectors = relaxed_vectors(lap, np.random.default_rng(5))
         first, p_first = coarsen_aggregate(lap, vectors)
         again, p_again = coarsen_aggregate(lap.copy(), vectors.copy())
         for a, b in ((first, again), (p_first, p_again)):
@@ -389,7 +399,7 @@ class TestColorClasses:
         assert [c.tolist() for c in classes] == [[0], list(range(1, 50))]
 
     def test_levels_store_their_classes(self):
-        h = setup(laplacian(grid_graph(40)), SolverConfig(seed=3))
+        h = setup(laplacian(grid_graph(40)), seed=3)
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         for level in h.levels:
             if level.kind is not LevelKind.AGGREGATION:
@@ -402,9 +412,10 @@ class TestColorClasses:
                 assert (abs(cls.rows - level.matrix[nodes])).max() == 0
                 assert np.array_equal(cls.dinv[:, 0], 1.0 / level.matrix.diagonal()[nodes])
 
-    def test_sweep_is_point_gauss_seidel_in_class_order(self, rng):
+    def test_sweep_is_point_gauss_seidel_in_class_order(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 10)
         g = random_connected_graph(300, rng, weighted=True)
-        h = setup(laplacian(g), SolverConfig(max_direct_size=10))
+        h = setup(laplacian(g))
         level = next(lvl for lvl in h.levels if lvl.kind is LevelKind.AGGREGATION)
         b = rng.standard_normal((level.size, 3))
         b -= b.mean(axis=0)
@@ -422,7 +433,7 @@ class TestColorClasses:
 
 class TestDescribe:
     def test_one_entry_per_level(self):
-        h = setup(laplacian(grid_graph(40)), SolverConfig())
+        h = setup(laplacian(grid_graph(40)))
         rows = h.describe()
         assert [r["size"] for r in rows] == h.level_sizes
         assert [r["kind"] for r in rows] == [lvl.kind.value for lvl in h.levels]
@@ -437,41 +448,45 @@ class TestDescribe:
 
 
 class TestSolve:
+    """One supply, passed to :func:`solve_many` as a 1-D array."""
+
     def test_zero_rhs(self):
-        h = setup(laplacian(path_graph(5)), SolverConfig())
-        x, res = solve(h, np.zeros(5))
+        h = setup(laplacian(path_graph(5)))
+        x, res = solve_many(h, np.zeros(5))
+        assert x.shape == (1, 5) and res.shape == (1,)
         assert np.all(x == 0.0)
-        assert res == 0.0
+        assert res[0] == 0.0
 
     def test_p2_unit_supply(self):
-        h = setup(laplacian(path_graph(2)), SolverConfig())
-        x, _ = solve(h, np.array([1.0, -1.0]))
-        assert x == pytest.approx([0.5, -0.5], abs=1e-12)
+        h = setup(laplacian(path_graph(2)))
+        x, _ = solve_many(h, np.array([1.0, -1.0]))
+        assert x[0] == pytest.approx([0.5, -0.5], abs=1e-12)
 
     def test_grid_residual_contract(self, rng):
         g = grid_graph(64)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         lap = laplacian(g)
         b = rng.standard_normal(g.n)
         b -= b.mean()
-        x, _ = solve(h, b)
+        (x,), _ = solve_many(h, b)
         recomputed = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
         assert recomputed <= 1e-5
         assert abs(x.mean()) < 1e-12
 
     def test_unbalanced_supply_rejected(self):
-        h = setup(laplacian(path_graph(4)), SolverConfig())
+        h = setup(laplacian(path_graph(4)))
         with pytest.raises(DomainError):
-            solve(h, np.array([1.0, 0.0, 0.0, 0.0]))
+            solve_many(h, np.array([1.0, 0.0, 0.0, 0.0]))
 
-    def test_matches_dense_oracle_small(self, rng):
+    def test_matches_dense_oracle_small(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 2)
         for _ in range(10):
             n = int(rng.integers(3, 30))
             g = random_connected_graph(n, rng, weighted=True)
-            h = setup(laplacian(g), SolverConfig(tau=1e-10, max_direct_size=2))
+            h = setup(laplacian(g), tau=1e-10)
             b = rng.standard_normal(n)
             b -= b.mean()
-            x, _ = solve(h, b)
+            (x,), _ = solve_many(h, b)
             expected = dense_solve_oracle(dense_laplacian(g), b)
             assert x == pytest.approx(expected, abs=1e-7 * max(1, np.abs(expected).max()))
 
@@ -480,11 +495,11 @@ class TestSolve:
         # pins the zero-mean representative, so the same hierarchy and
         # supply always return the identical centered vector.
         g = random_connected_graph(40, rng)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         b = rng.standard_normal(40)
         b -= b.mean()
-        x1, _ = solve(h, b)
-        x2, _ = solve(h, b.copy())
+        (x1,), _ = solve_many(h, b)
+        (x2,), _ = solve_many(h, b.copy())
         assert np.array_equal(x1, x2)
         assert abs(x1.mean()) < 1e-12
 
@@ -492,7 +507,7 @@ class TestSolve:
 class TestSolveMany:
     def test_returns_one_c_ordered_array_and_a_residual_vector(self, rng):
         g = grid_graph(12)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         supplies = rng.standard_normal((70, g.n))  # two blocks, one partial
         supplies -= supplies.mean(axis=1, keepdims=True)
         x, res = solve_many(h, supplies)
@@ -504,7 +519,7 @@ class TestSolveMany:
 
     def test_identical_supplies_identical_results(self, rng):
         g = grid_graph(12)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         b = rng.standard_normal(g.n)
         b -= b.mean()
         x, _ = solve_many(h, [b, b])
@@ -512,7 +527,7 @@ class TestSolveMany:
 
     def test_negated_supply_negates_solution(self, rng):
         g = grid_graph(12)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         b = rng.standard_normal(g.n)
         b -= b.mean()
         x, _ = solve_many(h, [b, -b])
@@ -521,7 +536,7 @@ class TestSolveMany:
     def test_thread_count_does_not_change_results(self, rng):
         # grid:40 has aggregation levels, so the multicolor smoother runs
         g = grid_graph(40)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         supplies = rng.standard_normal((130, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
@@ -537,7 +552,7 @@ class TestSolveMany:
         # bare cycle iteration needs over 20 cycles per column here;
         # conjugate gradients over the cycle need about 9.
         g = grid_graph(40)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         supplies = rng.standard_normal((32, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         _, res = solve_many(h, supplies)
@@ -556,7 +571,7 @@ class TestSolveMany:
         assert not hasattr(solver_module, "spsolve_triangular")
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve_triangular", forbidden)
         g = grid_graph(40)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         supplies = rng.standard_normal((3, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
@@ -585,7 +600,7 @@ class TestSolveMany:
             monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
             monkeypatch.setattr(solver_module, "SMOOTHING_STEPS", (1, 1))
         g = graph()
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         supplies = rng.standard_normal((64, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         tracemalloc.start()
@@ -607,7 +622,7 @@ class TestSolveMany:
         import tracemalloc
 
         g = grid_graph(60)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         assert h.levels[0].kind is LevelKind.ELIMINATION
         supplies = rng.standard_normal((64, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
@@ -623,7 +638,7 @@ class TestSolveMany:
 
     def test_iteration_never_cycles_on_a_leading_elimination_level(self, rng, monkeypatch):
         g = grid_graph(40)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         assert h.levels[0].kind is LevelKind.ELIMINATION
         cycle = solver_module._cycle
         visited = []
@@ -643,7 +658,7 @@ class TestSolveMany:
         # Eliminating the 299 leaves leaves the center alone, so the
         # reduced system is the coarsest level: no V-cycle is needed.
         g = star_graph(300)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         assert [lvl.kind for lvl in h.levels] == [LevelKind.ELIMINATION, LevelKind.COARSEST]
         supplies = rng.standard_normal((5, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
@@ -668,7 +683,7 @@ class TestSolveMany:
                 pinv=solver_module._pseudoinverse(current),
             )
         )
-        h = solver_module.MultigridHierarchy(levels=levels, config=SolverConfig())
+        h = solver_module.MultigridHierarchy(levels=levels, tau=1e-5)
         supplies = rng.standard_normal((3, 64))
         supplies -= supplies.mean(axis=1, keepdims=True)
         dense = lap.toarray()
@@ -682,7 +697,7 @@ class TestSolveMany:
         # summation-order ulps (numpy reduces multi-column blocks in a
         # different order than single columns), never materially.
         g = grid_graph(10)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         b = rng.standard_normal(g.n)
         b -= b.mean()
         others = rng.standard_normal((5, g.n))
@@ -693,7 +708,7 @@ class TestSolveMany:
 
     def test_random_graph_many_rhs_residuals(self, rng):
         g = random_connected_graph(1000, rng)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         lap = laplacian(g)
         supplies = rng.standard_normal((20, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
@@ -710,12 +725,13 @@ class TestFallback:
         # same iteration on the finest level, preconditioned by Jacobi.
         monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
         monkeypatch.setattr(solver_module, "SMOOTHING_STEPS", (1, 1))
+        monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 2)
         g = grid_graph(20)
-        h = setup(laplacian(g), SolverConfig(max_direct_size=2))
+        h = setup(laplacian(g))
         lap = laplacian(g)
         b = rng.standard_normal(g.n)
         b -= b.mean()
-        x, _ = solve(h, b)
+        (x,), _ = solve_many(h, b)
         recomputed = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
         assert recomputed <= 1e-5
         assert h.stats.fallback_solves >= 1
@@ -726,7 +742,7 @@ class TestFallback:
         cycle = solver_module._cycle
         monkeypatch.setattr(solver_module, "_cycle", lambda *args: -cycle(*args))
         g = grid_graph(30)
-        h = setup(laplacian(g), SolverConfig())
+        h = setup(laplacian(g))
         supplies = rng.standard_normal((16, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         x, res = solve_many(h, supplies)
@@ -740,11 +756,11 @@ class TestFallback:
     def test_unreachable_tolerance_raises_with_best_residual(self, rng):
         # far below machine precision: every stage must give up, and the
         # error reports the count and the worst residual of the failed columns
-        h = setup(laplacian(path_graph(30)), SolverConfig(tau=1e-300))
+        h = setup(laplacian(path_graph(30)), tau=1e-300)
         b = rng.standard_normal(30)
         b -= b.mean()
         with pytest.raises(ConvergenceError) as err:
-            solve(h, b)
+            solve_many(h, b)
         assert 0 < err.value.best_residual < 1e-10
         # The failed block is still counted.
         assert (h.stats.solves, h.stats.fallback_solves) == (1, 1)
