@@ -188,10 +188,10 @@ def cmd_score(args, out) -> int:
         raise CfcentError("score takes exactly one --measure")
     measure = measures[0]
     g = _load_graph(args)
+    query = _query_nodes(args, g)
     hierarchy = (
         setup(laplacian(g), tau=args.tau, seed=args.seed) if _needs_solver([measure]) else None
     )
-    query = _query_nodes(args, g)
     table = _score_table(measure, g, hierarchy, query, args)
     max_residual = hierarchy.stats.max_residual if hierarchy else 0.0
     params = " ".join(
@@ -210,8 +210,8 @@ def cmd_score(args, out) -> int:
 def cmd_compare(args, out) -> int:
     measures = _measures(args, default="cf_sampling,cf_projection")
     g = _load_graph(args)
-    hierarchy = setup(laplacian(g), tau=args.tau, seed=args.seed)
     query = _query_nodes(args, g)
+    hierarchy = setup(laplacian(g), tau=args.tau, seed=args.seed)
 
     start = time.perf_counter()
     exact = cf_closeness_exact(g, hierarchy, query, threads=args.threads)

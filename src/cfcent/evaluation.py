@@ -186,10 +186,11 @@ def noise_resilience(
     perturbed independently (never cumulatively) by edges anchored at the
     query nodes, scores are recomputed, and the rank correlation against
     the baseline is reported.  A fraction of 0 is the unperturbed
-    control.  Each perturbation is seeded deterministically from
-    ``(seed, fraction)``, so repeated fractions repeat results.  The same
-    ``seed`` draws the ``pivots`` of sampled closeness and seeds every
-    hierarchy, each built to ``tau``.
+    control: rescoring ``g`` would repeat the baseline bit for bit, so
+    the baseline is compared with itself.  Each perturbation is seeded
+    deterministically from ``(seed, fraction)``, so repeated fractions
+    repeat results.  The same ``seed`` draws the ``pivots`` of sampled
+    closeness and seeds every hierarchy, each built to ``tau``.
     """
     if measure not in (Measure.CF_EXACT, Measure.CF_SAMPLING, Measure.SP_CLOSENESS):
         raise DomainError(f"unsupported noise-resilience measure {measure}")
@@ -200,14 +201,14 @@ def noise_resilience(
     results = []
     for fraction in fractions:
         if fraction == 0:
-            perturbed_graph = g
+            perturbed = baseline
         else:
             perturbed_graph = insert_noise_edges(
                 g, fraction, query_nodes, _fraction_seed(seed, fraction)
             )
-        perturbed = _measure_scores(
-            perturbed_graph, measure, query_nodes, pivots, seed, tau, threads
-        )
+            perturbed = _measure_scores(
+                perturbed_graph, measure, query_nodes, pivots, seed, tau, threads
+            )
         results.append(spearman(baseline, perturbed))
     return results
 

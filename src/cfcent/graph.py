@@ -3,7 +3,10 @@
 The :class:`Graph` type is the single source of truth for node count,
 edge count and edge weights.  Weights are strictly positive conductances;
 self-loops are never stored and duplicate edges are merged by summing
-their weights (conductances in parallel add).
+their weights (conductances in parallel add).  Every adjacency is built
+by scipy's CSR conversion, whose index arrays are int32 where they fit:
+parallel edges are summed once on the upper triangle, which is then
+mirrored, so both directions of an edge hold the same float.
 """
 
 from __future__ import annotations
@@ -29,14 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph stored as sorted per-node adjacency arrays.
+    """Undirected weighted graph stored as the arrays of its CSR adjacency.
 
     Attributes
     ----------
     indptr, indices, weights
-        CSR-style adjacency: the neighbors of node ``u`` are
-        ``indices[indptr[u]:indptr[u+1]]`` with matching ``weights``.
-        Every edge appears twice (once per endpoint) with equal weight.
+        The arrays of a scipy CSR adjacency matrix: the neighbors of node
+        ``u`` are ``indices[indptr[u]:indptr[u+1]]``, strictly ascending,
+        with matching ``weights``.  Every edge appears twice (once per
+        endpoint) with bitwise equal weight.
     node_labels
         Original external identifier of each node, preserved across
         id compaction and component extraction.
@@ -86,9 +90,9 @@ class Graph:
         return src[keep], self.indices[keep], self.weights[keep]
 
     def adjacency_matrix(self) -> sp.csr_matrix:
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        """The adjacency as a read-only CSR matrix over the graph's own arrays."""
         return sp.csr_matrix(
-            (self.weights, (src, self.indices)), shape=(self.n, self.n)
+            (self.weights, self.indices, self.indptr), shape=(self.n, self.n)
         )
 
     def is_connected(self) -> bool:
@@ -109,7 +113,8 @@ class Graph:
 
         Self-loops are dropped, duplicate undirected edges are merged by
         summing their weights, and the adjacency is symmetrized.  Raises
-        :class:`DomainError` on nonpositive weights.
+        :class:`DomainError` on unequal lengths, nonpositive or non-finite
+        weights and node ids outside ``[0, n)``.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -130,23 +135,11 @@ class Graph:
         if u.size and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
             raise DomainError("node ids out of range")
 
-        # Both directions, then merge duplicates by summing weights.  One
-        # stable sort on the key au * n + av orders by (au, av) as a
-        # two-key lexsort would, at a third of its cost.
-        au = np.r_[u, v]
-        av = np.r_[v, u]
-        aw = np.r_[w, w]
-        order = np.argsort(au * n + av, kind="stable")
-        au, av, aw = au[order], av[order], aw[order]
-        if au.size:
-            new = np.r_[True, (au[1:] != au[:-1]) | (av[1:] != av[:-1])]
-            starts = np.nonzero(new)[0]
-            aw = np.add.reduceat(aw, starts)
-            au, av = au[starts], av[starts]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, au + 1, 1)
-        indptr = np.cumsum(indptr)
-        return Graph(indptr=indptr, indices=av, weights=aw, node_labels=node_labels)
+        # Parallel edges are summed once, on the upper triangle, and then
+        # mirrored, so both directions of an edge hold the same float.
+        upper = sp.csr_matrix((w, (np.minimum(u, v), np.maximum(u, v))), shape=(n, n))
+        a = upper + upper.T
+        return Graph(indptr=a.indptr, indices=a.indices, weights=a.data, node_labels=node_labels)
 
 
 def load_edge_list(stream: IO[str] | Iterable[str], one_indexed: bool = False) -> Graph:
@@ -181,15 +174,6 @@ def load_edge_list(stream: IO[str] | Iterable[str], one_indexed: bool = False) -
     except (EdgeListParseError, DomainError):
         _raise_first_bad_line(data, min_id)
         raise
-
-    if not us.size:
-        empty = np.zeros(0, dtype=np.int64)
-        return Graph(
-            indptr=np.zeros(1, dtype=np.int64),
-            indices=empty,
-            weights=np.zeros(0),
-            node_labels=empty,
-        )
 
     labels, ids = np.unique(np.r_[us, vs], return_inverse=True)
     return Graph.from_edges(ids[:us.size], ids[us.size:], ws, n=labels.size, node_labels=labels)
@@ -290,31 +274,16 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """
     if g.n == 0:
         raise DomainError("cannot extract a component of an empty graph")
-    ncomp, comp = connected_components(g.adjacency_matrix(), directed=False)
+    a = g.adjacency_matrix()
+    ncomp, comp = connected_components(a, directed=False)
     if ncomp == 1:
         return g, np.arange(g.n, dtype=np.int64)
-    sizes = np.bincount(comp, minlength=ncomp)
-    best_size = sizes.max()
-    candidates = np.nonzero(sizes == best_size)[0]
-    if candidates.size == 1:
-        chosen = candidates[0]
-    else:
-        min_label = [g.node_labels[comp == c].min() for c in candidates]
-        chosen = candidates[int(np.argmin(min_label))]
-
+    sizes = np.bincount(comp)
+    largest = sizes[comp] == sizes.max()
+    chosen = comp[largest][np.argmin(g.node_labels[largest])]
     keep = np.flatnonzero(comp == chosen)
-    remap = -np.ones(g.n, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    eu, ev, ew = g.edge_array()
-    mask = remap[eu] >= 0
-    sub = Graph.from_edges(
-        remap[eu[mask]],
-        remap[ev[mask]],
-        ew[mask],
-        n=keep.size,
-        node_labels=g.node_labels[keep].copy(),
-    )
-    return sub, keep
+    sub = a[keep][:, keep]
+    return Graph(sub.indptr, sub.indices, sub.data, g.node_labels[keep]), keep
 
 
 def laplacian(g: Graph) -> sp.csr_matrix:
@@ -334,13 +303,10 @@ def incidence_and_weights(g: Graph) -> tuple[sp.csr_matrix, np.ndarray]:
     """
     eu, ev, ew = g.edge_array()
     m = eu.size
-    rows = np.repeat(np.arange(m, dtype=np.int64), 2)
-    cols = np.empty(2 * m, dtype=np.int64)
-    cols[0::2] = eu
-    cols[1::2] = ev
-    vals = np.tile(np.array([1.0, -1.0]), m)
-    b = sp.csr_matrix((vals, (rows, cols)), shape=(m, g.n))
-    return b, ew.copy()
+    cols = np.stack([eu, ev], axis=1).ravel()
+    vals = np.tile([1.0, -1.0], m)
+    b = sp.csr_matrix((vals, cols, np.arange(0, 2 * m + 1, 2)), shape=(m, g.n))
+    return b, ew
 
 
 def insert_noise_edges(

@@ -263,6 +263,23 @@ class TestArgumentHandling:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"cfcent: {message}")
 
+    @pytest.mark.parametrize(
+        "command, query",
+        [("score", "random:abc"), ("compare", "list:1,x")],
+        ids=["score", "compare"],
+    )
+    def test_bad_query_fails_before_setup(self, command, query, monkeypatch, capsys):
+        import cfcent.cli as cli
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("setup ran before the query was parsed")
+
+        monkeypatch.setattr(cli, "setup", no_setup)
+        code = main(["--command", command, "--gen", "path:5", "--measure", "cf_exact",
+                     "--query", query])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("cfcent: ")
+
     def test_query_count_validated(self):
         code = main(["--command", "score", "--gen", "path:5", "--measure", "sp",
                      "--query", "random:10"])

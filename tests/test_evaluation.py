@@ -221,6 +221,21 @@ class TestNoiseResilience:
         assert all(-1.0 <= v <= 1.0 for v in a)
         assert a[0] == pytest.approx(1.0)
 
+    def test_control_reuses_the_baseline(self, rng, monkeypatch):
+        calls = []
+        real = evaluation.setup
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "setup", counting)
+        g = random_connected_graph(80, rng)
+        out = noise_resilience(g, Measure.CF_SAMPLING, list(range(15)), [0.0, 0.1],
+                               seed=5, pivots=8)
+        assert len(calls) == 2  # the baseline and the 0.1 perturbation
+        assert out[0] == pytest.approx(1.0)
+
     def test_unsupported_measure_rejected(self, rng):
         g = random_connected_graph(20, rng)
         with pytest.raises(DomainError):

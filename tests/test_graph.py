@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -155,21 +156,43 @@ class TestLoadMatchesLineByLineReader:
         assert err.value.line_number == 2
 
 
+def _random_multigraph(seed, n=6, edges=50):
+    """Many parallel edges (and some self-loops) with weights 10^U(-8, 8)."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, n, (2, edges))
+    return Graph.from_edges(u, v, 10.0 ** rng.uniform(-8, 8, edges), n=n)
+
+
 class TestGraphInvariants:
     def test_symmetry_positivity_no_self_loops(self, rng):
-        for trial in range(20):
-            n = int(rng.integers(2, 30))
-            g = random_connected_graph(n, rng, weighted=True)
+        graphs = [random_connected_graph(int(rng.integers(2, 30)), rng, weighted=True)
+                  for _ in range(20)]
+        # Three or more parallel copies must still merge to one float in
+        # both directions.
+        graphs += [_random_multigraph(s) for s in range(200)]
+        for g in graphs:
             a = g.adjacency_matrix()
             assert (a != a.T).nnz == 0
             assert np.all(g.weights > 0)
             assert a.diagonal().sum() == 0
 
+    def test_adjacency_matrix_shares_the_graph_arrays(self, rng):
+        g = random_connected_graph(25, rng, weighted=True)
+        a = g.adjacency_matrix()
+        for mine, theirs in [(g.indptr, a.indptr), (g.indices, a.indices),
+                             (g.weights, a.data)]:
+            assert np.shares_memory(mine, theirs)
+
     def test_neighbor_lists_sorted(self, rng):
-        g = random_connected_graph(25, rng)
-        for u in range(g.n):
-            nbrs, _ = g.neighbors(u)
-            assert np.all(np.diff(nbrs) > 0)
+        # Edges in random order and direction, with parallel copies.
+        multigraphs = [_random_multigraph(7), _random_multigraph(7, n=80, edges=400)]
+        split = Graph.from_edges([0, 1, 3, 5, 4, 6], [1, 2, 2, 6, 6, 5], n=9)
+        lcc, _ = largest_connected_component(split)
+        assert lcc.n == 4
+        for g in [random_connected_graph(25, rng), *multigraphs, lcc]:
+            for u in range(g.n):
+                nbrs, _ = g.neighbors(u)
+                assert np.all(np.diff(nbrs) > 0)
 
     def test_immutable(self):
         g = path_graph(3)
@@ -200,6 +223,20 @@ class TestLargestConnectedComponent:
         sub, keep = largest_connected_component(g)
         assert sub.n == 2
         assert keep.dtype == np.int64 and keep.tolist() == [0, 1]
+
+    def test_many_tied_components_keep_the_smallest_label_quickly(self):
+        # 50,000 disjoint edges: every component ties for largest.
+        rng = np.random.default_rng(0)
+        ids = rng.permutation(100_000)
+        labels = rng.choice(500_000, 100_000, replace=False)
+        g = Graph.from_edges(ids[0::2], ids[1::2], n=100_000, node_labels=labels)
+        start = time.perf_counter()
+        sub, keep = largest_connected_component(g)
+        elapsed = time.perf_counter() - start
+        assert sub.n == 2 and sub.m == 1
+        assert labels.min() in sub.node_labels
+        assert np.array_equal(sub.node_labels, labels[keep])
+        assert elapsed < 0.5
 
     def test_labels_preserved(self):
         g = load("5 6\n8 9\n8 7\n")  # {5,6} and {7,8,9}
