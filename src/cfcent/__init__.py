@@ -30,7 +30,6 @@ from .evaluation import (
 )
 from .graph import (
     Graph,
-    incidence_and_weights,
     insert_noise_edges,
     laplacian,
     largest_connected_component,
@@ -73,7 +72,6 @@ __all__ = [
     "degree_asymptotic",
     "degree_correlation_experiment",
     "effective_resistance",
-    "incidence_and_weights",
     "insert_noise_edges",
     "laplacian",
     "largest_connected_component",

@@ -4,9 +4,12 @@ Five measures share the :class:`ScoreTable` result type: exact
 current-flow closeness, its pivot-sampling and random-projection
 estimators, shortest-path closeness, and the degree-based asymptotic
 surrogate.  Scores of a connected graph with at least two nodes are
-always positive.  Exact closeness solves the Laplacian for the nodes of
-a vertex cover only; the pseudoinverse diagonal of the independent set
-left over follows from its neighbors' solutions.
+always positive.  The three current-flow measures read the graph from
+the hierarchy alone, whose finest level is its Laplacian; the other two
+read the :class:`Graph`.  :func:`score` dispatches on the measure.
+Exact closeness solves the Laplacian for the nodes of a vertex cover
+only; the pseudoinverse diagonal of the independent set left over
+follows from its neighbors' solutions.
 """
 
 from __future__ import annotations
@@ -16,16 +19,19 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
 from .resistance import build_sketch, node_solution_chunks, resistance_sums, sketch_distance_sums
-from .solver import MultigridHierarchy, _greedy_seeds
+from .solver import MultigridHierarchy, _greedy_seeds, _upper_edges
 
 __all__ = [
+    "CURRENT_FLOW",
     "Measure",
     "ScoreTable",
+    "score",
     "cf_closeness_exact",
     "cf_closeness_sampling",
     "cf_closeness_projection",
@@ -44,6 +50,9 @@ class Measure(Enum):
     DEGREE_ASYMPTOTIC = "degree_asymptotic"
 
 
+CURRENT_FLOW = (Measure.CF_EXACT, Measure.CF_SAMPLING, Measure.CF_PROJECTION)
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Centrality scores keyed by node id, with the producing parameters."""
@@ -56,13 +65,13 @@ class ScoreTable:
         return np.array([self.scores[int(v)] for v in nodes])
 
 
-def _check_query(g: Graph, query_nodes: Sequence[int]) -> list[int]:
-    if g.n < 2:
+def _check_query(n: int, query_nodes: Sequence[int]) -> list[int]:
+    if n < 2:
         raise DomainError("centrality needs a connected graph with n >= 2")
     nodes = [int(v) for v in query_nodes]
     if not nodes:
         raise DomainError("query node list is empty")
-    if any(v < 0 or v >= g.n for v in nodes):
+    if any(v < 0 or v >= n for v in nodes):
         raise DomainError("query node out of range")
     return nodes
 
@@ -75,25 +84,28 @@ def pivot_set(n: int, k: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def _independent_set(g: Graph) -> np.ndarray:
+def _independent_set(lap: sp.csr_matrix) -> np.ndarray:
     """Greedy maximal independent set by ascending degree, ties by id.
 
     Nodes are relabelled by (unweighted degree, id) rank and handed to
     :func:`_greedy_seeds`, which takes a node once none of its
-    lower-ranked neighbors was taken.  Returns a boolean mask by node id.
+    lower-ranked neighbors was taken.  The degree is read as the stored
+    entries of the Laplacian row ``lap``, which holds the diagonal besides
+    the neighbors, so it is one more for every node and ranks the same.
+    Returns a boolean mask by node id.
     """
-    order = np.argsort(np.diff(g.indptr), kind="stable")
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
-    eu, ev, _ = g.edge_array()
+    n = lap.shape[0]
+    order = np.argsort(np.diff(lap.indptr), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    eu, ev = _upper_edges(lap)
     lo = np.minimum(rank[eu], rank[ev])
     hi = np.maximum(rank[eu], rank[ev])
     by_lo = np.argsort(lo, kind="stable")
-    return _greedy_seeds(g.n, lo[by_lo], hi[by_lo])[rank]
+    return _greedy_seeds(n, lo[by_lo], hi[by_lo])[rank]
 
 
 def cf_closeness_exact(
-    g: Graph,
     hierarchy: MultigridHierarchy,
     query_nodes: Sequence[int],
     *,
@@ -106,7 +118,8 @@ def cf_closeness_exact(
     pseudoinverse is needed.  It is solved for on a vertex cover only.
     For a node ``v`` of an independent set F, with weighted degree
     ``d_v``, row ``v`` of ``L L+ = I - 11^T/n`` and the symmetry of L+
-    give ``L+_vv = (1 - 1/n + sum_u w_vu L+_uv) / d_v``, and every
+    give ``L+_vv = (1 - 1/n + sum_u w_vu L+_uv) / d_v``, with ``d_v`` the
+    Laplacian diagonal and ``w_vu = -L_vu``, and every
     neighbor ``u`` of ``v`` lies in the cover, whose solutions hold
     ``L+_uv``.  F is the greedy maximal independent set by ascending
     degree (:func:`_independent_set`), so ``n - |F|`` node solutions are
@@ -115,14 +128,15 @@ def cf_closeness_exact(
     terms are summed per F node in edge order after the last chunk, so
     the scores do not depend on ``threads``.
     """
-    nodes = _check_query(g, query_nodes)
-    n = g.n
-    independent = _independent_set(g)
+    lap = hierarchy.levels[0].matrix
+    n = hierarchy.n
+    nodes = _check_query(n, query_nodes)
+    independent = _independent_set(lap)
     cover = np.flatnonzero(~independent)
-    src = np.repeat(np.arange(n), np.diff(g.indptr))
-    into_f = independent[g.indices]
+    src = np.repeat(np.arange(n), np.diff(lap.indptr))
+    into_f = (lap.indices != src) & independent[lap.indices]
     row = np.searchsorted(cover, src[into_f])  # position of the edge's cover end
-    dst, weight = g.indices[into_f], g.weights[into_f]
+    dst, weight = lap.indices[into_f], -lap.data[into_f]
     terms = np.empty(dst.size)
     diag = np.empty(n)
     done = 0
@@ -132,14 +146,13 @@ def cf_closeness_exact(
         terms[lo:hi] = weight[lo:hi] * z[row[lo:hi] - done, dst[lo:hi]]
         done += chunk.size
     sums = np.bincount(dst, weights=terms, minlength=n)
-    diag[independent] = (1.0 - 1.0 / n + sums[independent]) / g.degrees()[independent]
+    diag[independent] = (1.0 - 1.0 / n + sums[independent]) / lap.diagonal()[independent]
     trace = float(diag.sum())
     scores = {v: (n - 1) / (n * float(diag[v]) + trace) for v in nodes}
     return ScoreTable(Measure.CF_EXACT, {"tau": hierarchy.tau}, scores)
 
 
 def cf_closeness_sampling(
-    g: Graph,
     hierarchy: MultigridHierarchy,
     query_nodes: Sequence[int],
     k: int,
@@ -158,8 +171,8 @@ def cf_closeness_sampling(
     nodes.  Zero pivot distance sums (possible only for k=1 with the
     query node as the pivot) raise :class:`UndefinedScoreError`.
     """
-    nodes = _check_query(g, query_nodes)
-    n = g.n
+    n = hierarchy.n
+    nodes = _check_query(n, query_nodes)
     totals = resistance_sums(hierarchy, nodes, pivot_set(n, k, seed), threads=threads)
     scores: dict[int, float] = {}
     for v, total in zip(nodes, totals.tolist()):
@@ -173,7 +186,6 @@ def cf_closeness_sampling(
 
 
 def cf_closeness_projection(
-    g: Graph,
     hierarchy: MultigridHierarchy,
     query_nodes: Sequence[int],
     epsilon: float,
@@ -182,9 +194,9 @@ def cf_closeness_projection(
     threads: int = 1,
 ) -> ScoreTable:
     """Projection estimator: closeness from sketched resistance sums."""
-    nodes = _check_query(g, query_nodes)
-    n = g.n
-    sketch = build_sketch(g, hierarchy, epsilon, seed, threads=threads)
+    n = hierarchy.n
+    nodes = _check_query(n, query_nodes)
+    sketch = build_sketch(hierarchy, epsilon, seed, threads=threads)
     sums = sketch_distance_sums(sketch, nodes)
     scores: dict[int, float] = {}
     for v, total in zip(nodes, sums):
@@ -206,7 +218,7 @@ def sp_closeness(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:
     reduced before the next, so memory is ``O(SP_BLOCK_ROWS * n)`` for
     any number of query nodes.
     """
-    nodes = _check_query(g, query_nodes)
+    nodes = _check_query(g.n, query_nodes)
     adjacency = g.adjacency_matrix()
     unweighted = bool(np.all(g.weights == 1.0))
     scores: dict[int, float] = {}
@@ -226,7 +238,7 @@ def degree_asymptotic(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:
     Computed in O(n + m) from the precomputed global sum of reciprocal
     weighted degrees.
     """
-    nodes = _check_query(g, query_nodes)
+    nodes = _check_query(g.n, query_nodes)
     deg = g.degrees()
     if np.any(deg <= 0):
         raise DomainError("graph is not connected")
@@ -237,3 +249,34 @@ def degree_asymptotic(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:
         v: (n - 1) / ((n - 1) * inv[v] + (total_inv - inv[v])) for v in nodes
     }
     return ScoreTable(Measure.DEGREE_ASYMPTOTIC, {}, scores)
+
+
+def score(
+    measure: Measure,
+    g: Graph,
+    hierarchy: MultigridHierarchy | None,
+    query_nodes: Sequence[int],
+    *,
+    pivots: int = 20,
+    epsilon: float = 0.2,
+    seed: int = 0,
+    threads: int = 1,
+) -> ScoreTable:
+    """Scores of one measure.
+
+    The :data:`CURRENT_FLOW` measures read ``hierarchy`` only and the
+    other two ``g`` only; the argument a measure does not read may be
+    ``None``.  ``pivots`` is the pivot count of sampling, ``epsilon`` the
+    distortion of projection, and ``seed`` draws either one's sample.
+    """
+    if measure is Measure.SP_CLOSENESS:
+        return sp_closeness(g, query_nodes)
+    if measure is Measure.DEGREE_ASYMPTOTIC:
+        return degree_asymptotic(g, query_nodes)
+    if measure is Measure.CF_EXACT:
+        return cf_closeness_exact(hierarchy, query_nodes, threads=threads)
+    if measure is Measure.CF_SAMPLING:
+        return cf_closeness_sampling(hierarchy, query_nodes, pivots, seed, threads=threads)
+    if measure is Measure.CF_PROJECTION:
+        return cf_closeness_projection(hierarchy, query_nodes, epsilon, seed, threads=threads)
+    raise DomainError(f"unknown measure {measure!r}")

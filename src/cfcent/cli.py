@@ -14,14 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import generators
-from .centrality import (
-    Measure,
-    cf_closeness_exact,
-    cf_closeness_projection,
-    cf_closeness_sampling,
-    degree_asymptotic,
-    sp_closeness,
-)
+from .centrality import CURRENT_FLOW, Measure, cf_closeness_exact, score
 from .errors import CfcentError, ConvergenceError, UndefinedMetricError
 from .evaluation import (
     compare_rankings,
@@ -157,31 +150,6 @@ def _measures(args, default: str) -> list[Measure]:
     return out
 
 
-def _score_table(measure: Measure, g, hierarchy, query, args):
-    if measure is Measure.SP_CLOSENESS:
-        return sp_closeness(g, query)
-    if measure is Measure.DEGREE_ASYMPTOTIC:
-        return degree_asymptotic(g, query)
-    if measure is Measure.CF_EXACT:
-        return cf_closeness_exact(g, hierarchy, query, threads=args.threads)
-    if measure is Measure.CF_SAMPLING:
-        return cf_closeness_sampling(
-            g, hierarchy, query, k=args.pivots, seed=args.seed, threads=args.threads
-        )
-    if measure is Measure.CF_PROJECTION:
-        return cf_closeness_projection(
-            g, hierarchy, query, epsilon=args.epsilon, seed=args.seed, threads=args.threads
-        )
-    raise CfcentError(f"unsupported measure {measure}")
-
-
-def _needs_solver(measures: Sequence[Measure]) -> bool:
-    return any(
-        m in (Measure.CF_EXACT, Measure.CF_SAMPLING, Measure.CF_PROJECTION)
-        for m in measures
-    )
-
-
 def cmd_score(args, out) -> int:
     measures = _measures(args, default="cf_sampling")
     if len(measures) != 1:
@@ -190,9 +158,12 @@ def cmd_score(args, out) -> int:
     g = _load_graph(args)
     query = _query_nodes(args, g)
     hierarchy = (
-        setup(laplacian(g), tau=args.tau, seed=args.seed) if _needs_solver([measure]) else None
+        setup(laplacian(g), tau=args.tau, seed=args.seed) if measure in CURRENT_FLOW else None
     )
-    table = _score_table(measure, g, hierarchy, query, args)
+    table = score(
+        measure, g, hierarchy, query, pivots=args.pivots, epsilon=args.epsilon,
+        seed=args.seed, threads=args.threads,
+    )
     max_residual = hierarchy.stats.max_residual if hierarchy else 0.0
     params = " ".join(
         f"{k}={v}" for k, v in sorted(table.params.items()) if k != "seed"
@@ -214,7 +185,7 @@ def cmd_compare(args, out) -> int:
     hierarchy = setup(laplacian(g), tau=args.tau, seed=args.seed)
 
     start = time.perf_counter()
-    exact = cf_closeness_exact(g, hierarchy, query, threads=args.threads)
+    exact = cf_closeness_exact(hierarchy, query, threads=args.threads)
     exact_seconds = time.perf_counter() - start
     exact_vec = exact.vector(query)
 
@@ -232,7 +203,10 @@ def cmd_compare(args, out) -> int:
             table, seconds = exact, exact_seconds
         else:
             start = time.perf_counter()
-            table = _score_table(measure, g, hierarchy, query, args)
+            table = score(
+                measure, g, hierarchy, query, pivots=args.pivots, epsilon=args.epsilon,
+                seed=args.seed, threads=args.threads,
+            )
             seconds = time.perf_counter() - start
         vec = table.vector(query)
         ranks = compare_rankings(exact_vec, vec)

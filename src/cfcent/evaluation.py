@@ -8,10 +8,11 @@ from typing import Sequence
 import numpy as np
 
 from .centrality import (
+    CURRENT_FLOW,
     Measure,
-    cf_closeness_exact,
     cf_closeness_sampling,
     degree_asymptotic,
+    score,
     sp_closeness,
 )
 from .errors import DomainError, UndefinedMetricError
@@ -150,17 +151,8 @@ def _measure_scores(
     tau: float,
     threads: int,
 ) -> np.ndarray:
-    if measure is Measure.SP_CLOSENESS:
-        return sp_closeness(g, query_nodes).vector(query_nodes)
-    hierarchy = setup(laplacian(g), tau=tau, seed=seed)
-    if measure is Measure.CF_EXACT:
-        table = cf_closeness_exact(g, hierarchy, query_nodes, threads=threads)
-    elif measure is Measure.CF_SAMPLING:
-        table = cf_closeness_sampling(
-            g, hierarchy, query_nodes, k=pivots, seed=seed, threads=threads
-        )
-    else:
-        raise DomainError(f"unsupported noise-resilience measure {measure}")
+    hierarchy = setup(laplacian(g), tau=tau, seed=seed) if measure in CURRENT_FLOW else None
+    table = score(measure, g, hierarchy, query_nodes, pivots=pivots, seed=seed, threads=threads)
     return table.vector(query_nodes)
 
 
@@ -237,7 +229,7 @@ def degree_correlation_experiment(
     sp_scores = sp_closeness(g, query_nodes).vector(query_nodes)
     hierarchy = setup(laplacian(g), tau=tau, seed=seed)
     cf_scores = cf_closeness_sampling(
-        g, hierarchy, query_nodes, k=pivots, seed=seed, threads=threads
+        hierarchy, query_nodes, pivots, seed, threads=threads
     ).vector(query_nodes)
     return {
         Measure.SP_CLOSENESS: spearman(sp_scores, base),

@@ -25,7 +25,6 @@ __all__ = [
     "load_edge_list",
     "largest_connected_component",
     "laplacian",
-    "incidence_and_weights",
     "insert_noise_edges",
 ]
 
@@ -294,21 +293,6 @@ def laplacian(g: Graph) -> sp.csr_matrix:
     return lap.tocsr()
 
 
-def incidence_and_weights(g: Graph) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Edge-node incidence matrix and the matching edge-weight vector.
-
-    Edges are enumerated sorted by (smaller endpoint, larger endpoint);
-    each row carries +1 at the smaller-id endpoint and -1 at the larger.
-    The identity ``B.T @ diag(w) @ B == laplacian(g)`` holds.
-    """
-    eu, ev, ew = g.edge_array()
-    m = eu.size
-    cols = np.stack([eu, ev], axis=1).ravel()
-    vals = np.tile([1.0, -1.0], m)
-    b = sp.csr_matrix((vals, cols, np.arange(0, 2 * m + 1, 2)), shape=(m, g.n))
-    return b, ew
-
-
 def insert_noise_edges(
     g: Graph, fraction: float, anchors: Sequence[int], seed: int
 ) -> Graph:
@@ -316,8 +300,10 @@ def insert_noise_edges(
 
     Each new edge connects a uniform anchor to a uniform node of the
     graph; draws producing self-loops or already-present edges are
-    rejected and resampled.  Deterministic for a fixed seed (anchor order
-    does not matter).
+    rejected and resampled: an edge of ``g`` is found in its sorted
+    adjacency row, and only the new edges are kept aside, so memory
+    beyond the result is ``O(fraction * m)``.  Deterministic for a fixed
+    seed (anchor order does not matter).
 
     Raises :class:`CapacityError` when the requested number of edges
     cannot be placed within a bounded number of attempts.
@@ -333,17 +319,14 @@ def insert_noise_edges(
         raise DomainError("graph has no edges")
 
     target = int(np.ceil(fraction * g.m))
-    existing = set(zip(*map(np.ndarray.tolist, g.edge_array()[:2])))
+    placed: dict[tuple[int, int], None] = {}  # the new edges, in placing order
     rng = np.random.default_rng(seed)
-    new_u: list[int] = []
-    new_v: list[int] = []
-    placed = 0
     attempts = 0
     max_attempts = 200 * target + 1000
-    while placed < target:
+    while len(placed) < target:
         if attempts >= max_attempts:
             raise CapacityError(
-                f"placed only {placed} of {target} edges after {attempts} attempts"
+                f"placed only {len(placed)} of {target} edges after {attempts} attempts"
             )
         attempts += 1
         a = int(anchors[rng.integers(anchors.size)])
@@ -351,18 +334,16 @@ def insert_noise_edges(
         if a == b:
             continue
         key = (min(a, b), max(a, b))
-        if key in existing:
+        if key in placed or g.has_edge(a, b):
             continue
-        existing.add(key)
-        new_u.append(key[0])
-        new_v.append(key[1])
-        placed += 1
+        placed[key] = None
 
+    new_u, new_v = np.array(list(placed), dtype=np.int64).reshape(-1, 2).T
     eu, ev, ew = g.edge_array()
     return Graph.from_edges(
-        np.r_[eu, np.asarray(new_u, dtype=np.int64)],
-        np.r_[ev, np.asarray(new_v, dtype=np.int64)],
-        np.r_[ew, np.ones(len(new_u))],
+        np.r_[eu, new_u],
+        np.r_[ev, new_v],
+        np.r_[ew, np.ones(new_u.size)],
         n=g.n,
         node_labels=g.node_labels.copy(),
     )

@@ -8,7 +8,8 @@ solutions; :func:`resistance_sums` is the one place that applies this
 rule, summing the resistances from each target to a set of sources.
 The sketched route projects the edge-space embedding whose pairwise
 squared distances are the resistances onto a random low-dimensional
-subspace, at the cost of one solve per sketch row.
+subspace, at the cost of one solve per sketch row.  Every route reads
+the graph from the hierarchy alone: its finest level is the Laplacian.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError
-from .graph import Graph, incidence_and_weights
 from .solver import BLOCK_COLUMNS, MultigridHierarchy, solve_many
 
 __all__ = [
@@ -154,18 +155,19 @@ def resistances_from_node(
 class ResistanceSketch:
     """Random projection whose column distances approximate resistances.
 
-    ``z`` has one mean-centered row per projection direction; the squared
-    Euclidean distance between columns u and v estimates the effective
-    resistance d(u, v) with distortion controlled by ``epsilon``.
+    ``z`` is read-only and has one mean-centered row per projection
+    direction; the squared Euclidean distance between columns u and v
+    estimates the effective resistance d(u, v).
     """
 
     z: np.ndarray
-    k: int
-    epsilon: float
-    seed: int
 
     def __post_init__(self):
         self.z.setflags(write=False)
+
+    @property
+    def k(self) -> int:
+        return self.z.shape[0]
 
     @property
     def n(self) -> int:
@@ -178,7 +180,6 @@ def sketch_dimension(n: int, epsilon: float) -> int:
 
 
 def build_sketch(
-    g: Graph,
     hierarchy: MultigridHierarchy,
     epsilon: float,
     seed: int,
@@ -188,8 +189,12 @@ def build_sketch(
     """Project the resistance embedding onto ``k`` random directions.
 
     Each projection row uses i.i.d. +-1/sqrt(k) signs, is pushed through
-    the weighted incidence matrix by sparse multiplication, and is then
-    solved against the Laplacian.  Deterministic for a fixed seed.
+    the weighted incidence matrix ``B^T W^(1/2)`` by sparse
+    multiplication, and is then solved against the Laplacian.  The
+    incidence is read off the hierarchy's finest Laplacian ``L = B^T W B``:
+    edge ``e = (u, v)``, ``u < v``, in ``(u, v)`` order, is column ``e``
+    with ``+sqrt(-L_uv)`` at ``u`` and ``-sqrt(-L_uv)`` at ``v``.
+    Deterministic for a fixed seed.
 
     Signs are drawn ``BLOCK_COLUMNS`` rows at a time, which leaves the
     random stream as one draw of all k rows would make it, and rows are
@@ -199,13 +204,18 @@ def build_sketch(
     """
     if not 0 < epsilon <= 1:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
-    n, m = g.n, g.m
-    if hierarchy.n != n:
-        raise DomainError("hierarchy does not match graph")
+    n = hierarchy.n
     k = sketch_dimension(n, epsilon)
-    b_inc, weights = incidence_and_weights(g)
-    scaled_t = b_inc.multiply(np.sqrt(weights)[:, None]).T.tocsr()  # n x m
-    del b_inc, weights
+    upper = sp.triu(hierarchy.levels[0].matrix, k=1, format="coo")
+    m = upper.nnz
+    root_w = np.sqrt(-upper.data)
+    scaled_t = sp.csc_matrix(
+        (np.stack([root_w, -root_w], axis=1).ravel(),
+         np.stack([upper.row, upper.col], axis=1).ravel(),
+         np.arange(0, 2 * m + 1, 2)),
+        shape=(n, m),
+    ).tocsr()
+    del upper, root_w
 
     rng = np.random.default_rng(seed)
     inv_sqrt_k = 1.0 / math.sqrt(k)
@@ -236,7 +246,7 @@ def build_sketch(
         x, _ = solve_many(hierarchy, rhs, threads=threads)
         rhs[...] = x
         del x
-    return ResistanceSketch(z=z, k=k, epsilon=epsilon, seed=seed)
+    return ResistanceSketch(z)
 
 
 def sketch_distance(sketch: ResistanceSketch, u: int, v: int) -> float:

@@ -75,7 +75,7 @@ def test_criterion_01_exact_matches_pseudoinverse_oracle(rng, monkeypatch):
         # path is exercised even at these sizes
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 16 if trial % 2 else 200)
         hierarchy = setup(laplacian(g))
-        got = cf_closeness_exact(g, hierarchy, range(n)).vector(range(n))
+        got = cf_closeness_exact(hierarchy, range(n)).vector(range(n))
         expected = cf_scores_oracle(g)
         worst = max(worst, float(np.abs(got / expected - 1.0).max()))
     report("1 oracle equivalence", worst <= 1e-4, f"max relative error {worst:.2e}")
@@ -130,7 +130,7 @@ def test_criterion_03_sampling_accuracy_desk_scale(ba2000):
         for seed in range(5):
             rng = np.random.default_rng(300 + seed)
             query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
-            table = cf_closeness_sampling(g, hierarchy, query, k=20, seed=seed, threads=4)
+            table = cf_closeness_sampling(hierarchy, query, k=20, seed=seed, threads=4)
             approx = table.vector(query)
             spearmans.append(spearman(exact[query], approx))
             inversion_pcts.append(rank_inversions(exact[query], approx)[1])
@@ -154,7 +154,7 @@ def test_criterion_03b_pgp_if_supplied():
     rng = np.random.default_rng(0)
     query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
     exact = exact_scores_all_nodes(g, hierarchy)[query]
-    table = cf_closeness_sampling(g, hierarchy, query, k=20, seed=0)
+    table = cf_closeness_sampling(hierarchy, query, k=20, seed=0)
     rho = spearman(exact, table.vector(query))
     report("3b PGP sampling", rho >= 0.999, f"spearman {rho:.5f} at 20 pivots")
 
@@ -198,7 +198,7 @@ def _projection_band_stats(epsilon, seeds):
     hierarchy = setup(laplacian(g))
     in_band_fractions, emaxes = [], []
     for seed in range(seeds):
-        sketch = build_sketch(g, hierarchy, epsilon, seed, threads=4)
+        sketch = build_sketch(hierarchy, epsilon, seed, threads=4)
         z = sketch.z
         col_sq = np.einsum("ij,ij->j", z, z)
         gram = z.T @ z
@@ -261,10 +261,10 @@ def test_criterion_07_noise_resilience_direction(ba2000):
         h_pert = setup(laplacian(perturbed), tau=hierarchy.tau)
 
         base_cf = cf_closeness_sampling(
-            g, hierarchy, query, k=20, seed=seed, threads=4
+            hierarchy, query, k=20, seed=seed, threads=4
         ).vector(query)
         pert_cf = cf_closeness_sampling(
-            perturbed, h_pert, query, k=20, seed=seed, threads=4
+            h_pert, query, k=20, seed=seed, threads=4
         ).vector(query)
         cf_vals.append(spearman(base_cf, pert_cf))
 
@@ -287,7 +287,7 @@ def test_criterion_08a_degree_correlation_complex(ba2000):
         rng = np.random.default_rng(810 + seed)
         query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
         approx = cf_closeness_sampling(
-            g, hierarchy, query, k=20, seed=seed, threads=4
+            hierarchy, query, k=20, seed=seed, threads=4
         ).vector(query)
         values.append(spearman(approx, c_a[query]))
     mean_rho = float(np.mean(values))
@@ -303,7 +303,7 @@ def test_criterion_08b_degree_correlation_grid():
         rng = np.random.default_rng(820 + seed)
         query = [int(x) for x in rng.choice(g.n, 100, replace=False)]
         approx = cf_closeness_sampling(
-            g, hierarchy, query, k=20, seed=seed, threads=4
+            hierarchy, query, k=20, seed=seed, threads=4
         ).vector(query)
         values.append(spearman(approx, c_a[query]))
     mean_abs = float(np.abs(np.mean(values)))
@@ -323,7 +323,7 @@ def test_criterion_09_near_linear_scaling():
         for k, g in graphs.items():
             start = time.perf_counter()
             hierarchy = setup(laplacian(g))
-            cf_closeness_sampling(g, hierarchy, [0], k=20, seed=0)
+            cf_closeness_sampling(hierarchy, [0], k=20, seed=0)
             best[k] = min(best[k], time.perf_counter() - start)
     t_small, t_large = best[100], best[200]
     ratio = t_large / t_small

@@ -66,14 +66,14 @@ class TestExact:
     def test_k3(self):
         g = complete_graph(3)
         h = hierarchy_for(g)
-        table = cf_closeness_exact(g, h, [0, 1, 2])
+        table = cf_closeness_exact(h, [0, 1, 2])
         for v in range(3):
             assert table.scores[v] == pytest.approx(1.5, rel=1e-6)
 
     def test_p3_middle_and_end(self):
         g = path_graph(3)
         h = hierarchy_for(g)
-        table = cf_closeness_exact(g, h, [0, 1])
+        table = cf_closeness_exact(h, [0, 1])
         assert table.scores[1] == pytest.approx(1.0, rel=1e-6)
         assert table.scores[0] == pytest.approx(2.0 / 3.0, rel=1e-6)
 
@@ -84,7 +84,7 @@ class TestExact:
             g = random_connected_graph(n, rng, weighted=trial % 2 == 1)
             h = hierarchy_for(g)
             expected = cf_scores_oracle(g)
-            table = cf_closeness_exact(g, h, list(range(n)))
+            table = cf_closeness_exact(h, list(range(n)))
             got = table.vector(range(n))
             assert got == pytest.approx(expected, rel=1e-4)
 
@@ -96,7 +96,7 @@ class TestExact:
             if g.n < 4 or not g.is_connected():
                 continue
             h = setup(laplacian(g))
-            got = cf_closeness_exact(g, h, range(4)).vector(range(4))
+            got = cf_closeness_exact(h, range(4)).vector(range(4))
             assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
 
     def test_diagonal_identity_matches_pair_formula(self, rng, monkeypatch):
@@ -106,7 +106,7 @@ class TestExact:
         assert len(h.levels) > 1
         query = list(range(0, 150, 3))
         sums = pair_formula_sums(h, query, np.arange(150))
-        got = cf_closeness_exact(g, h, query).vector(query)
+        got = cf_closeness_exact(h, query).vector(query)
         assert got == pytest.approx((150 - 1) / sums, rel=1e-6)
 
     def test_permutation_equivariance(self, rng):
@@ -116,8 +116,8 @@ class TestExact:
         gp = Graph.from_edges(perm[eu], perm[ev], ew, n=15)
         h = hierarchy_for(g)
         hp = hierarchy_for(gp)
-        orig = cf_closeness_exact(g, h, range(15)).vector(range(15))
-        relabeled = cf_closeness_exact(gp, hp, range(15)).vector(range(15))
+        orig = cf_closeness_exact(h, range(15)).vector(range(15))
+        relabeled = cf_closeness_exact(hp, range(15)).vector(range(15))
         assert relabeled[perm] == pytest.approx(orig, rel=1e-5)
 
 
@@ -140,7 +140,7 @@ class TestCoverIdentity:
     def test_matches_pseudoinverse_oracle(self):
         for g in self.graphs():
             h = hierarchy_for(g, tau=1e-10)
-            got = cf_closeness_exact(g, h, range(g.n)).vector(range(g.n))
+            got = cf_closeness_exact(h, range(g.n)).vector(range(g.n))
             assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
 
     def test_solves_only_the_cover(self):
@@ -148,14 +148,14 @@ class TestCoverIdentity:
         for g in self.graphs():
             h = hierarchy_for(g)
             before = h.stats.solves
-            cf_closeness_exact(g, h, [0])
+            cf_closeness_exact(h, [0])
             solves.append(h.stats.solves - before)
-            assert solves[-1] == g.n - int(_independent_set(g).sum())
+            assert solves[-1] == g.n - int(_independent_set(laplacian(g)).sum())
         assert solves[0] == 1  # the star: its center alone
 
     def test_independent_set_is_maximal(self):
         for g in self.graphs():
-            f = _independent_set(g)
+            f = _independent_set(laplacian(g))
             eu, ev, _ = g.edge_array()
             assert not np.any(f[eu] & f[ev])
             src = np.repeat(np.arange(g.n), np.diff(g.indptr))
@@ -165,16 +165,16 @@ class TestCoverIdentity:
     def test_independent_set_takes_low_degree_first(self):
         # The star's leaves all go before its center; on a path the
         # degree-one ends are taken, then every other node by id.
-        assert np.flatnonzero(~_independent_set(star_graph(50))).tolist() == [0]
-        f = _independent_set(path_graph(7))
+        assert np.flatnonzero(~_independent_set(laplacian(star_graph(50)))).tolist() == [0]
+        f = _independent_set(laplacian(path_graph(7)))
         assert np.flatnonzero(f).tolist() == [0, 2, 4, 6]
 
     def test_bitwise_independent_of_threads(self):
         g = grid_graph(30)
         h = hierarchy_for(g)
-        assert g.n - int(_independent_set(g).sum()) > 2 * 192
-        one = cf_closeness_exact(g, h, range(g.n), threads=1).scores
-        three = cf_closeness_exact(g, h, range(g.n), threads=3).scores
+        assert g.n - int(_independent_set(laplacian(g)).sum()) > 2 * 192
+        one = cf_closeness_exact(h, range(g.n), threads=1).scores
+        three = cf_closeness_exact(h, range(g.n), threads=3).scores
         assert one == three
 
 
@@ -182,8 +182,8 @@ class TestSampling:
     def test_k_equals_n_reduces_to_exact(self, rng):
         g = random_connected_graph(12, rng)
         h = hierarchy_for(g)
-        exact = cf_closeness_exact(g, h, range(12)).vector(range(12))
-        sampled = cf_closeness_sampling(g, h, range(12), k=12, seed=5)
+        exact = cf_closeness_exact(h, range(12)).vector(range(12))
+        sampled = cf_closeness_sampling(h, range(12), k=12, seed=5)
         assert sampled.vector(range(12)) == pytest.approx(exact, rel=1e-9)
 
     def test_k1_own_pivot_is_undefined(self):
@@ -191,7 +191,7 @@ class TestSampling:
         h = hierarchy_for(g)
         pivot = int(pivot_set(3, 1, seed=0)[0])
         with pytest.raises(UndefinedScoreError):
-            cf_closeness_sampling(g, h, [pivot], k=1, seed=0)
+            cf_closeness_sampling(h, [pivot], k=1, seed=0)
 
     def test_unbiasedness_by_exhaustive_enumeration(self, rng):
         # the expectation of the scaled pivot distance sum over all
@@ -218,8 +218,8 @@ class TestSampling:
     def test_deterministic_scores(self, rng):
         g = random_connected_graph(40, rng)
         h = hierarchy_for(g)
-        a = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9)
-        b = cf_closeness_sampling(g, h, [0, 7], k=5, seed=9)
+        a = cf_closeness_sampling(h, [0, 7], k=5, seed=9)
+        b = cf_closeness_sampling(h, [0, 7], k=5, seed=9)
         assert a.scores == b.scores
 
     def test_streamed_scores_equal_pair_formula(self, rng, monkeypatch):
@@ -233,7 +233,7 @@ class TestSampling:
         query = [int(v) for v in rng.choice(others, 90, replace=False)]
         query += [int(p) for p in pivots[::3]]  # pivots that are also queried
         sums = pair_formula_sums(h, query, pivots)
-        table = cf_closeness_sampling(g, h, query, k=k, seed=4)
+        table = cf_closeness_sampling(h, query, k=k, seed=4)
         expected = [(k / n) * (n - 1) / float(total) for total in sums]
         assert table.vector(query).tolist() == expected
 
@@ -241,8 +241,8 @@ class TestSampling:
         g = random_connected_graph(300, rng)
         h = hierarchy_for(g)
         query = [int(x) for x in rng.choice(300, 30, replace=False)]
-        exact = cf_closeness_exact(g, h, query).vector(query)
-        sampled = cf_closeness_sampling(g, h, query, k=50, seed=1)
+        exact = cf_closeness_exact(h, query).vector(query)
+        sampled = cf_closeness_sampling(h, query, k=50, seed=1)
         ratio = sampled.vector(query) / exact
         assert np.all((ratio > 0.5) & (ratio < 2.0))
 
@@ -258,13 +258,13 @@ class TestStreamingMemory:
 
     def test_exact_all_nodes_below_n_squared(self, ba2000):
         g, h = ba2000
-        peak = traced_peak_bytes(lambda: cf_closeness_exact(g, h, range(g.n)))
+        peak = traced_peak_bytes(lambda: cf_closeness_exact(h, range(g.n)))
         assert peak < g.n * g.n * 8
 
     def test_sampling_all_nodes_below_n_squared(self, ba2000):
         g, h = ba2000
         peak = traced_peak_bytes(
-            lambda: cf_closeness_sampling(g, h, range(g.n), k=20, seed=0)
+            lambda: cf_closeness_sampling(h, range(g.n), k=20, seed=0)
         )
         assert peak < g.n * g.n * 8
 
@@ -285,7 +285,7 @@ class TestStreamingMemory:
         query = int(np.setdiff1d(np.arange(g.n), pivot_set(g.n, k, seed=0))[0])
         tracemalloc.start()
         try:
-            cf_closeness_sampling(g, h, [query], k=k, seed=0)
+            cf_closeness_sampling(h, [query], k=k, seed=0)
         finally:
             tracemalloc.stop()
         assert len(held) == k // 64 + 1
@@ -312,7 +312,7 @@ class TestProjection:
         h = hierarchy_for(g)
         hits = 0
         for seed in range(10):
-            table = cf_closeness_projection(g, h, [0], epsilon=0.5, seed=seed)
+            table = cf_closeness_projection(h, [0], epsilon=0.5, seed=seed)
             if 1 / 1.5 <= table.scores[0] <= 1 / 0.5:
                 hits += 1
         assert hits >= 6  # true closeness is 1
@@ -320,26 +320,26 @@ class TestProjection:
     def test_scores_strictly_positive(self, rng):
         g = random_connected_graph(60, rng)
         h = hierarchy_for(g)
-        table = cf_closeness_projection(g, h, range(60), epsilon=0.3, seed=2)
+        table = cf_closeness_projection(h, range(60), epsilon=0.3, seed=2)
         assert all(s > 0 for s in table.scores.values())
 
     def test_deterministic_under_seed(self, rng):
         g = random_connected_graph(30, rng)
         h = hierarchy_for(g)
-        a = cf_closeness_projection(g, h, [3], epsilon=0.4, seed=8)
-        b = cf_closeness_projection(g, h, [3], epsilon=0.4, seed=8)
+        a = cf_closeness_projection(h, [3], epsilon=0.4, seed=8)
+        b = cf_closeness_projection(h, [3], epsilon=0.4, seed=8)
         assert a.scores == b.scores
 
     def test_error_decreases_with_epsilon_in_expectation(self, rng):
         g = random_connected_graph(80, rng)
         h = hierarchy_for(g)
         query = list(range(0, 80, 4))
-        exact = cf_closeness_exact(g, h, query).vector(query)
+        exact = cf_closeness_exact(h, query).vector(query)
         mean_err = {}
         for eps in (0.5, 0.2, 0.1):
             errs = []
             for seed in range(10):
-                table = cf_closeness_projection(g, h, query, epsilon=eps, seed=seed)
+                table = cf_closeness_projection(h, query, epsilon=eps, seed=seed)
                 errs.append(np.abs(table.vector(query) / exact - 1.0).mean())
             mean_err[eps] = np.mean(errs)
         assert mean_err[0.5] > mean_err[0.2] > mean_err[0.1]
@@ -388,7 +388,7 @@ class TestScoreOrdering:
         for n in (5, 7):
             g = path_graph(n)
             h = hierarchy_for(g)
-            cf = cf_closeness_exact(g, h, range(n)).vector(range(n))
+            cf = cf_closeness_exact(h, range(n)).vector(range(n))
             sp = sp_closeness(g, range(n)).vector(range(n))
             assert cf.argmax() == n // 2
             assert sp.argmax() == n // 2
@@ -397,9 +397,9 @@ class TestScoreOrdering:
         g = random_connected_graph(20, rng)
         h = hierarchy_for(g)
         tables = [
-            cf_closeness_exact(g, h, [0, 1]),
-            cf_closeness_sampling(g, h, [0, 1], k=5, seed=0),
-            cf_closeness_projection(g, h, [0, 1], epsilon=0.5, seed=0),
+            cf_closeness_exact(h, [0, 1]),
+            cf_closeness_sampling(h, [0, 1], k=5, seed=0),
+            cf_closeness_projection(h, [0, 1], epsilon=0.5, seed=0),
             sp_closeness(g, [0, 1]),
             degree_asymptotic(g, [0, 1]),
         ]
@@ -415,9 +415,9 @@ class TestScoreOrdering:
         g = random_connected_graph(80, rng)
         h = hierarchy_for(g, tau=1e-7)
         tables = [
-            cf_closeness_exact(g, h, [0, 1]),
-            cf_closeness_sampling(g, h, [0, 1], k=5, seed=0),
-            cf_closeness_projection(g, h, [0, 1], epsilon=0.5, seed=0),
+            cf_closeness_exact(h, [0, 1]),
+            cf_closeness_sampling(h, [0, 1], k=5, seed=0),
+            cf_closeness_projection(h, [0, 1], epsilon=0.5, seed=0),
         ]
         assert [t.params["tau"] for t in tables] == [1e-7] * 3
         assert 0 < h.stats.max_residual <= 1e-7

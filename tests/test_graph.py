@@ -1,5 +1,6 @@
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from cfcent import (
     DomainError,
     EdgeListParseError,
     Graph,
-    incidence_and_weights,
     insert_noise_edges,
     laplacian,
     largest_connected_component,
     load_edge_list,
 )
-from cfcent.generators import complete_graph, path_graph
+from cfcent.generators import barabasi_albert_graph, complete_graph, path_graph
 
 from conftest import random_connected_graph
 
@@ -284,37 +284,6 @@ class TestLaplacian:
             assert np.abs(lap @ np.ones(g.n)).max() <= bound
 
 
-class TestIncidence:
-    def test_p2(self):
-        b, w = incidence_and_weights(path_graph(2))
-        assert b.toarray() == pytest.approx(np.array([[1.0, -1.0]]))
-        assert w == pytest.approx([1.0])
-
-    def test_btwb_equals_laplacian(self, rng):
-        import scipy.sparse as sp
-
-        for g in [complete_graph(3), random_connected_graph(20, rng, weighted=True)]:
-            b, w = incidence_and_weights(g)
-            recon = (b.T @ sp.diags(w) @ b).toarray()
-            assert recon == pytest.approx(laplacian(g).toarray(), abs=1e-12)
-
-    def test_weighted_p3_row_sums(self):
-        g = Graph.from_edges([0, 1], [1, 2], [2.0, 3.0])
-        b, w = incidence_and_weights(g)
-        import scipy.sparse as sp
-
-        lap = (b.T @ sp.diags(w) @ b).toarray()
-        assert np.abs(lap.sum(axis=1)).max() < 1e-12
-
-    def test_orientation_smaller_id_positive(self, rng):
-        g = random_connected_graph(12, rng)
-        b, _ = incidence_and_weights(g)
-        eu, ev, _ = g.edge_array()
-        dense = b.toarray()
-        for row, (u, v) in enumerate(zip(eu, ev)):
-            assert dense[row, u] == 1.0 and dense[row, v] == -1.0
-
-
 class TestInsertNoiseEdges:
     def test_ceiling_rule_on_p3(self):
         g = path_graph(3)
@@ -348,3 +317,15 @@ class TestInsertNoiseEdges:
             insert_noise_edges(g, 0.0, anchors=[0], seed=0)
         with pytest.raises(DomainError):
             insert_noise_edges(g, 0.6, anchors=[0], seed=0)
+
+    def test_memory_scales_with_the_new_edges(self):
+        # Duplicates of existing edges are found in the adjacency rows, so
+        # nothing of the size of a Python set of every edge is built.
+        g = barabasi_albert_graph(20000, 5, seed=0)
+        tracemalloc.start()
+        try:
+            insert_noise_edges(g, 0.01, anchors=range(0, g.n, 7), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * g.m

@@ -37,7 +37,26 @@ def test_only_setup_takes_tau_or_seed():
         "cfcent.centrality.pivot_set": {"seed"},
         "cfcent.centrality.cf_closeness_sampling": {"seed"},
         "cfcent.centrality.cf_closeness_projection": {"seed"},
+        "cfcent.centrality.score": {"seed"},
     }
+
+
+def test_current_flow_estimators_read_only_the_hierarchy():
+    # The hierarchy's finest level is the Laplacian the estimators solve;
+    # a separate graph argument could describe a different one.
+    names = [
+        "cfcent.resistance.build_sketch",
+        "cfcent.centrality.cf_closeness_exact",
+        "cfcent.centrality.cf_closeness_sampling",
+        "cfcent.centrality.cf_closeness_projection",
+    ]
+    params = {}
+    for name in names:
+        module_name, _, attr = name.rpartition(".")
+        fn = getattr(importlib.import_module(module_name), attr)
+        params[name] = list(inspect.signature(fn).parameters)
+    assert {name: p[0] for name, p in params.items()} == dict.fromkeys(names, "hierarchy")
+    assert [name for name, p in params.items() if "g" in p] == []
 
 
 def test_setup_keyword_settings_are_tau_and_seed():
@@ -58,6 +77,7 @@ def test_threads_is_keyword_only_on_every_solve_path():
         "cfcent.centrality.cf_closeness_exact",
         "cfcent.centrality.cf_closeness_sampling",
         "cfcent.centrality.cf_closeness_projection",
+        "cfcent.centrality.score",
     ]
     kinds = {}
     for name in names:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cfcent import (
     DomainError,
@@ -19,7 +20,6 @@ from cfcent import (
 from cfcent import resistance as resistance_module
 from cfcent import solver as solver_module
 from cfcent.generators import complete_graph, grid_graph, path_graph
-from cfcent.graph import incidence_and_weights
 from cfcent.resistance import (
     node_solution_chunks,
     resistance_sums,
@@ -254,7 +254,7 @@ class TestSketch:
         h = hierarchy_for(g)
         hits = 0
         for seed in range(10):
-            sk = build_sketch(g, h, epsilon=0.5, seed=seed)
+            sk = build_sketch(h, epsilon=0.5, seed=seed)
             assert sk.k == 3
             if 0.5 <= sketch_distance(sk, 0, 1) <= 1.5:
                 hits += 1
@@ -263,17 +263,17 @@ class TestSketch:
     def test_deterministic_for_fixed_seed(self, rng):
         g = random_connected_graph(40, rng)
         h = hierarchy_for(g)
-        a = build_sketch(g, h, epsilon=0.4, seed=11)
-        b = build_sketch(g, h, epsilon=0.4, seed=11)
+        a = build_sketch(h, epsilon=0.4, seed=11)
+        b = build_sketch(h, epsilon=0.4, seed=11)
         assert np.array_equal(a.z, b.z)
-        c = build_sketch(g, h, epsilon=0.4, seed=12)
+        c = build_sketch(h, epsilon=0.4, seed=12)
         assert not np.array_equal(a.z, c.z)
 
     def test_rhs_rows_sum_to_zero(self, rng):
         # signed combinations of incidence rows are balanced by construction
         g = random_connected_graph(30, rng, weighted=True)
         h = hierarchy_for(g)
-        sk = build_sketch(g, h, epsilon=0.5, seed=0)
+        sk = build_sketch(h, epsilon=0.5, seed=0)
         # solved rows stay mean-centered
         assert np.abs(sk.z.mean(axis=1)).max() < 1e-10
 
@@ -282,19 +282,19 @@ class TestSketch:
         h = hierarchy_for(g)
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(DomainError):
-                build_sketch(g, h, epsilon=bad, seed=0)
+                build_sketch(h, epsilon=bad, seed=0)
 
     def test_distance_symmetry_and_self(self, rng):
         g = random_connected_graph(25, rng)
         h = hierarchy_for(g)
-        sk = build_sketch(g, h, epsilon=0.5, seed=4)
+        sk = build_sketch(h, epsilon=0.5, seed=4)
         assert sketch_distance(sk, 3, 3) == 0.0
         assert sketch_distance(sk, 2, 9) == sketch_distance(sk, 9, 2)
 
     def test_distance_sums_match_pairwise(self, rng):
         g = random_connected_graph(30, rng)
         h = hierarchy_for(g)
-        sk = build_sketch(g, h, epsilon=0.5, seed=4)
+        sk = build_sketch(h, epsilon=0.5, seed=4)
         sums = sketch_distance_sums(sk, [5, 17])
         for node, total in zip([5, 17], sums):
             direct = sum(sketch_distance(sk, node, w) for w in range(g.n))
@@ -303,7 +303,7 @@ class TestSketch:
     @pytest.mark.parametrize("nodes", [None, "all", [17, 0, 5, 17]], ids=["none", "all", "subset"])
     def test_distance_sums_match_pairwise_brute_force(self, rng, nodes):
         g = random_connected_graph(40, rng)
-        sk = build_sketch(g, hierarchy_for(g), epsilon=0.5, seed=7)
+        sk = build_sketch(hierarchy_for(g), epsilon=0.5, seed=7)
         diff = sk.z[:, :, None] - sk.z[:, None, :]
         brute = np.einsum("kvw,kvw->v", diff, diff)
         idx = np.arange(g.n) if nodes in (None, "all") else np.asarray(nodes)
@@ -312,7 +312,7 @@ class TestSketch:
 
     def test_distance_sums_for_all_nodes_do_not_copy_the_sketch(self, rng):
         g = grid_graph(20)
-        sk = build_sketch(g, hierarchy_for(g), epsilon=0.2, seed=0)
+        sk = build_sketch(hierarchy_for(g), epsilon=0.2, seed=0)
         assert sk.k >= 100  # so a k x n copy would dwarf the n-vectors
         tracemalloc.start()
         try:
@@ -336,7 +336,7 @@ class TestSketch:
         eps = 0.5
         ratios = []
         for seed in range(3):
-            sk = build_sketch(g, h, epsilon=eps, seed=seed)
+            sk = build_sketch(h, epsilon=eps, seed=seed)
             pairs = [(int(a), int(b)) for a, b in rng.integers(0, g.n, (300, 2)) if a != b]
             for a, b in pairs:
                 ratios.append(sketch_distance(sk, a, b) / oracle[a, b])
@@ -364,7 +364,7 @@ class TestSketch:
             monkeypatch.setattr(resistance_module, "solve_many", spy)
             tracemalloc.start()
             try:
-                sk = build_sketch(g, h, epsilon=0.2, seed=0, threads=threads)
+                sk = build_sketch(h, epsilon=0.2, seed=0, threads=threads)
             finally:
                 tracemalloc.stop()
             assert len(calls) == -(-sk.k // (64 * threads)) > 1
@@ -379,13 +379,17 @@ class TestSketch:
         epsilon, seed = 0.2, 5
         k = sketch_dimension(g.n, epsilon)
         assert k > 2 * 64  # several blocks, and a partial last one
-        b_inc, weights = incidence_and_weights(g)
-        scaled_t = b_inc.multiply(np.sqrt(weights)[:, None]).T.tocsr()
+        eu, ev, ew = g.edge_array()
+        edges = np.arange(g.m)
+        scaled_t = sp.csr_matrix(
+            (np.r_[np.sqrt(ew), -np.sqrt(ew)], (np.r_[eu, ev], np.r_[edges, edges])),
+            shape=(g.n, g.m),
+        )
         signs = np.random.default_rng(seed).integers(0, 2, size=(k, g.m))
         q = (signs.astype(np.float64) * 2.0 - 1.0) * (1.0 / math.sqrt(k))
         rhs = np.ascontiguousarray((scaled_t @ q.T).T)
         rhs -= rhs.mean(axis=1, keepdims=True)
         reference, _ = solve_many(h, rhs)
         for threads in (1, 2, 4):
-            sk = build_sketch(g, h, epsilon=epsilon, seed=seed, threads=threads)
+            sk = build_sketch(h, epsilon=epsilon, seed=seed, threads=threads)
             assert np.array_equal(sk.z, reference)
