@@ -27,6 +27,14 @@ relative residual at most ``tau`` for every column, or
 :class:`ConvergenceError` when even the safety net misses it (as it does
 on some graphs whose edge weights span many orders of magnitude).
 
+The V-cycle is only a preconditioner, so it runs in float32 from the
+reduced system down: smoothing, residuals, transfers, line searches, the
+elimination levels below the reduced system and the coarsest solve, on
+data ``setup`` stores in float32 once.  The flexible conjugate gradient
+routine, the leading elimination levels, the level matrices, the
+recomputed finest residual, the safety net and the ``tau`` check stay in
+float64, so the contract is unchanged.
+
 Singularity of the Laplacian is handled by mean-centering supplies and
 iterates; the coarsest level keeps its dense pseudoinverse
 ``L+ = (L + J/n)^-1 - J/n``, so a coarsest solve is one dense product.
@@ -83,7 +91,8 @@ class LevelKind(Enum):
 @dataclass(frozen=True)
 class ColorClass:
     """One Gauss-Seidel color class: pairwise non-adjacent nodes, their
-    rows of the level matrix, and their inverse diagonal as a column."""
+    rows of the level matrix, and their inverse diagonal as a column;
+    float32 once ``setup`` returns."""
 
     nodes: np.ndarray
     rows: sp.csr_matrix
@@ -92,10 +101,16 @@ class ColorClass:
 
 @dataclass
 class Level:
-    """One hierarchy level: its Laplacian plus transfer data to the next."""
+    """One hierarchy level: its Laplacian plus transfer data to the next.
+
+    ``matrix32`` is ``matrix`` in float32, sharing its index arrays, on
+    the levels whose matrix the V-cycle multiplies; what else only the
+    cycle reads is float32 too (:func:`_store_cycle_data_in_single`).
+    """
 
     kind: LevelKind
     matrix: sp.csr_matrix
+    matrix32: sp.csr_matrix | None = None
     # elimination transfer
     f_nodes: np.ndarray | None = None
     c_nodes: np.ndarray | None = None
@@ -153,44 +168,73 @@ class MultigridHierarchy:
         return [lvl.size for lvl in self.levels]
 
     def describe(self) -> list[dict]:
-        """One entry per level, finest first: kind, size, matrix nonzeros
-        and number of smoother color classes (0 off aggregation levels)."""
+        """One entry per level, finest first: kind, size, matrix nonzeros,
+        number of smoother color classes (0 off aggregation levels) and
+        the bytes of every array the level keeps, shared ones once."""
         return [
             {
                 "kind": lvl.kind.value,
                 "size": lvl.size,
                 "nnz": int(lvl.matrix.nnz),
                 "colors": len(lvl.colors),
+                "bytes": _level_bytes(lvl),
             }
             for lvl in self.levels
         ]
+
+
+def _level_bytes(level: Level) -> int:
+    """Bytes of the arrays ``level`` keeps; an array that several of its
+    matrices share (``matrix32``'s index arrays) counts once."""
+    matrices = [level.matrix, level.matrix32, level.w_cf, level.p]
+    matrices += [cls.rows for cls in level.colors]
+    arrays = [level.f_nodes, level.c_nodes, level.f_degree, level.pinv]
+    arrays += [a for cls in level.colors for a in (cls.nodes, cls.dinv)]
+    arrays += [
+        a for m in matrices if m is not None for a in (m.data, m.indices, m.indptr)
+    ]
+    buffers = {(a.ctypes.data, a.nbytes) for a in arrays if a is not None}
+    return sum(nbytes for _, nbytes in buffers)
 
 
 def _max_abs(matrix: sp.spmatrix) -> float:
     return float(np.abs(matrix.data).max()) if matrix.nnz else 0.0
 
 
-def _rebuild_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
+def _rebuild_laplacian(
+    matrix: sp.spmatrix, transpose: sp.csr_matrix | None = None
+) -> sp.csr_matrix:
     """Symmetrize and restore exact zero row sums after sparse products.
 
     Off-diagonal entries that turned nonnegative through roundoff are
     dropped; the diagonal is rebuilt as minus the off-diagonal row sum,
-    so every level is a Laplacian by construction.
+    so every level is a Laplacian by construction.  ``transpose`` is
+    ``matrix.T`` as CSR, for a caller that already has it.  The rows come
+    out sorted with the diagonal in place, built from the CSR arrays
+    directly.
     """
     matrix = matrix.tocsr()
-    matrix = (matrix + matrix.T) * 0.5
-    coo = matrix.tocoo()
-    off = (coo.row != coo.col) & (coo.data < 0)
-    r, c, v = coo.row[off], coo.col[off], coo.data[off]
-    n = matrix.shape[0]
-    diag = np.zeros(n)
-    np.add.at(diag, r, -v)
-    idx = np.arange(n)
-    lap = sp.csr_matrix(
-        (np.r_[v, diag], (np.r_[r, idx], np.r_[c, idx])), shape=(n, n)
-    )
-    lap.sort_indices()
-    return lap
+    sym = (matrix + (matrix.T if transpose is None else transpose)) * 0.5
+    n = sym.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(sym.indptr))
+    keep = (sym.indices != rows) & (sym.data < 0)
+    # Summed in storage order, before any sorting, so the diagonal keeps
+    # its bits whatever order the product left the rows in.
+    diag = np.bincount(rows[keep], weights=-sym.data[keep], minlength=n)
+    if not sym.has_sorted_indices:
+        sym.sort_indices()
+        keep = (sym.indices != rows) & (sym.data < 0)
+    r, c, v = rows[keep], sym.indices[keep], sym.data[keep]
+    indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=n) + 1)]
+    # A kept entry moves up by one slot per diagonal entry stored before
+    # it: one per earlier row, plus its own row's when it lies right of it.
+    at = np.arange(r.size) + r + (c > r)
+    at_diag = indptr[:-1] + np.bincount(r[c < r], minlength=n)
+    indices = np.empty(indptr[-1], dtype=sym.indices.dtype)
+    data = np.empty(indptr[-1])
+    indices[at], data[at] = c, v
+    indices[at_diag], data[at_diag] = np.arange(n), diag
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -200,21 +244,23 @@ def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     n = matrix.shape[0]
     scale = _max_abs(matrix)
     tol = 1e-12 * n * max(scale, 1.0)
-    asym = abs(matrix - matrix.T)
-    if asym.nnz and asym.data.max() > tol:
+    # One transpose serves the symmetry check and the rebuild.
+    transpose = matrix.T.tocsr()
+    asym = matrix - transpose
+    if asym.nnz and np.abs(asym.data).max() > tol:
         raise DomainError("matrix is not symmetric")
     rowsums = np.asarray(matrix.sum(axis=1)).ravel()
     if np.abs(rowsums).max(initial=0.0) > tol:
         raise DomainError("row sums are not zero; not a Laplacian")
-    coo = matrix.tocoo()
-    off = coo.row != coo.col
-    if off.any() and coo.data[off].max() > tol:
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    off = matrix.indices != rows
+    if off.any() and matrix.data[off].max() > tol:
         raise DomainError("positive off-diagonal entry; not a Laplacian")
     if n > 1:
         ncomp, _ = connected_components(matrix, directed=False)
         if ncomp > 1:
             raise DomainError("Laplacian graph is not connected")
-    return _rebuild_laplacian(matrix)
+    return _rebuild_laplacian(matrix, transpose)
 
 
 def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | None]:
@@ -506,6 +552,52 @@ def _smoother_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:
     )
 
 
+def _single(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix`` with float32 values, sharing its index arrays."""
+    return sp.csr_matrix(
+        (matrix.data.astype(np.float32), matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+
+
+def _top(levels: Sequence[Level]) -> int:
+    """The first level that is not an elimination level: a solve's
+    reduced system, and the level its V-cycles start from."""
+    return next(j for j, lvl in enumerate(levels) if lvl.kind is not LevelKind.ELIMINATION)
+
+
+def _store_cycle_data_in_single(levels: list[Level]) -> None:
+    """Replace what only the V-cycle reads by its float32 values.
+
+    The cycle is the preconditioner of a float64 flexible CG, which
+    accepts an inexact, varying preconditioner (Notay 2000), so it runs
+    from ``levels[top]`` down in single precision: the classes and ``p``
+    of every aggregation level, the transfers of the elimination levels
+    below ``top``, the coarsest pseudoinverse unless the coarsest level
+    is ``top`` (a solve then applies it once, exactly), and ``matrix32``
+    on the levels the cycle multiplies.  ``matrix`` stays float64
+    everywhere, as do the leading elimination levels, which a solve
+    restricts and back-substitutes through exactly.
+    """
+    top = _top(levels)
+    for j in range(top, len(levels)):
+        level = levels[j]
+        if level.kind is LevelKind.AGGREGATION:
+            level.p = _single(level.p)
+            level.colors = tuple(
+                ColorClass(cls.nodes, _single(cls.rows), cls.dinv.astype(np.float32))
+                for cls in level.colors
+            )
+            # The residual and, on the next level, the line search.
+            for lvl in (level, levels[j + 1]):
+                if lvl.matrix32 is None:
+                    lvl.matrix32 = _single(lvl.matrix)
+        elif level.kind is LevelKind.ELIMINATION:
+            level.w_cf = _single(level.w_cf)
+            level.f_degree = level.f_degree.astype(np.float32)
+        elif j > top:
+            level.pinv = level.pinv.astype(np.float32)
+
+
 def _pseudoinverse(matrix: sp.csr_matrix) -> np.ndarray:
     """Dense ``L+ = (L + J/n)^-1 - J/n`` of a connected-graph Laplacian:
     adding the all-ones ``J/n`` lifts the null space to eigenvalue 1."""
@@ -561,6 +653,7 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
     )
     sizes = [lvl.size for lvl in levels]
     assert all(a > b for a, b in zip(sizes, sizes[1:])), sizes
+    _store_cycle_data_in_single(levels)
     return MultigridHierarchy(levels=levels, tau=tau)
 
 
@@ -568,7 +661,8 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray) -> np.ndarray:
     """One V-cycle for ``L x = b`` starting from zero, on level ``j``.
 
     ``b`` is only read.  Each level holds its iterate and, while the
-    coarser levels run, nothing else of its own size.
+    coarser levels run, nothing else of its own size.  A solve passes a
+    float32 ``b``, the precision of the cycle's level data.
     """
     level = levels[j]
     if level.kind is LevelKind.COARSEST:
@@ -581,14 +675,13 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray) -> np.ndarray:
         del bc
         return _eliminate_interpolate(level, xc, scaled)
 
-    matrix = level.matrix
     # Pre-smoothing sweeps the classes forward from a zero initial guess,
     # post-smoothing sweeps them in reverse.
     nu1, nu2 = SMOOTHING_STEPS
     x = np.zeros_like(b)
     for _ in range(nu1):
         _sweep(level.colors, x, b)
-    residual = matrix @ x
+    residual = level.matrix32 @ x
     np.subtract(b, residual, out=residual)
     rc = level.p.T @ residual
     del residual
@@ -598,7 +691,7 @@ def _cycle(levels: list[Level], j: int, b: np.ndarray) -> np.ndarray:
     # taken on the coarse level: <r, d> = <P^T r, xc> and
     # <d, L d> = <xc, P^T L P xc>, whose operator is the next level's.
     num = np.einsum("ij,ij->j", rc, xc)
-    den = np.einsum("ij,ij->j", xc, levels[j + 1].matrix @ xc)
+    den = np.einsum("ij,ij->j", xc, levels[j + 1].matrix32 @ xc)
     del rc
     alpha = np.divide(num, den, out=np.ones_like(num), where=den > 0)
     xc *= alpha
@@ -625,8 +718,9 @@ def _eliminate_restrict(level: Level, b: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _eliminate_interpolate(level: Level, xc: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     """Back-substitute ``x_f = D_f^-1 (b_f + W_cf^T x_c)`` under the reduced
-    solution ``xc``, given ``scaled = D_f^-1 b_f``; returns the level's ``x``."""
-    x = np.empty((level.size, xc.shape[1]))
+    solution ``xc``, given ``scaled = D_f^-1 b_f``; returns the level's ``x``,
+    in ``xc``'s precision."""
+    x = np.empty((level.size, xc.shape[1]), dtype=xc.dtype)
     x[level.c_nodes] = xc
     xf = level.w_cf.T @ xc
     xf /= level.f_degree[:, None]
@@ -788,7 +882,7 @@ def _solve_block(
         # to the reduced system of level ``top``.  ``take`` on the
         # transposed rows gathers a C-ordered block, so sparse products
         # on it need no relayout copy.
-        top = next(j for j, lvl in enumerate(levels) if lvl.kind is not LevelKind.ELIMINATION)
+        top = _top(levels)
         ra = rows.T.take(active, axis=1)
         ra -= ra.mean(axis=0, keepdims=True)
         scaled = []  # D_f^-1 b_f per elimination level, for back-substitution
@@ -807,7 +901,7 @@ def _solve_block(
         def v_cycle(r: np.ndarray) -> np.ndarray:
             nonlocal cycles
             cycles += r.shape[1]
-            return _cycle(levels, top, r)
+            return _cycle(levels, top, r.astype(np.float32)).astype(np.float64)
 
         iteration = _fcg(
             reduced.matrix, xa, ra, bnorm[active], stop_tau, MAX_CYCLES, v_cycle

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cfcent import ConvergenceError, DomainError, laplacian, setup, solve_many
+from cfcent import ConvergenceError, DomainError, Graph, laplacian, setup, solve_many
 from cfcent.generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -107,6 +107,9 @@ class TestSetup:
         kinds = [lvl.kind for lvl in h.levels]
         assert kinds[-1] is LevelKind.COARSEST
         assert set(kinds[:-1]) == {LevelKind.ELIMINATION}
+        # The coarsest level is the reduced system, applied once: it keeps
+        # its float64 pseudoinverse.
+        assert h.levels[-1].pinv.dtype == np.float64
         supplies = rng.standard_normal((64, 5000))
         supplies -= supplies.mean(axis=1, keepdims=True)
         _, res = solve_many(h, supplies)
@@ -154,6 +157,49 @@ class TestSetup:
         lap = sp.block_diag([laplacian(g1), laplacian(g1)], format="csr")
         with pytest.raises(DomainError):
             setup(lap)
+
+
+def _rebuild_laplacian_reference(matrix):
+    """The rebuild through COO: symmetrize, keep the negative off-diagonal
+    entries, and sum them into the diagonal in storage order."""
+    matrix = matrix.tocsr()
+    coo = ((matrix + matrix.T) * 0.5).tocoo()
+    off = (coo.row != coo.col) & (coo.data < 0)
+    r, c, v = coo.row[off], coo.col[off], coo.data[off]
+    n = matrix.shape[0]
+    diag = np.zeros(n)
+    np.add.at(diag, r, -v)
+    idx = np.arange(n)
+    lap = sp.csr_matrix((np.r_[v, diag], (np.r_[r, idx], np.r_[c, idx])), shape=(n, n))
+    lap.sort_indices()
+    return lap
+
+
+class TestRebuildLaplacian:
+    def test_bitwise_equal_to_the_coo_reference(self, rng):
+        # Sparse products leave rows unsorted, and some entries cancel to
+        # explicit zeros or turn positive; the rebuild must match the
+        # reference bit for bit on all of them.
+        for trial in range(40):
+            n = int(rng.integers(1, 60))
+            a = sp.random(n, n, density=rng.uniform(0.02, 0.5), format="csr", random_state=trial)
+            a.data = -a.data
+            b = sp.random(n, n, density=0.2, format="csr", random_state=100 + trial)
+            product = a @ b - b.T @ a.T + a
+            product.data[rng.random(product.nnz) < 0.1] = 0.0
+            for matrix in (product, laplacian(random_connected_graph(n, rng, weighted=True))):
+                got = solver_module._rebuild_laplacian(matrix)
+                want = _rebuild_laplacian_reference(matrix)
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                    assert getattr(got, name).dtype == getattr(want, name).dtype
+
+    def test_validation_returns_the_reference_rebuild(self):
+        lap = laplacian(barabasi_albert_graph(500, 3, seed=0))
+        got = solver_module._validate_laplacian(lap)
+        want = _rebuild_laplacian_reference(lap)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestEliminate:
@@ -399,6 +445,8 @@ class TestColorClasses:
         assert [c.tolist() for c in classes] == [[0], list(range(1, 50))]
 
     def test_levels_store_their_classes(self):
+        # Only the V-cycle reads the classes once setup is done, so they
+        # hold the float32 casts of the level's rows and 1/diag, exactly.
         h = setup(laplacian(grid_graph(40)), seed=3)
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         for level in h.levels:
@@ -409,8 +457,13 @@ class TestColorClasses:
             assert len(level.colors) == len(expected)
             for cls, nodes in zip(level.colors, expected):
                 assert np.array_equal(cls.nodes, nodes)
-                assert (abs(cls.rows - level.matrix[nodes])).max() == 0
-                assert np.array_equal(cls.dinv[:, 0], 1.0 / level.matrix.diagonal()[nodes])
+                assert cls.rows.dtype == cls.dinv.dtype == np.float32
+                rows = level.matrix[nodes]
+                assert np.array_equal(cls.rows.indptr, rows.indptr)
+                assert np.array_equal(cls.rows.indices, rows.indices)
+                assert np.array_equal(cls.rows.data, rows.data.astype(np.float32))
+                dinv = 1.0 / level.matrix.diagonal()[nodes]
+                assert np.array_equal(cls.dinv[:, 0], dinv.astype(np.float32))
 
     def test_sweep_is_point_gauss_seidel_in_class_order(self, rng, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 10)
@@ -424,10 +477,13 @@ class TestColorClasses:
         swept = x0.copy()
         solver_module._sweep(level.colors, swept, b)
 
-        dense = level.matrix.toarray()
+        # The classes hold float32 rows and 1/diag (the V-cycle's
+        # precision); a float64 block is swept in float64 on those values.
+        dense = level.matrix.toarray().astype(np.float32).astype(np.float64)
+        dinv = (1.0 / level.matrix.diagonal()).astype(np.float32).astype(np.float64)
         expected = x0.copy()
         for i in np.concatenate([cls.nodes for cls in level.colors]):
-            expected[i] += (b[i] - dense[i] @ expected) / dense[i, i]
+            expected[i] += (b[i] - dense[i] @ expected) * dinv[i]
         assert swept == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -445,6 +501,32 @@ class TestDescribe:
                 assert row["colors"] == 0
         assert rows[-1]["kind"] == "coarsest"
         assert any(r["kind"] == "aggregation" for r in rows)
+
+    def test_bytes_sum_every_array_with_shared_indices_once(self):
+        # grid40 has every kind: a leading elimination level, an
+        # aggregation level, an elimination level below it and the
+        # coarsest level.
+        h = setup(laplacian(grid_graph(40)))
+        assert [lvl.kind for lvl in h.levels] == [
+            LevelKind.ELIMINATION, LevelKind.AGGREGATION, LevelKind.ELIMINATION, LevelKind.COARSEST
+        ]
+        for row, level in zip(h.describe(), h.levels):
+            matrices = [level.matrix, level.w_cf, level.p] + [c.rows for c in level.colors]
+            expected = sum(
+                a.nbytes for m in matrices if m is not None for a in (m.data, m.indices, m.indptr)
+            )
+            expected += sum(
+                a.nbytes
+                for a in [level.f_nodes, level.c_nodes, level.f_degree, level.pinv]
+                + [a for c in level.colors for a in (c.nodes, c.dinv)]
+                if a is not None
+            )
+            if level.matrix32 is not None:
+                # Its index arrays are the float64 matrix's own.
+                assert np.shares_memory(level.matrix32.indices, level.matrix.indices)
+                assert np.shares_memory(level.matrix32.indptr, level.matrix.indptr)
+                expected += level.matrix32.data.nbytes
+            assert row["bytes"] == expected > 0
 
 
 class TestSolve:
@@ -716,6 +798,111 @@ class TestSolveMany:
         for row, b in zip(x, supplies):
             recomputed = np.linalg.norm(b - lap @ row) / np.linalg.norm(b)
             assert recomputed <= 1e-5
+
+
+def _wide_weight_ba(span):
+    """``barabasi_albert_graph(2000, 3, seed=0)`` with weights 10^U(-span, span)."""
+    g = barabasi_albert_graph(2000, 3, seed=0)
+    us, vs, _ = g.edge_array()
+    weights = 10.0 ** np.random.default_rng(0).uniform(-span, span, us.size)
+    return Graph.from_edges(us, vs, weights, n=g.n)
+
+
+def _supplies(n, count):
+    supplies = np.random.default_rng(1).standard_normal((count, n))
+    supplies -= supplies.mean(axis=1, keepdims=True)
+    return supplies
+
+
+class TestSinglePrecisionCycle:
+    """The V-cycle runs in float32 inside the float64 flexible CG."""
+
+    def test_only_the_cycle_data_below_the_reduced_system_is_float32(self):
+        h = setup(laplacian(grid_graph(40)))
+        lead, agg, elim, coarsest = h.levels
+        assert all(lvl.matrix.dtype == np.float64 for lvl in h.levels)
+        # The leading elimination level is restricted and back-substituted
+        # exactly, in float64; the cycle never multiplies its matrix.
+        assert lead.w_cf.dtype == lead.f_degree.dtype == np.float64
+        assert lead.matrix32 is None
+        assert agg.p.dtype == np.float32
+        assert all(c.rows.dtype == c.dinv.dtype == np.float32 for c in agg.colors)
+        assert elim.w_cf.dtype == elim.f_degree.dtype == np.float32
+        assert coarsest.pinv.dtype == np.float32
+        # The residual on the aggregation level and the line search on the
+        # level below it are the cycle's only level products.
+        assert [lvl.matrix32 is not None for lvl in h.levels] == [False, True, True, False]
+        for lvl in (agg, elim):
+            assert lvl.matrix32.dtype == np.float32
+            assert np.array_equal(lvl.matrix32.data, lvl.matrix.data.astype(np.float32))
+
+    def test_cycles_take_and_return_float32_blocks(self, monkeypatch):
+        g = grid_graph(40)
+        h = setup(laplacian(g))
+        cycle = solver_module._cycle
+        dtypes = []
+
+        def spy(levels, j, b):
+            x = cycle(levels, j, b)
+            dtypes.append((b.dtype, x.dtype))
+            return x
+
+        monkeypatch.setattr(solver_module, "_cycle", spy)
+        x, res = solve_many(h, _supplies(g.n, 10))
+        assert dtypes and set(dtypes) == {(np.dtype(np.float32), np.dtype(np.float32))}
+        assert x.dtype == res.dtype == np.float64
+
+    # V-cycles per 64-column block (32 on grid40), read at the float64
+    # cycle; float32 leaves every count unchanged.
+    @pytest.mark.parametrize(
+        "graph, count, cycles",
+        [
+            pytest.param(lambda: grid_graph(40), 32, 256, id="grid40"),
+            pytest.param(lambda: grid_graph(60), 64, 640, id="grid60"),
+            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), 64, 192, id="ba4000"),
+            pytest.param(lambda: barabasi_albert_graph(1000, 3, seed=0), 64, 231, id="ba1000"),
+        ],
+    )
+    def test_cycles_per_column_and_the_residual_contract(self, graph, count, cycles):
+        g = graph()
+        h = setup(laplacian(g))
+        supplies = _supplies(g.n, count)
+        x, res = solve_many(h, supplies)
+        assert h.stats.cycles == cycles
+        assert h.stats.fallback_solves == 0
+        assert x.dtype == res.dtype == np.float64
+        # The contract is checked on a float64 residual of the finest matrix.
+        recomputed = np.linalg.norm(supplies.T - laplacian(g) @ x.T, axis=0)
+        recomputed /= np.linalg.norm(supplies, axis=1)
+        assert recomputed.max() <= h.tau
+        assert recomputed == pytest.approx(res, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "span, per_column, net", [(2, 16.83, 0), (4, 84.56, 1)], ids=["1e2", "1e4"]
+    )
+    def test_wide_weights_take_the_same_cycles(self, span, per_column, net):
+        g = _wide_weight_ba(span)
+        h = setup(laplacian(g))
+        _, res = solve_many(h, _supplies(g.n, 64))
+        assert h.stats.cycles / 64 == pytest.approx(per_column, abs=0.005)
+        assert h.stats.fallback_solves == net
+        assert res.max() <= h.tau
+
+    def test_the_hierarchy_does_not_grow(self):
+        # Each float32 array replaces a float64 one of the same length,
+        # and matrix32 adds 4 bytes per nonzero, its index arrays being
+        # the matrix's own; the class rows save 4 bytes per nonzero.
+        h = setup(laplacian(barabasi_albert_graph(4000, 5, seed=0)))
+        assert h.levels[0].kind is LevelKind.AGGREGATION
+        total = sum(row["bytes"] for row in h.describe())
+        as_float64 = total
+        for lvl in h.levels:
+            singles = [lvl.f_degree, lvl.pinv] + [c.dinv for c in lvl.colors]
+            singles += [m.data for m in [lvl.w_cf, lvl.p] + [c.rows for c in lvl.colors] if m is not None]
+            as_float64 += sum(a.nbytes for a in singles if a is not None and a.dtype == np.float32)
+            if lvl.matrix32 is not None:
+                as_float64 -= lvl.matrix32.data.nbytes
+        assert total < as_float64
 
 
 class TestFallback:
