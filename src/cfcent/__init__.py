@@ -36,11 +36,8 @@ from .graph import (
     load_edge_list,
 )
 from .resistance import (
-    ResistanceSketch,
     build_sketch,
     effective_resistance,
-    resistances_from_node,
-    sketch_distance,
 )
 from .solver import (
     MultigridHierarchy,
@@ -60,7 +57,6 @@ __all__ = [
     "Measure",
     "MultigridHierarchy",
     "RankComparison",
-    "ResistanceSketch",
     "ScoreTable",
     "UndefinedMetricError",
     "UndefinedScoreError",
@@ -80,9 +76,7 @@ __all__ = [
     "noise_resilience",
     "rank_inversions",
     "relative_std_dev",
-    "resistances_from_node",
     "setup",
-    "sketch_distance",
     "solve_many",
     "sp_closeness",
     "spearman",

@@ -283,6 +283,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise CfcentError(f"--seed must be >= 0, got {args.seed}")
         if not args.tau > 0:
             raise CfcentError(f"--tau must be positive, got {args.tau}")
+        if not 0 < args.epsilon <= 1:
+            raise CfcentError(f"--epsilon must be in (0, 1], got {args.epsilon}")
+        if args.pivots < 1:
+            raise CfcentError(f"--pivots must be >= 1, got {args.pivots}")
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
                 return COMMANDS[args.command](args, out)

@@ -8,14 +8,14 @@ solutions; :func:`resistance_sums` is the one place that applies this
 rule, summing the resistances from each target to a set of sources.
 The sketched route projects the edge-space embedding whose pairwise
 squared distances are the resistances onto a random low-dimensional
-subspace, at the cost of one solve per sketch row.  Every route reads
+subspace, at the cost of one solve per sketch row; :func:`_sketch_chunks`
+streams the solved rows, and :func:`build_sketch` stacks them.  Every route reads
 the graph from the hierarchy alone: its finest level is the Laplacian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,15 +25,13 @@ from .errors import DomainError
 from .solver import BLOCK_COLUMNS, MultigridHierarchy, solve_many
 
 __all__ = [
-    "ResistanceSketch",
     "effective_resistance",
-    "resistances_from_node",
     "node_solution_chunks",
     "resistance_sums",
     "build_sketch",
-    "sketch_distance",
-    "sketch_distance_sums",
 ]
+
+SIGN_ROWS = 8  # sketch rows drawn and pushed per step, so the dense signs take O(8 m)
 
 
 def effective_resistance(hierarchy: MultigridHierarchy, u: int, v: int) -> float:
@@ -134,73 +132,36 @@ def resistance_sums(
     return sums[np.searchsorted(union, targets)]
 
 
-def resistances_from_node(
-    hierarchy: MultigridHierarchy,
-    v: int,
-    targets: Sequence[int],
-    *,
-    threads: int = 1,
-) -> np.ndarray:
-    """Effective resistances from ``v`` to every target node.
-
-    :func:`resistance_sums` with the one source ``v``: each distinct node
-    is solved once, so memory is ``O(BLOCK_COLUMNS * threads * n)`` for
-    any number of targets.  Agrees with the pairwise route to within the
-    solver tolerance.
-    """
-    return resistance_sums(hierarchy, targets, [v], threads=threads)
-
-
-@dataclass(frozen=True)
-class ResistanceSketch:
-    """Random projection whose column distances approximate resistances.
-
-    ``z`` is read-only and has one mean-centered row per projection
-    direction; the squared Euclidean distance between columns u and v
-    estimates the effective resistance d(u, v).
-    """
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[1]
-
-
 def sketch_dimension(n: int, epsilon: float) -> int:
     """Number of projection rows: ``ceil(ln(n) / epsilon^2)``, at least 1."""
     return max(1, math.ceil(math.log(n) / epsilon**2))
 
 
-def build_sketch(
+def _sketch_chunks(
     hierarchy: MultigridHierarchy,
     epsilon: float,
     seed: int,
-    *,
-    threads: int = 1,
-) -> ResistanceSketch:
-    """Project the resistance embedding onto ``k`` random directions.
+    threads: int,
+) -> Iterator[np.ndarray]:
+    """Stream the rows of the resistance sketch, solved, in node space.
 
-    Each projection row uses i.i.d. +-1/sqrt(k) signs, is pushed through
-    the weighted incidence matrix ``B^T W^(1/2)`` by sparse
-    multiplication, and is then solved against the Laplacian.  The
-    incidence is read off the hierarchy's finest Laplacian ``L = B^T W B``:
-    edge ``e = (u, v)``, ``u < v``, in ``(u, v)`` order, is column ``e``
-    with ``+sqrt(-L_uv)`` at ``u`` and ``-sqrt(-L_uv)`` at ``v``.
-    Deterministic for a fixed seed.
+    Projects the resistance embedding onto ``k = sketch_dimension(n,
+    epsilon)`` random directions: each row uses i.i.d. +-1/sqrt(k) signs,
+    is pushed through the weighted incidence matrix ``B^T W^(1/2)`` by
+    sparse multiplication, and is then solved against the Laplacian, so
+    the squared distance between columns u and v of the ``k x n`` sketch
+    estimates the effective resistance R(u, v).  The incidence is read
+    off the hierarchy's finest Laplacian ``L = B^T W B``: edge
+    ``e = (u, v)``, ``u < v``, in ``(u, v)`` order, is column ``e`` with
+    ``+sqrt(-L_uv)`` at ``u`` and ``-sqrt(-L_uv)`` at ``v``.
 
-    Signs are drawn ``BLOCK_COLUMNS`` rows at a time, which leaves the
-    random stream as one draw of all k rows would make it, and rows are
-    pushed and solved in chunks of ``BLOCK_COLUMNS * threads`` that start
-    on block boundaries, so ``z`` is independent of ``threads``.  Besides
-    ``z``, memory is ``O(BLOCK_COLUMNS * threads * (n + m))``.
+    ``epsilon`` is checked on the call, before anything is drawn.  The
+    returned iterator yields the solved, mean-centered rows in order, in
+    chunks of ``BLOCK_COLUMNS * threads`` that start on block boundaries,
+    and holds no chunk after yielding it.  Signs are drawn ``SIGN_ROWS``
+    rows at a time, which leaves the random stream as one draw of all k
+    rows would make it, so every value is independent of ``threads``.
+    Memory is ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.
     """
     if not 0 < epsilon <= 1:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -219,65 +180,54 @@ def build_sketch(
 
     rng = np.random.default_rng(seed)
     inv_sqrt_k = 1.0 / math.sqrt(k)
-    z = np.empty((k, n))
     width = BLOCK_COLUMNS * max(1, threads)
-    for start in range(0, k, width):
-        # The chunk's right-hand sides are staged in the rows of ``z`` that
-        # their solutions then overwrite.
-        rhs = z[start : start + width]
-        for lo in range(0, rhs.shape[0], BLOCK_COLUMNS):
-            hi = min(lo + BLOCK_COLUMNS, rhs.shape[0])
-            # Transposed on conversion, so the sparse product reads a
-            # C-ordered m x rows block without a relayout copy.
-            q_block = rng.integers(0, 2, size=(hi - lo, m)).T.astype(np.float64, order="C")
-            q_block *= 2.0
-            q_block -= 1.0
-            q_block *= inv_sqrt_k
-            rhs[lo:hi] = (scaled_t @ q_block).T
-            del q_block  # the dense m-wide signs are dead once pushed to node space
 
-        # Each row is a signed combination of incidence rows, so it must sum
-        # to zero already; re-centering only removes accumulated roundoff.
-        row_sums = rhs.sum(axis=1)
-        scale = np.abs(rhs).sum(axis=1) + 1.0
-        assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
-        rhs -= rhs.mean(axis=1, keepdims=True)
+    def chunks() -> Iterator[np.ndarray]:
+        for start in range(0, k, width):
+            rhs = np.empty((min(width, k - start), n))
+            for lo in range(0, rhs.shape[0], SIGN_ROWS):
+                hi = min(lo + SIGN_ROWS, rhs.shape[0])
+                # Transposed on conversion, so the sparse product reads a
+                # C-ordered m x rows block without a relayout copy.
+                q_block = rng.integers(0, 2, size=(hi - lo, m)).T.astype(np.float64, order="C")
+                q_block *= 2.0
+                q_block -= 1.0
+                q_block *= inv_sqrt_k
+                rhs[lo:hi] = (scaled_t @ q_block).T
+                del q_block  # the dense m-wide signs are dead once pushed to node space
 
-        x, _ = solve_many(hierarchy, rhs, threads=threads)
-        rhs[...] = x
-        del x
-    return ResistanceSketch(z)
+            # Each row is a signed combination of incidence rows, so it must
+            # sum to zero already; re-centering only removes accumulated roundoff.
+            row_sums = rhs.sum(axis=1)
+            scale = np.abs(rhs).sum(axis=1) + 1.0
+            assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
+            rhs -= rhs.mean(axis=1, keepdims=True)
 
+            z, _ = solve_many(hierarchy, rhs, threads=threads)
+            del rhs
+            yield z
+            del z  # hold no chunk while the next one is drawn and solved
 
-def sketch_distance(sketch: ResistanceSketch, u: int, v: int) -> float:
-    """Squared Euclidean distance between sketch columns ``u`` and ``v``."""
-    n = sketch.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise DomainError("node ids out of range")
-    if u == v:
-        return 0.0
-    diff = sketch.z[:, u] - sketch.z[:, v]
-    return float(diff @ diff)
+    return chunks()
 
 
-def sketch_distance_sums(
-    sketch: ResistanceSketch, nodes: Sequence[int] | None = None
+def build_sketch(
+    hierarchy: MultigridHierarchy,
+    epsilon: float,
+    seed: int,
+    *,
+    threads: int = 1,
 ) -> np.ndarray:
-    """Sum of sketch distances from each given node to all nodes.
+    """The read-only ``k x n`` resistance sketch, one mean-centered row per
+    projection direction: the chunks of :func:`_sketch_chunks`, stacked.
 
-    Evaluates ``sum_w ||z_v - z_w||^2`` in closed form from column norms
-    and the product of the sketch with its row sums, avoiding the
-    quadratic pairwise expansion and any copy of the sketch.
+    The squared Euclidean distance between columns u and v estimates the
+    effective resistance R(u, v).  Deterministic for a fixed seed and
+    independent of ``threads``.  Until the last chunk is solved, memory
+    is the chunks solved so far plus
+    ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``; stacking them
+    then takes a second ``k x n`` array for a moment.
     """
-    z = sketch.z
-    col_sq = np.einsum("ij,ij->j", z, z)
-    total_sq = col_sq.sum()
-    cross = z.T @ z.sum(axis=1)
-    n = sketch.n
-    sums = total_sq + n * col_sq - 2.0 * cross
-    if nodes is None:
-        return sums
-    idx = np.asarray(nodes, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise DomainError("node ids out of range")
-    return sums[idx]
+    z = np.concatenate(list(_sketch_chunks(hierarchy, epsilon, seed, threads)))
+    z.setflags(write=False)
+    return z

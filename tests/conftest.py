@@ -1,7 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cfcent import Graph, largest_connected_component
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes that ``fn()`` allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_connected_graph(n, rng, extra_edge_prob=0.15, weighted=False):

@@ -32,7 +32,7 @@ from cfcent import (
     spearman,
 )
 from cfcent import solver as solver_module
-from cfcent.resistance import build_sketch, node_solution_chunks, resistances_from_node
+from cfcent.resistance import build_sketch, node_solution_chunks, resistance_sums
 
 from conftest import (
     cf_scores_oracle,
@@ -166,7 +166,7 @@ def test_criterion_04_unbiasedness_exhaustive(rng):
     start = time.perf_counter()
     worst = 0.0
     for v in range(n):
-        dist = resistances_from_node(hierarchy, v, np.arange(n))
+        dist = resistance_sums(hierarchy, np.arange(n), [v])
         s_v = dist.sum()
         for k in range(1, n + 1):
             subsets = list(itertools.combinations(range(n), k))
@@ -198,8 +198,7 @@ def _projection_band_stats(epsilon, seeds):
     hierarchy = setup(laplacian(g))
     in_band_fractions, emaxes = [], []
     for seed in range(seeds):
-        sketch = build_sketch(hierarchy, epsilon, seed, threads=4)
-        z = sketch.z
+        z = build_sketch(hierarchy, epsilon, seed, threads=4)
         col_sq = np.einsum("ij,ij->j", z, z)
         gram = z.T @ z
         dist = col_sq[:, None] + col_sq[None, :] - 2.0 * gram

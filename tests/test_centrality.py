@@ -27,9 +27,14 @@ from cfcent.generators import (
 )
 from cfcent import resistance as resistance_module
 from cfcent import solver as solver_module
-from cfcent.resistance import node_solution_chunks, resistances_from_node
+from cfcent.resistance import node_solution_chunks, resistance_sums, sketch_dimension
 
-from conftest import cf_scores_oracle, random_connected_graph, resistance_matrix_oracle
+from conftest import (
+    cf_scores_oracle,
+    random_connected_graph,
+    resistance_matrix_oracle,
+    traced_peak_bytes,
+)
 
 
 def hierarchy_for(g, **settings):
@@ -51,15 +56,6 @@ def pair_formula_sums(h, query, targets):
         dist[targets == v] = 0.0
         sums.append(dist.sum())
     return np.array(sums)
-
-
-def traced_peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestExact:
@@ -300,10 +296,23 @@ class TestStreamingMemory:
         g, h = ba2000
         out = []
         peak = traced_peak_bytes(
-            lambda: out.append(resistances_from_node(h, 0, np.arange(g.n)))
+            lambda: out.append(resistance_sums(h, np.arange(g.n), [0]))
         )
         assert out[0].shape == (g.n,) and out[0][0] == 0.0
         assert peak < g.n * g.n * 8
+
+    def test_projection_draws_signs_a_few_rows_at_a_time(self):
+        # On a clique the edges outnumber the nodes 150 to 1, so the sign
+        # draws set the peak: drawn 64 rows at a time, they would take
+        # about k * m * 16 bytes (the int64 draw and its float64 copy).
+        g = complete_graph(300)
+        h = hierarchy_for(g)
+        k = sketch_dimension(g.n, 0.5)
+        assert (k, g.m) == (23, 44850)
+        peak = traced_peak_bytes(
+            lambda: cf_closeness_projection(h, range(g.n), epsilon=0.5, seed=0)
+        )
+        assert peak < 0.5 * k * g.m * 16
 
 
 class TestProjection:
@@ -343,6 +352,18 @@ class TestProjection:
                 errs.append(np.abs(table.vector(query) / exact - 1.0).mean())
             mean_err[eps] = np.mean(errs)
         assert mean_err[0.5] > mean_err[0.2] > mean_err[0.1]
+
+    def test_scores_bitwise_independent_of_threads(self):
+        # k = 171 rows: three 64-row blocks, the last one partial, in one,
+        # two or three chunks; the squared norms are summed per block.
+        g = grid_graph(30)
+        h = hierarchy_for(g)
+        assert sketch_dimension(g.n, 0.2) == 171
+        tables = [
+            cf_closeness_projection(h, range(g.n), epsilon=0.2, seed=1, threads=t)
+            for t in (1, 2, 4)
+        ]
+        assert tables[0].scores == tables[1].scores == tables[2].scores
 
 
 class TestShortestPath:

@@ -280,6 +280,33 @@ class TestArgumentHandling:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("cfcent: ")
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("score", ["--measure", "cf_projection", "--epsilon", "0"], "--epsilon"),
+            ("score", ["--measure", "cf_projection", "--epsilon", "1.5"], "--epsilon"),
+            ("compare", ["--epsilon", "-0.2"], "--epsilon"),
+            ("compare", ["--epsilon", "nan"], "--epsilon"),
+            ("score", ["--measure", "cf_sampling", "--pivots", "0"], "--pivots"),
+            ("compare", ["--pivots", "-3"], "--pivots"),
+        ],
+        ids=["eps-zero", "eps-above-one", "eps-negative", "eps-nan", "pivots-zero",
+             "pivots-negative"],
+    )
+    def test_bad_epsilon_or_pivots_fails_before_loading(
+        self, command, flags, message, monkeypatch, capsys
+    ):
+        import cfcent.cli as cli
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the graph was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_graph", no_graph)
+        monkeypatch.setattr(cli, "setup", no_graph)
+        code = main(["--command", command, "--gen", "path:5", "--query", "all"] + flags)
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"cfcent: {message} must be")
+
     def test_query_count_validated(self):
         code = main(["--command", "score", "--gen", "path:5", "--measure", "sp",
                      "--query", "random:10"])

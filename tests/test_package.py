@@ -72,7 +72,6 @@ def test_threads_is_keyword_only_on_every_solve_path():
         "cfcent.solver.solve_many",
         "cfcent.resistance.node_solution_chunks",
         "cfcent.resistance.resistance_sums",
-        "cfcent.resistance.resistances_from_node",
         "cfcent.resistance.build_sketch",
         "cfcent.centrality.cf_closeness_exact",
         "cfcent.centrality.cf_closeness_sampling",

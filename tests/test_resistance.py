@@ -10,24 +10,18 @@ from cfcent import (
     DomainError,
     Graph,
     build_sketch,
+    cf_closeness_projection,
     effective_resistance,
     laplacian,
-    resistances_from_node,
     setup,
-    sketch_distance,
     solve_many,
 )
 from cfcent import resistance as resistance_module
 from cfcent import solver as solver_module
 from cfcent.generators import complete_graph, grid_graph, path_graph
-from cfcent.resistance import (
-    node_solution_chunks,
-    resistance_sums,
-    sketch_dimension,
-    sketch_distance_sums,
-)
+from cfcent.resistance import node_solution_chunks, resistance_sums, sketch_dimension
 
-from conftest import random_connected_graph, resistance_matrix_oracle
+from conftest import random_connected_graph, resistance_matrix_oracle, traced_peak_bytes
 
 
 def hierarchy_for(g, **settings):
@@ -70,13 +64,15 @@ class TestEffectiveResistance:
 
 
 class TestResistancesFromNode:
+    """``resistance_sums`` with one source: the resistances from it."""
+
     def test_self_target(self):
         h = hierarchy_for(path_graph(3))
-        assert resistances_from_node(h, 1, [1]).tolist() == [0.0]
+        assert resistance_sums(h, [1], [1]).tolist() == [0.0]
 
     def test_p3_series_law(self):
         h = hierarchy_for(path_graph(3))
-        out = resistances_from_node(h, 0, [1, 2])
+        out = resistance_sums(h, [1, 2], [0])
         assert out == pytest.approx([1.0, 2.0], rel=1e-6)
 
     def test_agrees_with_pairwise_route(self, rng):
@@ -84,7 +80,7 @@ class TestResistancesFromNode:
         tau = 1e-7
         h = hierarchy_for(g, tau=tau)
         targets = rng.choice(50, size=12, replace=False)
-        amortized = resistances_from_node(h, 3, targets)
+        amortized = resistance_sums(h, targets, [3])
         scale = max(amortized.max(), 1.0)
         for w, d in zip(targets, amortized):
             pairwise = effective_resistance(h, 3, int(w))
@@ -111,7 +107,7 @@ class TestResistancesFromNode:
         out = {}
         for t in (1, 2):
             solved.clear()
-            out[t] = resistances_from_node(h, v, targets, threads=t)
+            out[t] = resistance_sums(h, targets, [v], threads=t)
             assert sorted(solved) == np.union1d(targets, [v]).tolist()
         assert np.array_equal(out[1], out[2])
         assert np.all(out[1][targets == v] == 0.0)
@@ -244,6 +240,11 @@ class TestMetricLaws:
         assert measured == pytest.approx(expected, rel=0.05)
 
 
+def sketch_distance(z, u, v):
+    diff = z[:, u] - z[:, v]
+    return float(diff @ diff)
+
+
 class TestSketch:
     def test_dimension_formula(self):
         assert sketch_dimension(2, 0.5) == 3  # ceil(ln 2 / 0.25)
@@ -255,7 +256,7 @@ class TestSketch:
         hits = 0
         for seed in range(10):
             sk = build_sketch(h, epsilon=0.5, seed=seed)
-            assert sk.k == 3
+            assert sk.shape == (3, 2)
             if 0.5 <= sketch_distance(sk, 0, 1) <= 1.5:
                 hits += 1
         assert hits >= 6  # true resistance is 1; most seeds land in band
@@ -265,9 +266,10 @@ class TestSketch:
         h = hierarchy_for(g)
         a = build_sketch(h, epsilon=0.4, seed=11)
         b = build_sketch(h, epsilon=0.4, seed=11)
-        assert np.array_equal(a.z, b.z)
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
         c = build_sketch(h, epsilon=0.4, seed=12)
-        assert not np.array_equal(a.z, c.z)
+        assert not np.array_equal(a, c)
 
     def test_rhs_rows_sum_to_zero(self, rng):
         # signed combinations of incidence rows are balanced by construction
@@ -275,54 +277,47 @@ class TestSketch:
         h = hierarchy_for(g)
         sk = build_sketch(h, epsilon=0.5, seed=0)
         # solved rows stay mean-centered
-        assert np.abs(sk.z.mean(axis=1)).max() < 1e-10
+        assert np.abs(sk.mean(axis=1)).max() < 1e-10
 
     def test_epsilon_validation(self, rng):
+        # Checked on the call, before any row is drawn or the stream is
+        # iterated: epsilon = 0 must not reach sketch_dimension's division.
         g = random_connected_graph(10, rng)
         h = hierarchy_for(g)
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(DomainError):
                 build_sketch(h, epsilon=bad, seed=0)
+            with pytest.raises(DomainError):
+                cf_closeness_projection(h, [0], epsilon=bad, seed=0)
+            with pytest.raises(DomainError):
+                resistance_module._sketch_chunks(h, bad, 0, 1)
 
-    def test_distance_symmetry_and_self(self, rng):
-        g = random_connected_graph(25, rng)
-        h = hierarchy_for(g)
-        sk = build_sketch(h, epsilon=0.5, seed=4)
-        assert sketch_distance(sk, 3, 3) == 0.0
-        assert sketch_distance(sk, 2, 9) == sketch_distance(sk, 9, 2)
-
-    def test_distance_sums_match_pairwise(self, rng):
-        g = random_connected_graph(30, rng)
-        h = hierarchy_for(g)
-        sk = build_sketch(h, epsilon=0.5, seed=4)
-        sums = sketch_distance_sums(sk, [5, 17])
-        for node, total in zip([5, 17], sums):
-            direct = sum(sketch_distance(sk, node, w) for w in range(g.n))
-            assert total == pytest.approx(direct, rel=1e-9)
-
-    @pytest.mark.parametrize("nodes", [None, "all", [17, 0, 5, 17]], ids=["none", "all", "subset"])
+    @pytest.mark.parametrize("nodes", ["all", [17, 0, 5, 17]], ids=["all", "subset"])
     def test_distance_sums_match_pairwise_brute_force(self, rng, nodes):
+        # The projection's distance sums, read back from its scores, equal
+        # the sums over every pair of columns of the same sketch.
         g = random_connected_graph(40, rng)
-        sk = build_sketch(hierarchy_for(g), epsilon=0.5, seed=7)
-        diff = sk.z[:, :, None] - sk.z[:, None, :]
+        h = hierarchy_for(g)
+        sk = build_sketch(h, epsilon=0.5, seed=7)
+        diff = sk[:, :, None] - sk[:, None, :]
         brute = np.einsum("kvw,kvw->v", diff, diff)
-        idx = np.arange(g.n) if nodes in (None, "all") else np.asarray(nodes)
-        arg = list(range(g.n)) if nodes == "all" else nodes
-        assert sketch_distance_sums(sk, arg) == pytest.approx(brute[idx], rel=1e-9)
+        idx = np.arange(g.n) if nodes == "all" else np.asarray(nodes)
+        table = cf_closeness_projection(h, idx.tolist(), epsilon=0.5, seed=7)
+        assert table.params["k"] == sk.shape[0]
+        sums = (g.n - 1) / table.vector(idx)
+        assert sums == pytest.approx(brute[idx], rel=1e-9)
 
-    def test_distance_sums_for_all_nodes_do_not_copy_the_sketch(self, rng):
-        g = grid_graph(20)
-        sk = build_sketch(hierarchy_for(g), epsilon=0.2, seed=0)
-        assert sk.k >= 100  # so a k x n copy would dwarf the n-vectors
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sums = sketch_distance_sums(sk)
-            held = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert sums.shape == (g.n,)
-        assert held < 0.1 * sk.z.nbytes
+    def test_distance_sums_for_all_nodes_do_not_copy_the_sketch(self):
+        # The projection streams the sketch's solved chunks and keeps only
+        # per-node sums, so it never holds a k x n array, let alone a copy.
+        g = grid_graph(30)
+        h = hierarchy_for(g)
+        k = sketch_dimension(g.n, 0.1)
+        assert k == 681  # so one k x n array dwarfs a 64-row chunk
+        peak = traced_peak_bytes(
+            lambda: cf_closeness_projection(h, range(g.n), epsilon=0.1, seed=0)
+        )
+        assert peak < k * g.n * 8
 
     def test_distortion_concentrates_around_one(self, rng):
         # Relative distortion of sketched distances is chi-square-like
@@ -347,10 +342,10 @@ class TestSketch:
 
     def test_sign_block_is_freed_before_the_solve(self, monkeypatch):
         # Rows are drawn, pushed and solved in chunks of 64 * threads.  On
-        # entering each chunk's solve, ``z`` (which stages the chunk's
-        # right-hand sides) and little else is held; on grid 60 (m ~ 2n) a
-        # sign block kept alive through the solve would add about twice
-        # the chunk's right-hand sides.
+        # entering each chunk's solve, the chunks solved so far, the
+        # chunk's right-hand sides and little else are held, which together
+        # stay below one sketch plus half the right-hand sides; an 8-row
+        # sign block kept alive through the last solve would break that.
         g = grid_graph(60)
         h = hierarchy_for(g)
         inner = resistance_module.solve_many
@@ -367,9 +362,9 @@ class TestSketch:
                 sk = build_sketch(h, epsilon=0.2, seed=0, threads=threads)
             finally:
                 tracemalloc.stop()
-            assert len(calls) == -(-sk.k // (64 * threads)) > 1
+            assert len(calls) == -(-sk.shape[0] // (64 * threads)) > 1
             for held, rhs in calls:
-                assert held < sk.z.nbytes + 1.5 * rhs
+                assert held < sk.nbytes + 1.5 * rhs
 
     def test_sketch_is_independent_of_threads_and_chunking(self):
         # One draw of all k sign rows and one solve of all k right-hand
@@ -392,4 +387,4 @@ class TestSketch:
         reference, _ = solve_many(h, rhs)
         for threads in (1, 2, 4):
             sk = build_sketch(h, epsilon=epsilon, seed=seed, threads=threads)
-            assert np.array_equal(sk.z, reference)
+            assert np.array_equal(sk, reference)
