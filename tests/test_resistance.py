@@ -292,17 +292,29 @@ class TestSketch:
             with pytest.raises(DomainError):
                 resistance_module._sketch_chunks(h, bad, 0, 1)
 
-    @pytest.mark.parametrize("nodes", ["all", [17, 0, 5, 17]], ids=["all", "subset"])
+    def test_distance_sums_match_pairwise(self, rng):
+        g = random_connected_graph(30, rng)
+        h = hierarchy_for(g)
+        sk = build_sketch(h, epsilon=0.5, seed=4)
+        table = cf_closeness_projection(h, [5, 17], epsilon=0.5, seed=4)
+        for node in [5, 17]:
+            total = (g.n - 1) / table.scores[node]
+            direct = sum(sketch_distance(sk, node, w) for w in range(g.n))
+            assert total == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("nodes", [None, "all", [17, 0, 5, 17]], ids=["none", "all", "subset"])
     def test_distance_sums_match_pairwise_brute_force(self, rng, nodes):
         # The projection's distance sums, read back from its scores, equal
-        # the sums over every pair of columns of the same sketch.
+        # the sums over every pair of columns of the same sketch.  Every
+        # node is queried as a range (none) or as a list (all).
         g = random_connected_graph(40, rng)
         h = hierarchy_for(g)
         sk = build_sketch(h, epsilon=0.5, seed=7)
         diff = sk[:, :, None] - sk[:, None, :]
         brute = np.einsum("kvw,kvw->v", diff, diff)
-        idx = np.arange(g.n) if nodes == "all" else np.asarray(nodes)
-        table = cf_closeness_projection(h, idx.tolist(), epsilon=0.5, seed=7)
+        idx = np.arange(g.n) if nodes in (None, "all") else np.asarray(nodes)
+        arg = range(g.n) if nodes is None else idx.tolist()
+        table = cf_closeness_projection(h, arg, epsilon=0.5, seed=7)
         assert table.params["k"] == sk.shape[0]
         sums = (g.n - 1) / table.vector(idx)
         assert sums == pytest.approx(brute[idx], rel=1e-9)
