@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
 from .resistance import _sketch_chunks, node_solution_chunks, resistance_sums, sketch_dimension
-from .solver import BLOCK_COLUMNS, MultigridHierarchy, _greedy_seeds, _upper_edges
+from .solver import BLOCK_COLUMNS, MultigridHierarchy, _greedy_independent_set
 
 __all__ = [
     "CURRENT_FLOW",
@@ -87,22 +87,13 @@ def pivot_set(n: int, k: int, seed: int) -> np.ndarray:
 def _independent_set(lap: sp.csr_matrix) -> np.ndarray:
     """Greedy maximal independent set by ascending degree, ties by id.
 
-    Nodes are relabelled by (unweighted degree, id) rank and handed to
-    :func:`_greedy_seeds`, which takes a node once none of its
-    lower-ranked neighbors was taken.  The degree is read as the stored
-    entries of the Laplacian row ``lap``, which holds the diagonal besides
-    the neighbors, so it is one more for every node and ranks the same.
-    Returns a boolean mask by node id.
+    The nodes are visited in stable order of their stored entries in the
+    Laplacian row ``lap``, which holds the diagonal besides the neighbors,
+    so the count is one more than the unweighted degree for every node
+    and orders the same; :func:`_greedy_independent_set` takes each node
+    none of whose neighbors was taken.  Returns a boolean mask by node id.
     """
-    n = lap.shape[0]
-    order = np.argsort(np.diff(lap.indptr), kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    eu, ev = _upper_edges(lap)
-    lo = np.minimum(rank[eu], rank[ev])
-    hi = np.maximum(rank[eu], rank[ev])
-    by_lo = np.argsort(lo, kind="stable")
-    return _greedy_seeds(n, lo[by_lo], hi[by_lo])[rank]
+    return _greedy_independent_set(lap, np.argsort(np.diff(lap.indptr), kind="stable"))
 
 
 def cf_closeness_exact(

@@ -7,8 +7,9 @@ partitions nodes by the affinity of relaxed test vectors and coarsens with
 the Galerkin product of the piecewise-constant interpolation.  Each must
 remove ``MIN_REDUCTION`` of the level's nodes; where neither does, the
 level is the coarsest.
-Aggregation seeds and attaches nodes in rounds of whole-array passes over
-the level's edges, with no per-node Python loop.  Each aggregation
+Elimination and aggregation seeding pick their independent sets with one
+greedy loop over the nodes; aggregation attaches the other nodes in
+rounds of whole-array passes over the level's edges.  Each aggregation
 candidate level is split once into color classes (independent sets), each
 stored as its own block of matrix rows; the same classes smooth the test
 vectors and serve the V-cycle.  The V-cycle smooths with multicolor
@@ -263,12 +264,31 @@ def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     return _rebuild_laplacian(matrix, transpose)
 
 
+def _greedy_independent_set(matrix: sp.csr_matrix, order: np.ndarray) -> np.ndarray:
+    """Greedy independent set as a boolean mask: the nodes of ``order`` are
+    visited in that order, and each is taken unless a node of its row of
+    ``matrix`` was taken before it."""
+    # Memoryviews hand out one row's entries as ints at a time, faster than
+    # numpy slices and without a list of every entry of the level.
+    indptr, indices = memoryview(matrix.indptr), memoryview(matrix.indices)
+    blocked = [False] * matrix.shape[0]
+    taken = []
+    for i in order.tolist():
+        if not blocked[i]:
+            taken.append(i)
+            for j in indices[indptr[i]:indptr[i + 1]]:
+                blocked[j] = True
+    mask = np.zeros(matrix.shape[0], dtype=bool)
+    mask[taken] = True
+    return mask
+
+
 def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | None]:
     """Exact Schur-complement elimination of an independent low-degree set.
 
-    Nodes with at most ``ELIMINATION_DEGREE_CAP`` neighbors are selected
-    greedily in ascending id order subject to pairwise independence, and
-    never all of the nodes.  Returns the Schur complement on the remaining nodes (again
+    The set is :func:`_greedy_independent_set` over the nodes with at most
+    ``ELIMINATION_DEGREE_CAP`` neighbors in ascending id, and never all of
+    the nodes.  Returns the Schur complement on the remaining nodes (again
     a Laplacian) and the elimination level that transfers to it, or
     ``(matrix, None)`` when fewer than ``MIN_REDUCTION`` of the nodes are
     selected; that is decided before the Schur complement is built, so a
@@ -276,26 +296,15 @@ def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | Non
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
-    indptr, indices = matrix.indptr, matrix.indices
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    offdeg = np.bincount(rows[indices != rows], minlength=n)
-    blocked = np.zeros(n, dtype=bool)
-    chosen: list[int] = []
-    for i in np.nonzero(offdeg <= ELIMINATION_DEGREE_CAP)[0]:
-        if blocked[i]:
-            continue
-        chosen.append(int(i))
-        blocked[indices[indptr[i]:indptr[i + 1]]] = True
-        blocked[i] = True
-    if len(chosen) == n and n > 0:
-        chosen.pop()  # never eliminate every node
-    if not chosen or len(chosen) < MIN_REDUCTION * n:
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    offdeg = np.bincount(rows[matrix.indices != rows], minlength=n)
+    in_f = _greedy_independent_set(matrix, np.flatnonzero(offdeg <= ELIMINATION_DEGREE_CAP))
+    if in_f.all():
+        in_f[-1:] = False  # never eliminate every node
+    f, c = np.flatnonzero(in_f), np.flatnonzero(~in_f)
+    if not f.size or f.size < MIN_REDUCTION * n:
         return matrix, None
 
-    f = np.asarray(chosen, dtype=np.int64)
-    in_f = np.zeros(n, dtype=bool)
-    in_f[f] = True
-    c = np.nonzero(~in_f)[0]
     d_f = matrix.diagonal()[f]
     rows_c = matrix[c]
     w_cf = -rows_c[:, f]
@@ -335,56 +344,6 @@ def _upper_edges(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return rows[upper], matrix.indices[upper]
 
 
-def _greedy_seeds(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Greedy independent set in ascending id, as a boolean mask.
-
-    ``(u, v)`` lists every edge once with ``u < v``, grouped by ``u``.  A
-    node is a seed when none of its lower-id neighbors is.  A node with a
-    single lower neighbor is therefore a seed exactly when that neighbor
-    is not, so chains of such nodes (a path numbered in order is one) are
-    first hung on their lowest node by pointer jumping, keeping the
-    parity of the distance.  The remaining nodes, the chain roots, are
-    decided in frontier rounds, each with its whole chain: a root is
-    excluded once a lower neighbor is a seed, and becomes a seed once all
-    its lower neighbors are excluded, counted down the way
-    :func:`color_classes` does.
-    """
-    lower_degree = np.bincount(v, minlength=n)
-    root = np.arange(n)
-    single = lower_degree[v] == 1
-    root[v[single]] = u[single]
-    flip = lower_degree == 1  # parity of the distance to ``root``
-    while True:
-        grand = root[root]
-        if np.array_equal(grand, root):
-            break
-        flip ^= flip[root]
-        root = grand
-    chain_ptr = np.r_[0, np.cumsum(np.bincount(root, minlength=n))]
-    chain = np.argsort(root, kind="stable")
-    up_ptr = np.r_[0, np.cumsum(np.bincount(u, minlength=n))]
-
-    waiting = lower_degree.copy()  # lower neighbors not yet excluded
-    seed = np.zeros(n, dtype=bool)
-    decided = np.zeros(n, dtype=bool)
-    new_seeds = np.flatnonzero(lower_degree == 0)
-    new_excluded = new_seeds[:0]
-    while new_seeds.size or new_excluded.size:
-        roots = np.r_[new_seeds, new_excluded]
-        owner, members = _row_entries(chain_ptr, chain, roots)
-        is_seed = (owner < new_seeds.size) ^ flip[members]
-        seed[members] = is_seed
-        decided[members] = True
-        _, hit = _row_entries(up_ptr, v, members[is_seed])
-        new_excluded = np.unique(hit[~decided[hit]])
-        decided[new_excluded] = True
-        _, released = _row_entries(up_ptr, v, members[~is_seed])
-        released, hits = np.unique(released, return_counts=True)
-        waiting[released] -= hits
-        new_seeds = released[(waiting[released] == 0) & ~decided[released]]
-    return seed
-
-
 def coarsen_aggregate(
     matrix: sp.csr_matrix, test_vectors: np.ndarray
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -392,18 +351,18 @@ def coarsen_aggregate(
 
     The affinity of two nodes is the squared normalized inner product of
     their test-vector samples, computed once per edge.  Seeds are the
-    greedy independent set in ascending id (:func:`_greedy_seeds`), which
-    keeps aggregates compact.  The other nodes then attach in rounds until
-    none does: every unattached node proposes to its best eligible
+    greedy independent set in ascending id (:func:`_greedy_independent_set`),
+    which keeps aggregates compact.  The other nodes then attach in rounds
+    until none does: every unattached node proposes to its best eligible
     neighbor (already aggregated, affinity above the threshold, aggregate
     below ``MAX_AGGREGATE_SIZE``; highest affinity first, ties to the
     lowest id), and each aggregate accepts proposals in ascending node id
     up to its free room.  Nodes left over become singletons.  The cap
     matters on smooth problems: nearly every affinity clears the
     threshold there, and unbounded aggregates grow into shapes that
-    piecewise-constant interpolation cannot represent.  Every pass works
-    on whole arrays; the Python loops run over rounds and test vectors,
-    never over nodes.
+    piecewise-constant interpolation cannot represent.  Attachment works
+    on whole arrays; its Python loops run over rounds and test vectors,
+    and only the seeding visits one node at a time.
 
     Returns the coarse Laplacian ``P.T @ L @ P`` and the interpolation
     ``P``, which has one unit entry per row: node ``i`` belongs to
@@ -412,8 +371,8 @@ def coarsen_aggregate(
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
+    seed = _greedy_independent_set(matrix, np.arange(n))
     u, v = _upper_edges(matrix)
-    seed = _greedy_seeds(n, u, v)
 
     # Affinities on one triangle, one test vector at a time, in place, so
     # the temporaries are a few floats per edge.

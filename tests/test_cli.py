@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from cfcent.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDEFINED_METRIC, main
+from cfcent.cli import EXIT_ERROR, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_UNDEFINED_METRIC, main
+from cfcent.generators import barabasi_albert_graph
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -220,6 +222,34 @@ class TestDegreeCorr:
         grid_cf = float(body_lines(grid_text)[2].split(",")[1])
         ba_cf = float(body_lines(ba_text)[2].split(",")[1])
         assert grid_cf < ba_cf
+
+
+class TestExitCodes:
+    def test_unreachable_tolerance_exits_2(self, tmp_path, capsys):
+        # Weights spanning twelve orders of magnitude defeat the safety net.
+        u, v, _ = barabasi_albert_graph(2000, 3, seed=0).edge_array()
+        w = 10.0 ** np.random.default_rng(0).uniform(-6, 6, u.size)
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(
+            f"{a} {b} {repr(float(x))}\n" for a, b, x in zip(u.tolist(), v.tolist(), w)
+        ))
+        code, _ = run_cli(
+            ["--command", "score", "--input", str(path), "--measure", "cf_sampling",
+             "--pivots", "4", "--query", "list:0,1"],
+            tmp_path,
+        )
+        assert code == EXIT_NO_CONVERGENCE
+        assert "failed to reach tau" in capsys.readouterr().err
+
+    def test_tied_scores_exit_3(self, tmp_path, capsys):
+        # The leaves of a star tie, so their rank correlation is undefined.
+        code, _ = run_cli(
+            ["--command", "noise", "--gen", "star:50", "--measure", "cf_sampling",
+             "--query", "list:1,2,3"],
+            tmp_path,
+        )
+        assert code == EXIT_UNDEFINED_METRIC
+        assert "all values tied" in capsys.readouterr().err
 
 
 class TestArgumentHandling:

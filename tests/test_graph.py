@@ -261,6 +261,23 @@ class TestLargestConnectedComponent:
             largest_connected_component(g)
 
 
+class TestFromEdges:
+    @pytest.mark.parametrize(
+        "u, v, w, n, message",
+        [
+            ([0, 1], [1], None, None, "equal length"),
+            ([0, 1], [1, 2], [1.0], None, "equal length"),
+            ([0, 1], [1, 2], [1.0, 0.0], None, "strictly positive"),
+            ([0, 1], [1, 2], [1.0, np.inf], None, "finite"),
+            ([0, 1], [1, 3], None, 3, "out of range"),
+        ],
+        ids=["endpoints", "weights", "zero-weight", "infinite-weight", "id-at-n"],
+    )
+    def test_bad_input_is_a_domain_error(self, u, v, w, n, message):
+        with pytest.raises(DomainError, match=message):
+            Graph.from_edges(u, v, w, n=n)
+
+
 class TestLaplacian:
     def test_p2_unit(self):
         lap = laplacian(path_graph(2)).toarray()

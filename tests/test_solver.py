@@ -13,6 +13,7 @@ from cfcent.generators import (
     star_graph,
 )
 from cfcent import solver as solver_module
+from cfcent.centrality import _independent_set
 from cfcent.solver import (
     LevelKind,
     coarsen_aggregate,
@@ -157,6 +158,19 @@ class TestSetup:
         lap = sp.block_diag([laplacian(g1), laplacian(g1)], format="csr")
         with pytest.raises(DomainError):
             setup(lap)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]], "square"),
+            ([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]], "symmetric"),
+            ([[-1.0, 1.0], [1.0, -1.0]], "positive off-diagonal"),
+        ],
+        ids=["not-square", "asymmetric", "positive-off-diagonal"],
+    )
+    def test_rejects_each_non_laplacian_shape(self, matrix, message):
+        with pytest.raises(DomainError, match=message):
+            setup(sp.csr_matrix(np.array(matrix)))
 
 
 def _rebuild_laplacian_reference(matrix):
@@ -319,16 +333,22 @@ class TestAggregate:
         assert (abs(coarse - p.T @ lap @ p)).max() < 1e-12
 
 
-def _greedy_seeds_reference(lap):
-    """Plain ascending-id greedy independent set, one node at a time."""
-    n = lap.shape[0]
-    blocked = np.zeros(n, dtype=bool)
-    seeds = np.zeros(n, dtype=bool)
-    for u in range(n):
+def _greedy_reference(lap, order):
+    """Plain greedy independent set, one node of ``order`` at a time."""
+    blocked = np.zeros(lap.shape[0], dtype=bool)
+    taken = np.zeros(lap.shape[0], dtype=bool)
+    for u in order:
         if not blocked[u]:
-            seeds[u] = True
+            taken[u] = True
             blocked[lap.indices[lap.indptr[u]:lap.indptr[u + 1]]] = True
-    return seeds
+    return taken
+
+
+def _off_degrees(lap):
+    return [
+        int(np.count_nonzero(lap.indices[lap.indptr[u]:lap.indptr[u + 1]] != u))
+        for u in range(lap.shape[0])
+    ]
 
 
 def _aggregation_test_laplacians():
@@ -356,9 +376,8 @@ class TestAggregateRounds:
     @pytest.mark.parametrize("name", ["ba", "grid", "path", "shuffled_path", "star", "weighted"])
     def test_seeds_are_the_ascending_greedy_set(self, name):
         lap = _aggregation_test_laplacians()[name]
-        u, v = solver_module._upper_edges(lap)
-        seeds = solver_module._greedy_seeds(lap.shape[0], u, v)
-        assert np.array_equal(seeds, _greedy_seeds_reference(lap))
+        seeds = solver_module._greedy_independent_set(lap, np.arange(lap.shape[0]))
+        assert np.array_equal(seeds, _greedy_reference(lap, range(lap.shape[0])))
 
     @pytest.mark.parametrize("name", ["ba", "grid", "path", "shuffled_path", "star", "weighted"])
     def test_aggregates_are_capped_and_joined_by_strong_edges(self, name):
@@ -369,7 +388,7 @@ class TestAggregateRounds:
         sizes = np.bincount(agg)
         assert np.array_equal(np.diff(p.indptr), np.ones(lap.shape[0]))
         assert sizes.min() >= 1 and sizes.max() <= solver_module.MAX_AGGREGATE_SIZE
-        seeds = _greedy_seeds_reference(lap)
+        seeds = _greedy_reference(lap, range(lap.shape[0]))
         seeded = np.zeros(sizes.size, dtype=bool)
         seeded[agg[seeds]] = True
         assert np.bincount(agg[seeds], minlength=sizes.size).max() == 1
@@ -411,6 +430,31 @@ class TestAggregateRounds:
         lap = laplacian(path_graph(3)).tocsr()
         _, p = coarsen_aggregate(lap, vectors[:3])
         assert p.indices.tolist() == [0, 0, 1]
+
+
+class TestGreedyIndependentSetCallers:
+    """Elimination and exact closeness's cover take the same plain greedy
+    set as the aggregation seeds, over their own node orders."""
+
+    @pytest.mark.parametrize("name", ["ba", "grid", "path", "shuffled_path", "star", "weighted"])
+    def test_elimination_takes_the_greedy_set_of_low_degree_nodes(self, name):
+        lap = _aggregation_test_laplacians()[name]
+        n = lap.shape[0]
+        cap = solver_module.ELIMINATION_DEGREE_CAP
+        candidates = [u for u, d in enumerate(_off_degrees(lap)) if d <= cap]
+        expected = np.flatnonzero(_greedy_reference(lap, candidates))
+        _, level = coarsen_eliminate(lap)
+        if level is None:
+            assert expected.size < solver_module.MIN_REDUCTION * n
+        else:
+            assert np.array_equal(level.f_nodes, expected)
+
+    @pytest.mark.parametrize("name", ["ba", "grid", "path", "shuffled_path", "star", "weighted"])
+    def test_exact_cover_leaves_the_greedy_set_by_ascending_degree(self, name):
+        lap = _aggregation_test_laplacians()[name]
+        degrees = _off_degrees(lap)
+        order = sorted(range(lap.shape[0]), key=lambda u: (degrees[u], u))
+        assert np.array_equal(_independent_set(lap), _greedy_reference(lap, order))
 
 
 def _color_test_laplacians():
@@ -559,6 +603,11 @@ class TestSolve:
         h = setup(laplacian(path_graph(4)))
         with pytest.raises(DomainError):
             solve_many(h, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_supply_of_the_wrong_length_rejected(self):
+        h = setup(laplacian(path_graph(4)))
+        with pytest.raises(DomainError, match="length 3 != 4"):
+            solve_many(h, np.array([1.0, 0.0, -1.0]))
 
     def test_matches_dense_oracle_small(self, rng, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 2)
