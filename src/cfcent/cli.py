@@ -150,6 +150,13 @@ def _measures(args, default: str) -> list[Measure]:
     return out
 
 
+def _check_pivots(args, g: Graph, measures: Sequence[Measure]) -> None:
+    """Reject more pivots than LCC nodes, before setup or any output, when
+    sampling will run."""
+    if Measure.CF_SAMPLING in measures and args.pivots > g.n:
+        raise CfcentError(f"--pivots must be in [1, {g.n}] (the LCC size), got {args.pivots}")
+
+
 def cmd_score(args, out) -> int:
     measures = _measures(args, default="cf_sampling")
     if len(measures) != 1:
@@ -157,6 +164,7 @@ def cmd_score(args, out) -> int:
     measure = measures[0]
     g = _load_graph(args)
     query = _query_nodes(args, g)
+    _check_pivots(args, g, measures)
     hierarchy = (
         setup(laplacian(g), tau=args.tau, seed=args.seed) if measure in CURRENT_FLOW else None
     )
@@ -182,6 +190,7 @@ def cmd_compare(args, out) -> int:
     measures = _measures(args, default="cf_sampling,cf_projection")
     g = _load_graph(args)
     query = _query_nodes(args, g)
+    _check_pivots(args, g, measures)
     hierarchy = setup(laplacian(g), tau=args.tau, seed=args.seed)
 
     start = time.perf_counter()
@@ -229,6 +238,7 @@ def cmd_noise(args, out) -> int:
     measures = cf_measures + [Measure.SP_CLOSENESS]
     g = _load_graph(args)
     query = _query_nodes(args, g)
+    _check_pivots(args, g, measures)
     out.write(
         f"# command=noise n={g.n} m={g.m} q={len(query)} seed={args.seed} "
         f"pivots={args.pivots}\n"
@@ -247,6 +257,7 @@ def cmd_noise(args, out) -> int:
 def cmd_degree_corr(args, out) -> int:
     g = _load_graph(args)
     query = _query_nodes(args, g)
+    _check_pivots(args, g, [Measure.CF_SAMPLING])
     out.write(
         f"# command=degree-corr n={g.n} m={g.m} q={len(query)} seed={args.seed} "
         f"pivots={args.pivots}\n"

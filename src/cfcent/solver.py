@@ -7,10 +7,11 @@ partitions nodes by the affinity of relaxed test vectors and coarsens with
 the Galerkin product of the piecewise-constant interpolation.  Each must
 remove ``MIN_REDUCTION`` of the level's nodes; where neither does, the
 level is the coarsest.
-Elimination and aggregation seeding pick their independent sets with one
-greedy loop over the nodes; aggregation attaches the other nodes in
-rounds of whole-array passes over the level's edges.  Each aggregation
-candidate level is split once into color classes (independent sets), each
+Elimination, aggregation seeding and the smoother's color classes pick
+their independent sets with one greedy loop over the nodes; aggregation
+attaches the other nodes in rounds of whole-array passes over the level's
+edges.  Each aggregation candidate level is split once into color classes,
+one greedy independent set after another in descending degree order, each
 stored as its own block of matrix rows; the same classes smooth the test
 vectors and serve the V-cycle.  The V-cycle smooths with multicolor
 Gauss-Seidel, one sparse row-block product per class, and scales the
@@ -264,6 +265,13 @@ def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     return _rebuild_laplacian(matrix, transpose)
 
 
+def _off_diagonal_degree(matrix: sp.csr_matrix) -> np.ndarray:
+    """Per node, the stored entries of its row off the diagonal."""
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    return np.bincount(rows[matrix.indices != rows], minlength=n)
+
+
 def _greedy_independent_set(matrix: sp.csr_matrix, order: np.ndarray) -> np.ndarray:
     """Greedy independent set as a boolean mask: the nodes of ``order`` are
     visited in that order, and each is taken unless a node of its row of
@@ -296,8 +304,7 @@ def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | Non
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
-    offdeg = np.bincount(rows[matrix.indices != rows], minlength=n)
+    offdeg = _off_diagonal_degree(matrix)
     in_f = _greedy_independent_set(matrix, np.flatnonzero(offdeg <= ELIMINATION_DEGREE_CAP))
     if in_f.all():
         in_f[-1:] = False  # never eliminate every node
@@ -430,9 +437,10 @@ def coarsen_aggregate(
 def _tie_break(n: int) -> np.ndarray:
     """Fixed pseudo-random key per node id (the splitmix64 finalizer).
 
-    Ascending ids would make only a few nodes local maxima per round on
-    meshes; a seedless hash keeps the rounds few and the classes
-    independent of the setup ``seed`` and of the thread count.
+    It orders nodes of equal degree for :func:`color_classes`.  Being
+    seedless, it keeps the classes independent of the setup ``seed`` and
+    of the thread count.  Any fixed key would do, but changing it changes
+    every hierarchy.
     """
     z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -440,66 +448,25 @@ def _tie_break(n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _row_entries(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR entries of the rows ``nodes``: (position in ``nodes``, column)."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    owner = np.repeat(np.arange(nodes.size), counts)
-    offset = np.repeat(indptr[nodes] - (np.cumsum(counts) - counts), counts)
-    return owner, indices[np.arange(counts.sum()) + offset]
-
-
 def color_classes(matrix: sp.csr_matrix) -> list[np.ndarray]:
     """Partition the nodes of a level into independent sets.
 
-    Round by round, every uncolored node whose priority beats that of all
-    its uncolored neighbors is colored, with the smallest color none of
-    its (already colored, higher-priority) neighbors has.  Priority is the
+    First-fit coloring in descending priority: each node gets the smallest
+    color that none of its higher-priority neighbors has.  Priority is the
     off-diagonal degree, ties broken by :func:`_tie_break`, so the classes
-    depend on the matrix pattern alone.  A round is found from the last
-    one by counting, per node, the higher-priority neighbors still
-    uncolored, so each edge is visited a bounded number of times.
-    Returns one array of ascending node ids per color.
+    depend on the matrix pattern alone.  Color ``c`` is the
+    :func:`_greedy_independent_set` over the nodes left after colors
+    ``0 .. c - 1``, in priority order.  Returns one array of ascending
+    node ids per color.
     """
     matrix = matrix.tocsr()
-    n = matrix.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
-    cols = matrix.indices.astype(np.int64)
-    off = cols != rows
-    rows, cols = rows[off], cols[off]
-    priority = np.empty(n, dtype=np.int64)
-    priority[np.lexsort((_tie_break(n), np.bincount(rows, minlength=n)))] = np.arange(n)
-    # Per node, its higher- and lower-priority neighbors as CSR (rows stay
-    # sorted under the mask).
-    up = priority[cols] > priority[rows]
-    up_ptr = np.r_[0, np.cumsum(np.bincount(rows[up], minlength=n))]
-    down_ptr = np.r_[0, np.cumsum(np.bincount(rows[~up], minlength=n))]
-    up_cols, down_cols = cols[up], cols[~up]
-    waiting = np.diff(up_ptr)
-    color = np.zeros(n, dtype=np.int64)
-    width = 1  # exceeds every color assigned so far
-    frontier = np.flatnonzero(waiting == 0)
-    while frontier.size:
-        # Smallest free color: after sorting each node's distinct neighbor
-        # colors, it is the length of the prefix that reads 0, 1, 2, ...
-        owner, nbr = _row_entries(up_ptr, up_cols, frontier)
-        if owner.size:
-            key = np.sort(owner * width + color[nbr])
-            key = key[np.diff(key, prepend=-1) > 0]
-            owner, used = np.divmod(key, width)
-            group = np.searchsorted(owner, owner)
-            prefix = used == np.arange(owner.size) - group
-            picked = np.bincount(owner[prefix], minlength=frontier.size)
-            color[frontier] = picked
-            width = max(width, int(picked.max()) + 1)
-        _, released = _row_entries(down_ptr, down_cols, frontier)
-        hits = np.bincount(released, minlength=n)
-        waiting -= hits
-        frontier = np.flatnonzero((hits > 0) & (waiting == 0))
-    order = np.argsort(color, kind="stable")
-    bounds = np.r_[0, np.cumsum(np.bincount(color))]
-    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    order = np.lexsort((_tie_break(matrix.shape[0]), _off_diagonal_degree(matrix)))[::-1]
+    classes = []
+    while order.size:
+        taken = _greedy_independent_set(matrix, order)
+        classes.append(np.flatnonzero(taken))
+        order = order[~taken[order]]
+    return classes
 
 
 def _smoother_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:

@@ -337,6 +337,44 @@ class TestArgumentHandling:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"cfcent: {message} must be")
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("score", ["--measure", "cf_sampling"]),
+            ("compare", []),
+            ("noise", []),
+            ("degree-corr", []),
+        ],
+        ids=["score", "compare", "noise", "degree-corr"],
+    )
+    def test_pivots_above_lcc_size_fail_before_setup_and_output(
+        self, command, flags, tmp_path, monkeypatch, capsys
+    ):
+        import cfcent.cli as cli
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("setup ran before the pivot count was checked")
+
+        monkeypatch.setattr(cli, "setup", no_setup)
+        code, text = run_cli(
+            ["--command", command, "--gen", "star:3", "--query", "all", "--pivots", "20"]
+            + flags,
+            tmp_path,
+        )
+        assert code == EXIT_ERROR
+        assert text == ""
+        assert capsys.readouterr().err.startswith("cfcent: --pivots must be in [1, 3]")
+
+    @pytest.mark.parametrize("command", ["score", "compare"])
+    def test_pivots_above_lcc_size_accepted_without_sampling(self, command, tmp_path):
+        code, text = run_cli(
+            ["--command", command, "--gen", "ba:40,2", "--measure", "cf_projection",
+             "--query", "all", "--pivots", "100", "--epsilon", "0.5"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert len(body_lines(text)) > 1
+
     def test_query_count_validated(self):
         code = main(["--command", "score", "--gen", "path:5", "--measure", "sp",
                      "--query", "random:10"])

@@ -488,6 +488,45 @@ class TestColorClasses:
         # the hub has the highest degree, so it is colored first, alone
         assert [c.tolist() for c in classes] == [[0], list(range(1, 50))]
 
+    @staticmethod
+    def _assert_first_fit(lap, classes):
+        # Priority: off-diagonal degree, ties to the higher _tie_break key.
+        # A node in class c has a higher-priority neighbor in every class
+        # before c and none in c.
+        coo = lap.tocoo()
+        off = coo.row != coo.col
+        u, v = coo.row[off].astype(np.int64), coo.col[off].astype(np.int64)
+        n = lap.shape[0]
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((solver_module._tie_break(n), np.bincount(u, minlength=n)))] = (
+            np.arange(n)
+        )
+        color = np.empty(n, dtype=np.int64)
+        for c, cls in enumerate(classes):
+            color[cls] = c
+        up = rank[v] > rank[u]
+        node, nbr_color = np.unique(np.c_[u[up], color[v[up]]], axis=0).T
+        assert not np.any(nbr_color == color[node])
+        below = nbr_color < color[node]
+        assert np.array_equal(np.bincount(node[below], minlength=n), color)
+
+    @pytest.mark.parametrize(
+        "name", ["path", "shuffled_path", "grid", "ba", "star", "weighted", "k300"]
+    )
+    def test_each_node_takes_the_first_color_free_above_it(self, name):
+        if name == "k300":
+            lap = laplacian(complete_graph(300)).tocsr()
+        else:
+            lap = _aggregation_test_laplacians()[name]
+        self._assert_first_fit(lap, color_classes(lap))
+
+    def test_hub_heavy_levels_take_the_first_free_color(self):
+        h = setup(laplacian(barabasi_albert_graph(4000, 5, seed=0)), seed=1)
+        levels = [lvl for lvl in h.levels if lvl.kind is LevelKind.AGGREGATION]
+        assert max(len(lvl.colors) for lvl in levels) >= 20
+        for level in levels:
+            self._assert_first_fit(level.matrix, [cls.nodes for cls in level.colors])
+
     def test_levels_store_their_classes(self):
         # Only the V-cycle reads the classes once setup is done, so they
         # hold the float32 casts of the level's rows and 1/diag, exactly.
