@@ -155,12 +155,14 @@ def cf_closeness_sampling(
 
     One pivot set of ``k`` distinct nodes is drawn uniformly (without
     replacement) and shared by every query node; the resistance sum over
-    pivots (:func:`resistance_sums`) is scaled by n/k.  Each pivot and
-    query node is solved once, and only the pivot rows' entries at the
-    pivot and query nodes are kept, so memory is
-    ``O(BLOCK_COLUMNS * threads * n + k * (q + k))`` for ``q`` query
-    nodes.  Zero pivot distance sums (possible only for k=1 with the
-    query node as the pivot) raise :class:`UndefinedScoreError`.
+    pivots (:func:`resistance_sums`) is scaled by n/k.  It takes each
+    resistance by the diagonal rule ``R(v, p) = L+_vv + L+_pp - 2 L+_pv``,
+    whose sum over every node is exact closeness's ``n L+_vv + tr L+``.
+    Each pivot and query node is solved once; the pivot rows are kept
+    only at the query nodes, and the diagonal entry of every solved node,
+    so memory is ``O(BLOCK_COLUMNS * threads * n + k * q + n)`` for
+    ``q`` query nodes.  Zero pivot distance sums (possible only for k=1
+    with the query node as the pivot) raise :class:`UndefinedScoreError`.
     """
     n = hierarchy.n
     nodes = _check_query(n, query_nodes)

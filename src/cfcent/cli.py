@@ -157,6 +157,13 @@ def _check_pivots(args, g: Graph, measures: Sequence[Measure]) -> None:
         raise CfcentError(f"--pivots must be in [1, {g.n}] (the LCC size), got {args.pivots}")
 
 
+def _check_ranked(query: Sequence[int]) -> None:
+    """Reject fewer than 2 query nodes, before setup or any output, for the
+    commands whose metrics rank the query nodes."""
+    if len(query) < 2:
+        raise CfcentError(f"ranking needs at least 2 query nodes, got {len(query)}")
+
+
 def cmd_score(args, out) -> int:
     measures = _measures(args, default="cf_sampling")
     if len(measures) != 1:
@@ -190,6 +197,7 @@ def cmd_compare(args, out) -> int:
     measures = _measures(args, default="cf_sampling,cf_projection")
     g = _load_graph(args)
     query = _query_nodes(args, g)
+    _check_ranked(query)
     _check_pivots(args, g, measures)
     hierarchy = setup(laplacian(g), tau=args.tau, seed=args.seed)
 
@@ -238,6 +246,7 @@ def cmd_noise(args, out) -> int:
     measures = cf_measures + [Measure.SP_CLOSENESS]
     g = _load_graph(args)
     query = _query_nodes(args, g)
+    _check_ranked(query)
     _check_pivots(args, g, measures)
     out.write(
         f"# command=noise n={g.n} m={g.m} q={len(query)} seed={args.seed} "

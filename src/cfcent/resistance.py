@@ -3,9 +3,10 @@
 The exact route solves one Laplacian system per unit source/sink supply.
 The amortized route solves ``L z_x = e_x - 1/n`` once per node ``x``
 (:func:`node_solution_chunks` streams those solutions in fixed-width
-blocks) and recovers a pairwise resistance from four entries of two node
-solutions; :func:`resistance_sums` is the one place that applies this
-rule, summing the resistances from each target to a set of sources.
+blocks); row ``x`` of the solutions is row ``x`` of the pseudoinverse
+L+, so a pairwise resistance is ``R(t, s) = L+_tt + L+_ss - 2 L+_st``,
+the diagonal rule.  :func:`resistance_sums` is the one place that
+applies it, summing the resistances from each target to a set of sources.
 The sketched route projects the edge-space embedding whose pairwise
 squared distances are the resistances onto a random low-dimensional
 subspace, at the cost of one solve per sketch row; :func:`_sketch_chunks`
@@ -91,45 +92,34 @@ def resistance_sums(
 ) -> np.ndarray:
     """Entry ``i`` is ``sum_s R(targets[i], s)`` over the distinct ``sources``.
 
-    Each distinct node is solved once (:func:`node_solution_chunks`).
-    The sources stream first, on their own, and each source row is kept
-    only at the columns of ``union(targets, sources)``; the other union
-    nodes stream next, and each of their rows is reduced as its chunk
-    arrives.  A resistance is the four-entry rule
-    ``R(t, s) = z_t[t] - z_t[s] - z_s[t] + z_s[s]``, exactly 0 for
-    ``t == s``.  Chunks start on block boundaries, so the sums do not
-    depend on ``threads``, and memory is
-    ``O(BLOCK_COLUMNS * threads * n + |S| * (|T| + |S|))``.
+    L+ is symmetric, so ``R(t, s) = L+_tt + L+_ss - 2 L+_st`` needs only
+    the diagonal of L+ and the source rows at the targets.  Each distinct
+    node is solved once (:func:`node_solution_chunks`): the sources stream
+    first and each keeps its diagonal entry and its entries at the
+    targets, an ``|S| x |T|`` block; the targets that are not sources
+    stream next and keep only their diagonal entry.  The sum is
+    ``|S| L+_tt + sum_s L+_ss - 2 sum_s L+_st``, the last term added in
+    source order, so it is exactly 0 for ``t == s`` with one source and
+    does not depend on ``threads``.  Memory is
+    ``O(BLOCK_COLUMNS * threads * n + |S| * |T| + n)``.
     """
     n = hierarchy.n
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
     sources = np.unique(np.asarray(sources, dtype=np.int64))
-    union = np.union1d(targets, sources)
-    if union.size and (union[0] < 0 or union[-1] >= n):
+    nodes = np.r_[targets, sources]
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
         raise DomainError("node ids out of range")
-    at_sources = np.searchsorted(union, sources)
-    kept = np.empty((sources.size, union.size))
+    diag = np.empty(n)
+    kept = np.empty((sources.size, targets.size))
     done = 0
     for chunk, z in node_solution_chunks(hierarchy, sources, threads=threads):
-        kept[done : done + chunk.size] = z[:, union]
+        diag[chunk] = z[np.arange(chunk.size), chunk]
+        kept[done : done + chunk.size] = z[:, targets]
         done += chunk.size
-    own_sources = kept[np.arange(sources.size), at_sources]
-    sums = np.empty(union.size)
-
-    def reduce_rows(z: np.ndarray, nodes: np.ndarray, own: np.ndarray, at_s: np.ndarray) -> None:
-        # Row ``i`` of ``z`` is the solution of ``nodes[i]``, read at
-        # column ``own[i]`` for itself and at columns ``at_s`` for the sources.
-        at = np.searchsorted(union, nodes)
-        self_entry = z[np.arange(nodes.size), own]
-        dist = (self_entry[:, None] - z[:, at_s]) - kept[:, at].T + own_sources
-        dist[nodes[:, None] == sources] = 0.0
-        sums[at] = dist.sum(axis=1)
-
-    reduce_rows(kept, sources, at_sources, at_sources)
-    rest = np.setdiff1d(union, sources, assume_unique=True)
+    rest = np.setdiff1d(targets, sources)
     for chunk, z in node_solution_chunks(hierarchy, rest, threads=threads):
-        reduce_rows(z, chunk, chunk, sources)
-    return sums[np.searchsorted(union, targets)]
+        diag[chunk] = z[np.arange(chunk.size), chunk]
+    return sources.size * diag[targets] + diag[sources].sum() - 2.0 * kept.sum(axis=0)
 
 
 def sketch_dimension(n: int, epsilon: float) -> int:

@@ -210,10 +210,9 @@ def _rebuild_laplacian(
 
     Off-diagonal entries that turned nonnegative through roundoff are
     dropped; the diagonal is rebuilt as minus the off-diagonal row sum,
-    so every level is a Laplacian by construction.  ``transpose`` is
-    ``matrix.T`` as CSR, for a caller that already has it.  The rows come
-    out sorted with the diagonal in place, built from the CSR arrays
-    directly.
+    so every level is a Laplacian by construction, and it is stored even
+    where it is 0.  ``transpose`` is ``matrix.T`` as CSR, for a caller
+    that already has it.  The rows come out sorted.
     """
     matrix = matrix.tocsr()
     sym = (matrix + (matrix.T if transpose is None else transpose)) * 0.5
@@ -223,20 +222,13 @@ def _rebuild_laplacian(
     # Summed in storage order, before any sorting, so the diagonal keeps
     # its bits whatever order the product left the rows in.
     diag = np.bincount(rows[keep], weights=-sym.data[keep], minlength=n)
-    if not sym.has_sorted_indices:
-        sym.sort_indices()
-        keep = (sym.indices != rows) & (sym.data < 0)
-    r, c, v = rows[keep], sym.indices[keep], sym.data[keep]
-    indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=n) + 1)]
-    # A kept entry moves up by one slot per diagonal entry stored before
-    # it: one per earlier row, plus its own row's when it lies right of it.
-    at = np.arange(r.size) + r + (c > r)
-    at_diag = indptr[:-1] + np.bincount(r[c < r], minlength=n)
-    indices = np.empty(indptr[-1], dtype=sym.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[at], data[at] = c, v
-    indices[at_diag], data[at_diag] = np.arange(n), diag
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    sym.data[~keep] = 0.0
+    sym.eliminate_zeros()
+    # The identity stores every diagonal slot, so a zero diagonal stays.
+    lap = sym + sp.eye(n, format="csr")
+    lap.setdiag(diag)
+    lap.sort_indices()
+    return lap
 
 
 def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -352,13 +344,14 @@ def _upper_edges(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coarsen_aggregate(
-    matrix: sp.csr_matrix, test_vectors: np.ndarray
+    matrix: sp.csr_matrix, test_vectors: np.ndarray, seeds: np.ndarray
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Affinity-based aggregation with Galerkin coarse operator.
 
     The affinity of two nodes is the squared normalized inner product of
-    their test-vector samples, computed once per edge.  Seeds are the
-    greedy independent set in ascending id (:func:`_greedy_independent_set`),
+    their test-vector samples, computed once per edge.  ``seeds`` is the
+    boolean mask of the aggregate seeds; :func:`setup` passes the greedy
+    independent set in ascending id (:func:`_greedy_independent_set`),
     which keeps aggregates compact.  The other nodes then attach in rounds
     until none does: every unattached node proposes to its best eligible
     neighbor (already aggregated, affinity above the threshold, aggregate
@@ -378,7 +371,6 @@ def coarsen_aggregate(
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
-    seed = _greedy_independent_set(matrix, np.arange(n))
     u, v = _upper_edges(matrix)
 
     # Affinities on one triangle, one test vector at a time, in place, so
@@ -395,16 +387,16 @@ def coarsen_aggregate(
     strong = aff > AFFINITY_THRESHOLD
     # Directed strong edges out of the non-seeds, each node's entries in
     # preference order: highest affinity, then lowest neighbor id.
-    out_u = strong & ~seed[u]
-    out_v = strong & ~seed[v]
+    out_u = strong & ~seeds[u]
+    out_v = strong & ~seeds[v]
     node = np.r_[u[out_u], v[out_v]]
     nbr = np.r_[v[out_u], u[out_v]]
     order = np.lexsort((nbr, -np.r_[aff[out_u], aff[out_v]], node))
     node, nbr = node[order], nbr[order]
 
-    n_seeds = int(seed.sum())
+    n_seeds = int(seeds.sum())
     agg = -np.ones(n, dtype=np.int64)
-    agg[seed] = np.arange(n_seeds)
+    agg[seeds] = np.arange(n_seeds)
     room = np.full(n_seeds + 1, MAX_AGGREGATE_SIZE - 1)
     room[-1] = 0  # agg == -1 reads this: not aggregated, not eligible
     while node.size:
@@ -546,7 +538,9 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
     reach; ``seed`` drives the aggregation test vectors.  One rule per
     level above ``MAX_DIRECT_SIZE``: eliminate if
     :func:`coarsen_eliminate` gives a level, else aggregate if that removes
-    at least ``MIN_REDUCTION`` of the nodes, else stop.  The coarsest level
+    at least ``MIN_REDUCTION`` of the nodes, else stop.  An aggregation
+    whose seeds are too few to reach that bound even with every aggregate
+    full is not attempted.  The coarsest level
     gets the dense pseudoinverse; it is at most ``MAX_DIRECT_SIZE`` or the
     level where coarsening stalled, which happens on dense levels such as
     cliques.
@@ -560,10 +554,15 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
     while current.shape[0] > MAX_DIRECT_SIZE:
         coarse, level = coarsen_eliminate(current)
         if level is None:
+            # A seed gathers at most MAX_AGGREGATE_SIZE - 1 other nodes, so
+            # too few seeds fail the stage before it is colored or relaxed.
+            seeds = _greedy_independent_set(current, np.arange(current.shape[0]))
+            if (MAX_AGGREGATE_SIZE - 1) * seeds.sum() < MIN_REDUCTION * current.shape[0]:
+                break
             # One coloring serves the test vectors and the smoother.
             colors = _smoother_classes(current)
             vectors = relaxed_test_vectors(current, AGGREGATION_TEST_VECTORS, rng, colors)
-            coarse, p = coarsen_aggregate(current, vectors)
+            coarse, p = coarsen_aggregate(current, vectors, seeds)
             if current.shape[0] - coarse.shape[0] < MIN_REDUCTION * current.shape[0]:
                 break
             level = Level(kind=LevelKind.AGGREGATION, matrix=current, p=p, colors=colors)

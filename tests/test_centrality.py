@@ -42,20 +42,16 @@ def hierarchy_for(g, **settings):
 
 
 def pair_formula_sums(h, query, targets):
-    """Resistance sums from each query node to ``targets`` by the four-entry
-    formula, from one stream of node solutions over their sorted union."""
-    targets = np.asarray(targets)
+    """Resistance sums from each query node to the distinct ``targets`` by
+    the diagonal rule ``R(v, t) = L+_vv + L+_tt - 2 L+_tv``, from one
+    stream of node solutions over their sorted union."""
+    targets = np.unique(targets)
     union = np.union1d(query, targets)
     z = np.vstack([z for _, z in node_solution_chunks(h, union)])
-    z_t = z[np.searchsorted(union, targets)]
-    at_t = z_t[np.arange(targets.size), targets]
-    sums = []
-    for v in query:
-        z_v = z[np.searchsorted(union, v)]
-        dist = (z_v[v] - z_v[targets]) - z_t[:, v] + at_t
-        dist[targets == v] = 0.0
-        sums.append(dist.sum())
-    return np.array(sums)
+    diag = z[np.arange(union.size), union]
+    at_q, at_t = np.searchsorted(union, query), np.searchsorted(union, targets)
+    cross = z[at_t][:, query].sum(axis=0)
+    return targets.size * diag[at_q] + diag[at_t].sum() - 2.0 * cross
 
 
 class TestExact:

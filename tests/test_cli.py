@@ -365,6 +365,28 @@ class TestArgumentHandling:
         assert text == ""
         assert capsys.readouterr().err.startswith("cfcent: --pivots must be in [1, 3]")
 
+    @pytest.mark.parametrize(
+        "command, query",
+        [("compare", "random:1"), ("noise", "random:1"), ("compare", "list:3"),
+         ("noise", "list:3")],
+        ids=["compare-random", "noise-random", "compare-list", "noise-list"],
+    )
+    def test_one_query_node_fails_before_setup_and_output(
+        self, command, query, tmp_path, monkeypatch, capsys
+    ):
+        import cfcent.cli as cli
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("setup ran before the query count was checked")
+
+        monkeypatch.setattr(cli, "setup", no_setup)
+        monkeypatch.setattr(cli, "noise_resilience", no_setup)
+        code, text = run_cli(["--command", command, "--gen", "path:5", "--query", query],
+                             tmp_path)
+        assert code == EXIT_ERROR
+        assert text == ""
+        assert capsys.readouterr().err.startswith("cfcent: ranking needs at least 2")
+
     @pytest.mark.parametrize("command", ["score", "compare"])
     def test_pivots_above_lcc_size_accepted_without_sampling(self, command, tmp_path):
         code, text = run_cli(

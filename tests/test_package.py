@@ -84,3 +84,42 @@ def test_threads_is_keyword_only_on_every_solve_path():
         fn = getattr(importlib.import_module(module_name), attr)
         kinds[name] = inspect.signature(fn).parameters["threads"].kind
     assert set(kinds.values()) == {inspect.Parameter.KEYWORD_ONLY}
+
+
+def test_benchmark_hooks_resolve():
+    # The benchmark times these functions by wrapping them under these
+    # names, swaps the CLI's ``setup`` and ``cf_closeness_exact``, and reads
+    # the hierarchy fields below; a rename would silently zero its
+    # per-layer metrics or break its runs instead of failing here.
+    wrapped = [
+        "cfcent.graph.load_edge_list",
+        "cfcent.graph.largest_connected_component",
+        "cfcent.graph.laplacian",
+        "cfcent.solver.setup",
+        "cfcent.solver.coarsen_eliminate",
+        "cfcent.solver.relaxed_test_vectors",
+        "cfcent.solver.coarsen_aggregate",
+        "cfcent.solver.solve_many",
+        "cfcent.resistance.build_sketch",
+        "cfcent.centrality.cf_closeness_exact",
+        "cfcent.centrality.cf_closeness_sampling",
+        "cfcent.centrality.cf_closeness_projection",
+        "cfcent.evaluation.compare_rankings",
+        "cfcent.evaluation.max_relative_error",
+    ]
+    missing = []
+    for name in wrapped:
+        module_name, _, attr = name.rpartition(".")
+        if not inspect.isfunction(getattr(importlib.import_module(module_name), attr, None)):
+            missing.append(name)
+    assert missing == []
+
+    from cfcent import cli, laplacian
+    from cfcent.generators import grid_graph
+
+    assert cli.setup is cfcent.setup
+    assert cli.cf_closeness_exact is cfcent.cf_closeness_exact
+    h = cfcent.setup(laplacian(grid_graph(20)))
+    assert {"solves", "max_residual", "fallback_solves"} <= set(vars(h.stats))
+    assert h.level_sizes == [level.matrix.shape[0] for level in h.levels]
+    assert {level.kind.value for level in h.levels} <= {"elimination", "aggregation", "coarsest"}

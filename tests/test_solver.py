@@ -38,6 +38,13 @@ def relaxed_vectors(lap, rng):
     return relaxed_test_vectors(lap, 4, rng, solver_module._smoother_classes(lap))
 
 
+def aggregate(lap, vectors):
+    """``coarsen_aggregate`` with the seeds ``setup`` passes: the greedy
+    independent set in ascending id."""
+    seeds = solver_module._greedy_independent_set(lap, np.arange(lap.shape[0]))
+    return coarsen_aggregate(lap, vectors, seeds)
+
+
 class TestConfig:
     def test_defaults(self):
         params = inspect.signature(setup).parameters
@@ -79,8 +86,8 @@ class TestSetup:
         aggregated = []  # (fine size, coarse size) of each aggregation call
         real_aggregate = solver_module.coarsen_aggregate
 
-        def recording_aggregate(matrix, vectors):
-            coarse, p = real_aggregate(matrix, vectors)
+        def recording_aggregate(matrix, vectors, seeds):
+            coarse, p = real_aggregate(matrix, vectors, seeds)
             aggregated.append((matrix.shape[0], coarse.shape[0]))
             return coarse, p
 
@@ -97,9 +104,12 @@ class TestSetup:
             if sizes[-1] > solver_module.MAX_DIRECT_SIZE:
                 coarsest = h.levels[-1].matrix
                 assert coarsen_eliminate(coarsest)[1] is None
-                fine, coarse = aggregated[-1]
-                assert fine == sizes[-1]
-                assert fine - coarse < solver_module.MIN_REDUCTION * fine
+                seeds = solver_module._greedy_independent_set(coarsest, np.arange(sizes[-1]))
+                room = (solver_module.MAX_AGGREGATE_SIZE - 1) * seeds.sum()
+                if room >= solver_module.MIN_REDUCTION * sizes[-1]:
+                    fine, coarse = aggregated[-1]
+                    assert fine == sizes[-1]
+                    assert fine - coarse < solver_module.MIN_REDUCTION * fine
 
     def test_path_is_eliminated_exactly(self, rng):
         # A tree needs no aggregation: elimination levels repeat down to
@@ -117,9 +127,14 @@ class TestSetup:
         assert h.stats.cycles == 0
         assert res.max() <= 1e-8
 
-    def test_clique_stalls_into_one_coarsest_level(self, rng):
-        # No node of K300 is eligible for elimination and aggregation
-        # cannot shrink it, so the clique itself is factored directly.
+    def test_clique_stalls_into_one_coarsest_level(self, rng, monkeypatch):
+        # No node of K300 is eligible for elimination, and its one seed
+        # cannot gather MIN_REDUCTION of the nodes, so aggregation is not
+        # even colored: the clique itself is factored directly.
+        def no_coloring(matrix):
+            raise AssertionError("a stage that cannot succeed was colored")
+
+        monkeypatch.setattr(solver_module, "_smoother_classes", no_coloring)
         h = setup(laplacian(complete_graph(300)))
         assert [lvl.kind for lvl in h.levels] == [LevelKind.COARSEST]
         supplies = rng.standard_normal((5, 300))
@@ -293,7 +308,7 @@ class TestAggregate:
         g = Graph.from_edges(us, vs, n=8)
         lap = laplacian(g).tocsr()
         vectors = relaxed_vectors(lap, np.random.default_rng(0))
-        coarse, p = coarsen_aggregate(lap, vectors)
+        coarse, p = aggregate(lap, vectors)
         # at most two aggregates; the bridge node may join either side
         assert p.shape[1] == 2
         dense = coarse.toarray()
@@ -305,27 +320,27 @@ class TestAggregate:
         g = random_connected_graph(80, rng, weighted=True)
         lap = laplacian(g).tocsr()
         vectors = relaxed_vectors(lap, rng)
-        coarse, _ = coarsen_aggregate(lap, vectors)
+        coarse, _ = aggregate(lap, vectors)
         nc = coarse.shape[0]
         assert np.abs(coarse @ np.ones(nc)).max() < 1e-9
 
     def test_reduces_when_affinities_high(self, rng):
         lap = laplacian(grid_graph(12)).tocsr()
         vectors = relaxed_vectors(lap, rng)
-        coarse, p = coarsen_aggregate(lap, vectors)
+        coarse, p = aggregate(lap, vectors)
         assert p.shape[1] < lap.shape[0]
 
     def test_galerkin_symmetry(self, rng):
         g = random_connected_graph(60, rng, weighted=True)
         lap = laplacian(g).tocsr()
         vectors = relaxed_vectors(lap, rng)
-        coarse, _ = coarsen_aggregate(lap, vectors)
+        coarse, _ = aggregate(lap, vectors)
         assert (abs(coarse - coarse.T)).max() < 1e-12
 
     def test_interpolation_is_the_aggregate_map(self, rng):
         lap = laplacian(grid_graph(12)).tocsr()
         vectors = relaxed_vectors(lap, rng)
-        coarse, p = coarsen_aggregate(lap, vectors)
+        coarse, p = aggregate(lap, vectors)
         assert p.shape == (lap.shape[0], coarse.shape[0])
         assert np.array_equal(np.diff(p.indptr), np.ones(lap.shape[0]))
         assert np.all(p.data == 1.0)
@@ -383,7 +398,7 @@ class TestAggregateRounds:
     def test_aggregates_are_capped_and_joined_by_strong_edges(self, name):
         lap = _aggregation_test_laplacians()[name]
         vectors = relaxed_vectors(lap, np.random.default_rng(5))
-        _, p = coarsen_aggregate(lap, vectors)
+        _, p = aggregate(lap, vectors)
         agg = p.indices
         sizes = np.bincount(agg)
         assert np.array_equal(np.diff(p.indptr), np.ones(lap.shape[0]))
@@ -409,8 +424,8 @@ class TestAggregateRounds:
     def test_repeated_calls_are_identical(self):
         lap = _aggregation_test_laplacians()["ba"]
         vectors = relaxed_vectors(lap, np.random.default_rng(5))
-        first, p_first = coarsen_aggregate(lap, vectors)
-        again, p_again = coarsen_aggregate(lap.copy(), vectors.copy())
+        first, p_first = aggregate(lap, vectors)
+        again, p_again = aggregate(lap.copy(), vectors.copy())
         for a, b in ((first, again), (p_first, p_again)):
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
@@ -422,13 +437,13 @@ class TestAggregateRounds:
         # up to the cap, and the rest stay singletons.
         lap = laplacian(star_graph(10)).tocsr()
         vectors = np.tile([1.0, -2.0, 3.0, 0.5], (10, 1))
-        _, p = coarsen_aggregate(lap, vectors)
+        _, p = aggregate(lap, vectors)
         cap = solver_module.MAX_AGGREGATE_SIZE
         assert p.indices.tolist() == [0] * cap + [1, 2]
         # Node 1 of the path 0-1-2 sits between the seeds 0 and 2 and
         # joins the lower one.
         lap = laplacian(path_graph(3)).tocsr()
-        _, p = coarsen_aggregate(lap, vectors[:3])
+        _, p = aggregate(lap, vectors[:3])
         assert p.indices.tolist() == [0, 0, 1]
 
 
@@ -787,7 +802,7 @@ class TestSolveMany:
     def test_block_solve_on_the_reduced_system_peaks_under_five_blocks(self, rng):
         # grid60 starts with an elimination level (3600 -> 1800 nodes), so
         # the PCG arrays are half-size, and finished columns are
-        # back-substituted only after the arrays are narrowed: about 4.6
+        # back-substituted only after the arrays are narrowed: about 4.3
         # blocks of 64 x n, the returned rows included.
         import tracemalloc
 
