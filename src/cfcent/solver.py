@@ -23,11 +23,10 @@ preconditioner of every iteration (a reduced system that is the coarsest
 level is solved directly); each column is back-substituted to the finest
 level when it converges.  Columns that run out of iterations, break down
 or miss the tolerance when their residual is recomputed on the finest
-level are finished by the safety net: the same routine on the finest
-matrix with a Jacobi preconditioner.  The contract is a recomputed
-relative residual at most ``tau`` for every column, or
-:class:`ConvergenceError` when even the safety net misses it (as it does
-on some graphs whose edge weights span many orders of magnitude).
+level are finished by the safety net: the same path, restrict, iterate
+and back-substitute, with a Jacobi preconditioner on the reduced system.
+The contract is a recomputed relative residual at most ``tau`` for every
+column, or :class:`ConvergenceError` when even the safety net misses it.
 
 The V-cycle is only a preconditioner, so it runs in float32 from the
 reduced system down: smoothing, residuals, transfers, line searches, the
@@ -683,8 +682,8 @@ def _fcg(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Flexible preconditioned CG on ``matrix x = b`` per column of ``x``.
 
-    ``x`` is the starting iterate and ``r = b - matrix @ x`` its residual,
-    both mean-centered; ``precondition(r)`` returns the preconditioned
+    ``x`` is the starting iterate and ``r = b - matrix @ x`` its residual
+    for a mean-centered ``b``; ``precondition(r)`` returns the preconditioned
     residual, which is then centered.  Each direction is made conjugate
     to the previous one only, with the Polak-Ribiere ``beta`` (Notay
     2000), so a nonlinear preconditioner such as a V-cycle with a line
@@ -749,23 +748,24 @@ def _solve_block(
 ) -> np.ndarray:
     """Solve ``L x = b`` for every row ``b`` of ``rows`` into that row of ``out``.
 
-    The block is restricted once through the leading elimination levels
-    to the reduced system ``S x_c = b_c + W_cf D_f^-1 b_f`` of the first
-    other level, as LAMG's solve phase does (Livne & Brandt 2012).  The
-    outer iteration runs on that system: flexible conjugate gradients
-    (:func:`_fcg`) preconditioned by one V-cycle from that level per
-    iteration.  A reduced system that is the coarsest level is solved
-    directly and needs no cycle.  A column stops when
-    its reduced residual falls below ``STOP_MARGIN * tau`` of its fine
-    right-hand side's norm, which is exact: after back-substitution
-    ``x_f = D_f^-1 (b_f + W_cf^T x_c)``, done per column as it leaves the
-    iteration, the fine residual equals the reduced one on the C rows
-    and is zero on the F rows.  Columns that reach ``MAX_CYCLES``
-    iterations, break down (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose
-    residual, recomputed from the finest matrix, exceeds ``tau`` are
-    finished by the safety net: :func:`_fcg` again, on the finest matrix
-    with a Jacobi preconditioner, from the columns' current solutions and
-    for at most ``max(2000, 50 sqrt(n))`` iterations; a column it leaves
+    One path solves a set of columns, as LAMG's solve phase does (Livne &
+    Brandt 2012): restrict them once through the leading elimination
+    levels to the reduced system ``S x_c = b_c + W_cf D_f^-1 b_f`` of the
+    first other level, iterate there with flexible conjugate gradients
+    (:func:`_fcg`), and back-substitute ``x_f = D_f^-1 (b_f + W_cf^T x_c)``
+    per column as it leaves the iteration.  A column stops when its
+    reduced residual falls below ``STOP_MARGIN * tau`` of its fine
+    right-hand side's norm, which is exact: after back-substitution the
+    fine residual equals the reduced one on the C rows and is zero on the
+    F rows.  The path runs twice.  First on every column from zero,
+    preconditioned by one V-cycle from the reduced level per iteration; a
+    reduced system that is the coarsest level is solved directly and
+    needs no cycle.  Then, as the safety net, on the columns that reach
+    ``MAX_CYCLES`` iterations, break down (``<p, Lp> <= 0`` or
+    ``<r, z> <= 0``) or whose residual, recomputed from the finest
+    matrix, exceeds ``tau``: Jacobi on the reduced matrix, from the
+    columns' current solutions restricted to the reduced nodes, for at
+    most ``max(2000, 50 sqrt(n))`` iterations.  A column the net leaves
     above ``tau`` raises :class:`ConvergenceError`.
 
     Every column runs its own iteration and leaves the loop at its own
@@ -797,44 +797,46 @@ def _solve_block(
     nonzero = bnorm > 0
     out[~nonzero] = 0.0
     tau = hierarchy.tau
-    stop_tau = STOP_MARGIN * tau
-    net = np.zeros(ncols, dtype=bool)  # columns for the safety net
+    top = _top(levels)
+    reduced = levels[top]
     cycles = 0
 
-    active = np.flatnonzero(nonzero)
-    if active.size:
-        # Restrict the block once through the leading elimination levels
-        # to the reduced system of level ``top``.  ``take`` on the
-        # transposed rows gathers a C-ordered block, so sparse products
-        # on it need no relayout copy.
-        top = _top(levels)
-        ra = rows.T.take(active, axis=1)
-        ra -= ra.mean(axis=0, keepdims=True)
+    def reduced_solve(
+        cols: np.ndarray,
+        x: np.ndarray | None,
+        max_iters: int,
+        precondition: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Solve columns ``cols`` on the reduced system from the fine
+        iterate ``x`` (``None``: from zero, or directly on a coarsest
+        reduced level), writing each column's fine solution, re-centered,
+        into its row of ``out`` as it leaves; returns the columns that
+        missed the stop test."""
+        # ``take`` on the transposed rows gathers a C-ordered block, so
+        # sparse products on it need no relayout copy.
+        b = rows.T.take(cols, axis=1)
+        b -= b.mean(axis=0, keepdims=True)
         scaled = []  # D_f^-1 b_f per elimination level, for back-substitution
         for level in levels[:top]:
-            ra, f_part = _eliminate_restrict(level, ra)
+            b, f_part = _eliminate_restrict(level, b)
             scaled.append(f_part)
             del f_part  # the list alone holds it, so narrowing frees it
-        reduced = levels[top]
-        # A coarsest reduced level is solved directly, with no cycle.
-        if reduced.kind is LevelKind.COARSEST:
-            xa = _direct_solve(reduced, ra)
-            ra -= reduced.matrix @ xa
+            if x is not None:
+                x = x[level.c_nodes]
+        if x is None and reduced.kind is LevelKind.COARSEST:
+            x = _direct_solve(reduced, b)
+        if x is None:
+            x = np.zeros_like(b)
         else:
-            xa = np.zeros_like(ra)
-
-        def v_cycle(r: np.ndarray) -> np.ndarray:
-            nonlocal cycles
-            cycles += r.shape[1]
-            return _cycle(levels, top, r.astype(np.float32)).astype(np.float64)
-
+            b -= reduced.matrix @ x
         iteration = _fcg(
-            reduced.matrix, xa, ra, bnorm[active], stop_tau, MAX_CYCLES, v_cycle
+            reduced.matrix, x, b, bnorm[cols], STOP_MARGIN * tau, max_iters, precondition
         )
-        del xa, ra  # the iteration alone holds them, so narrowing frees them
+        del x, b  # the iteration alone holds them, so narrowing frees them
+        missed = []
         for done, x, converged in iteration:
-            finished, active = active[done], active[~done]
-            net[finished[~converged]] = True
+            finished, cols = cols[done], cols[~done]
+            missed.append(finished[~converged])
             # The iteration has narrowed its arrays, so the finished
             # columns' fine solutions never sit beside the full ones.
             f_done = [f_part.compress(done, axis=1) for f_part in scaled]
@@ -843,35 +845,33 @@ def _solve_block(
                 x = _eliminate_interpolate(level, x, f_done.pop())
             out[finished] = x.T
             del x
+            for i in finished:
+                out[i] -= out[i].mean()
+        return np.concatenate(missed)
 
-    out -= out.mean(axis=1, keepdims=True)
-    residual = matrix @ out.T
-    np.subtract(rows.T, residual, out=residual)
-    res = np.where(nonzero, _column_norms(residual) / np.where(nonzero, bnorm, 1.0), 0.0)
-    del residual
-    cols = np.flatnonzero(net | (res > tau))
+    def v_cycle(r: np.ndarray) -> np.ndarray:
+        nonlocal cycles
+        cycles += r.shape[1]
+        return _cycle(levels, top, r.astype(np.float32)).astype(np.float64)
+
+    def residuals() -> np.ndarray:
+        residual = matrix @ out.T
+        np.subtract(rows.T, residual, out=residual)
+        return np.where(nonzero, _column_norms(residual) / np.where(nonzero, bnorm, 1.0), 0.0)
+
+    active = np.flatnonzero(nonzero)
+    missed = reduced_solve(active, None, MAX_CYCLES, v_cycle) if active.size else active
+    res = residuals()
+    cols = np.union1d(missed, np.flatnonzero(res > tau))
     if cols.size:
-        # The safety net: the same iteration on the finest matrix with a
-        # Jacobi preconditioner, from the columns' current solutions.
-        dinv = 1.0 / np.maximum(matrix.diagonal(), np.finfo(float).tiny)[:, None]
-        xn = out.T.take(cols, axis=1)
-        rn = rows.T.take(cols, axis=1)
-        rn -= matrix @ xn
-        rn -= rn.mean(axis=0, keepdims=True)
-        iteration = _fcg(
-            matrix, xn, rn, bnorm[cols], stop_tau, max(2000, int(50 * np.sqrt(n))),
+        # The safety net: the same path, preconditioned by Jacobi on the
+        # reduced matrix, from the columns' current solutions.
+        dinv = 1.0 / np.maximum(reduced.matrix.diagonal(), np.finfo(float).tiny)[:, None]
+        reduced_solve(
+            cols, out.T.take(cols, axis=1), max(2000, int(50 * np.sqrt(n))),
             lambda r: dinv * r,
         )
-        del xn, rn
-        left = cols
-        for done, x, _ in iteration:
-            finished, left = left[done], left[~done]
-            x -= x.mean(axis=0, keepdims=True)
-            out[finished] = x.T
-            residual = rows.T.take(finished, axis=1)
-            residual -= matrix @ x
-            res[finished] = _column_norms(residual) / bnorm[finished]
-            del x, residual
+        res = residuals()
     # Recorded before any raise, so a failed block still shows its work.
     hierarchy.stats.record(res, cols.size, cycles)
     if (res[cols] > tau).any():

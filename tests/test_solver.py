@@ -718,8 +718,12 @@ class TestSolveMany:
         x, _ = solve_many(h, [b, -b])
         assert np.array_equal(x[0], -x[1])
 
-    def test_thread_count_does_not_change_results(self, rng):
-        # grid:40 has aggregation levels, so the multicolor smoother runs
+    @pytest.mark.parametrize("starved", [False, True], ids=["cycles", "starved"])
+    def test_thread_count_does_not_change_results(self, starved, rng, monkeypatch):
+        # grid:40 has aggregation levels, so the multicolor smoother runs;
+        # starved, the safety net finishes every column.
+        if starved:
+            monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
         g = grid_graph(40)
         h = setup(laplacian(g))
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
@@ -727,6 +731,7 @@ class TestSolveMany:
         supplies -= supplies.mean(axis=1, keepdims=True)
         serial, serial_res = solve_many(h, supplies, threads=1)
         serial_cycles = h.stats.cycles
+        assert h.stats.fallback_solves == (130 if starved else 0)
         threaded, threaded_res = solve_many(h, supplies, threads=4)
         assert h.stats.cycles - serial_cycles == serial_cycles > 0
         assert np.array_equal(serial, threaded)
@@ -777,8 +782,8 @@ class TestSolveMany:
         # the preconditioned residual and the finest level's iterate and
         # residual, plus the coarse levels: about 7.5 blocks of 64 x n.
         # Starved, every column is finished by the safety net, which holds
-        # the returned rows and its own four arrays and preconditioned
-        # residual, all on the finest level.
+        # the returned rows, its starting iterate and the same arrays on
+        # the reduced system.
         import tracemalloc
 
         if starved:
@@ -981,7 +986,9 @@ class TestSinglePrecisionCycle:
         assert recomputed == pytest.approx(res, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "span, per_column, net", [(2, 16.83, 0), (4, 84.56, 1)], ids=["1e2", "1e4"]
+        "span, per_column, net",
+        [(2, 16.83, 0), (4, 84.56, 1), (6, 100.0, 64)],
+        ids=["1e2", "1e4", "1e6"],
     )
     def test_wide_weights_take_the_same_cycles(self, span, per_column, net):
         g = _wide_weight_ba(span)
@@ -1012,7 +1019,7 @@ class TestFallback:
     def test_contract_holds_even_with_starved_multigrid(self, rng, monkeypatch):
         # One flexible-CG iteration with one smoothing sweep cannot
         # converge, so the solve must be finished by the safety net: the
-        # same iteration on the finest level, preconditioned by Jacobi.
+        # same iteration on the reduced system, preconditioned by Jacobi.
         monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
         monkeypatch.setattr(solver_module, "SMOOTHING_STEPS", (1, 1))
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 2)
@@ -1042,6 +1049,31 @@ class TestFallback:
         assert h.stats.cycles == 16
         assert res.max() <= 1e-5
         assert recomputed.max() <= 1e-5
+
+    def test_the_net_iterates_on_the_reduced_system(self, rng, monkeypatch):
+        # grid30 starts with an elimination level, so both passes run on
+        # the level below it and never on the finest matrix.
+        monkeypatch.setattr(solver_module, "MAX_CYCLES", 1)
+        g = grid_graph(30)
+        h = setup(laplacian(g))
+        top = solver_module._top(h.levels)
+        assert top > 0
+        fcg = solver_module._fcg
+        matrices = []
+
+        def spy(matrix, *args):
+            matrices.append(matrix)
+            return fcg(matrix, *args)
+
+        monkeypatch.setattr(solver_module, "_fcg", spy)
+        supplies = rng.standard_normal((8, g.n))
+        supplies -= supplies.mean(axis=1, keepdims=True)
+        _, res = solve_many(h, supplies)
+        assert h.stats.fallback_solves == 8
+        assert res.max() <= h.tau
+        assert len(matrices) == 2
+        assert all(m is h.levels[top].matrix for m in matrices)
+        assert not any(m is h.levels[0].matrix for m in matrices)
 
     def test_unreachable_tolerance_raises_with_best_residual(self, rng):
         # far below machine precision: every stage must give up, and the
