@@ -35,10 +35,7 @@ from .graph import (
     largest_connected_component,
     load_edge_list,
 )
-from .resistance import (
-    build_sketch,
-    effective_resistance,
-)
+from .resistance import effective_resistance
 from .solver import (
     MultigridHierarchy,
     setup,
@@ -60,7 +57,6 @@ __all__ = [
     "ScoreTable",
     "UndefinedMetricError",
     "UndefinedScoreError",
-    "build_sketch",
     "cf_closeness_exact",
     "cf_closeness_projection",
     "cf_closeness_sampling",

@@ -24,8 +24,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
-from .resistance import _sketch_chunks, node_solution_chunks, resistance_sums, sketch_dimension
-from .solver import BLOCK_COLUMNS, MultigridHierarchy, _greedy_independent_set
+from .resistance import node_solution_chunks, resistance_sums, sketch_blocks, sketch_dimension
+from .solver import MultigridHierarchy, _greedy_independent_set
 
 __all__ = [
     "CURRENT_FLOW",
@@ -188,23 +188,21 @@ def cf_closeness_projection(
 ) -> ScoreTable:
     """Projection estimator: closeness from sketched resistance sums.
 
-    The sketch ``z`` (:func:`_sketch_chunks`) has mean-centered rows, so
-    the sketched distance sum is
+    The sketch ``z`` has ``k = sketch_dimension(n, epsilon)``
+    mean-centered rows, so the sketched distance sum is
     ``sum_w ||z_v - z_w||^2 = sum_w ||z_w||^2 + n ||z_v||^2`` and only
-    each node's ``||z_v||^2`` is needed.  It is added up per
-    ``BLOCK_COLUMNS``-row block, in block order, as the solved chunks
-    stream past, so the scores do not depend on ``threads`` and no
-    ``k x n`` array is held: memory is
-    ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.
+    each node's ``||z_v||^2`` is needed.  It is added up per block of
+    :func:`sketch_blocks`, in block order, as the blocks stream past, so
+    the scores do not depend on ``threads`` and no ``k x n`` array is
+    held: memory is ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.
     """
     n = hierarchy.n
     nodes = _check_query(n, query_nodes)
+    k = sketch_dimension(n, epsilon)
     col_sq = np.zeros(n)
-    for z in _sketch_chunks(hierarchy, epsilon, seed, threads):
-        for lo in range(0, z.shape[0], BLOCK_COLUMNS):
-            block = z[lo : lo + BLOCK_COLUMNS]
-            col_sq += np.einsum("ij,ij->j", block, block)
-        del z, block  # hold no chunk while the next one is solved
+    for z in sketch_blocks(hierarchy, k, seed, threads=threads):
+        col_sq += np.einsum("ij,ij->j", z, z)
+        del z  # hold no chunk while the next one is solved
     totals = col_sq.sum() + n * col_sq[nodes]
     scores: dict[int, float] = {}
     for v, total in zip(nodes, totals.tolist()):
@@ -213,7 +211,6 @@ def cf_closeness_projection(
                 f"sketch distance sum is nonpositive for node {v}"
             )
         scores[v] = (n - 1) / total
-    k = sketch_dimension(n, epsilon)
     params = {"epsilon": epsilon, "k": k, "seed": seed, "tau": hierarchy.tau}
     return ScoreTable(Measure.CF_PROJECTION, params, scores)
 

@@ -301,8 +301,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise CfcentError(f"--threads must be >= 1, got {args.threads}")
         if args.seed < 0:
             raise CfcentError(f"--seed must be >= 0, got {args.seed}")
-        if not args.tau > 0:
-            raise CfcentError(f"--tau must be positive, got {args.tau}")
+        if not 0 < args.tau < 1:
+            raise CfcentError(f"--tau must be in (0, 1), got {args.tau}")
         if not 0 < args.epsilon <= 1:
             raise CfcentError(f"--epsilon must be in (0, 1], got {args.epsilon}")
         if args.pivots < 1:

@@ -9,9 +9,10 @@ the diagonal rule.  :func:`resistance_sums` is the one place that
 applies it, summing the resistances from each target to a set of sources.
 The sketched route projects the edge-space embedding whose pairwise
 squared distances are the resistances onto a random low-dimensional
-subspace, at the cost of one solve per sketch row; :func:`_sketch_chunks`
-streams the solved rows, and :func:`build_sketch` stacks them.  Every route reads
-the graph from the hierarchy alone: its finest level is the Laplacian.
+subspace, at the cost of one solve per sketch row; :func:`sketch_blocks`
+streams the solved rows in fixed-width blocks, and :func:`sketch_dimension`
+sizes the sketch for a distortion.  Every route reads the graph from the
+hierarchy alone: its finest level is the Laplacian.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ __all__ = [
     "effective_resistance",
     "node_solution_chunks",
     "resistance_sums",
-    "build_sketch",
+    "sketch_dimension",
+    "sketch_blocks",
 ]
 
 SIGN_ROWS = 8  # sketch rows drawn and pushed per step, so the dense signs take O(8 m)
@@ -123,40 +125,48 @@ def resistance_sums(
 
 
 def sketch_dimension(n: int, epsilon: float) -> int:
-    """Number of projection rows: ``ceil(ln(n) / epsilon^2)``, at least 1."""
-    return max(1, math.ceil(math.log(n) / epsilon**2))
+    """Number of projection rows: ``ceil(ln(n) / epsilon^2)``, at least 1.
 
-
-def _sketch_chunks(
-    hierarchy: MultigridHierarchy,
-    epsilon: float,
-    seed: int,
-    threads: int,
-) -> Iterator[np.ndarray]:
-    """Stream the rows of the resistance sketch, solved, in node space.
-
-    Projects the resistance embedding onto ``k = sketch_dimension(n,
-    epsilon)`` random directions: each row uses i.i.d. +-1/sqrt(k) signs,
-    is pushed through the weighted incidence matrix ``B^T W^(1/2)`` by
-    sparse multiplication, and is then solved against the Laplacian, so
-    the squared distance between columns u and v of the ``k x n`` sketch
-    estimates the effective resistance R(u, v).  The incidence is read
-    off the hierarchy's finest Laplacian ``L = B^T W B``: edge
-    ``e = (u, v)``, ``u < v``, in ``(u, v)`` order, is column ``e`` with
-    ``+sqrt(-L_uv)`` at ``u`` and ``-sqrt(-L_uv)`` at ``v``.
-
-    ``epsilon`` is checked on the call, before anything is drawn.  The
-    returned iterator yields the solved, mean-centered rows in order, in
-    chunks of ``BLOCK_COLUMNS * threads`` that start on block boundaries,
-    and holds no chunk after yielding it.  Signs are drawn ``SIGN_ROWS``
-    rows at a time, which leaves the random stream as one draw of all k
-    rows would make it, so every value is independent of ``threads``.
-    Memory is ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.
+    The one check of ``epsilon``: it must lie in (0, 1].
     """
     if not 0 < epsilon <= 1:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+    return max(1, math.ceil(math.log(n) / epsilon**2))
+
+
+def sketch_blocks(
+    hierarchy: MultigridHierarchy,
+    k: int,
+    seed: int,
+    *,
+    threads: int = 1,
+) -> Iterator[np.ndarray]:
+    """Stream the ``k`` rows of the resistance sketch, solved, in node space.
+
+    Projects the resistance embedding onto ``k`` random directions: each
+    row uses i.i.d. +-1/sqrt(k) signs, is pushed through the weighted
+    incidence matrix ``B^T W^(1/2)`` by sparse multiplication, and is then
+    solved against the Laplacian, so the squared distance between columns
+    u and v of the ``k x n`` sketch estimates the effective resistance
+    R(u, v); ``k = sketch_dimension(n, epsilon)`` gives distortion
+    ``epsilon``.  The incidence is read off the hierarchy's finest
+    Laplacian ``L = B^T W B``: edge ``e = (u, v)``, ``u < v``, in
+    ``(u, v)`` order, is column ``e`` with ``+sqrt(-L_uv)`` at ``u`` and
+    ``-sqrt(-L_uv)`` at ``v``.
+
+    Rows are drawn, pushed and solved in chunks of
+    ``BLOCK_COLUMNS * threads``, and each solved chunk is yielded as its
+    consecutive ``BLOCK_COLUMNS``-row blocks of mean-centered rows, in
+    order; the generator holds no chunk once its last block is yielded.
+    Signs are drawn ``SIGN_ROWS`` rows at a time, which leaves the random
+    stream as one draw of all k rows would make it, so every value is
+    independent of ``threads``.  Memory is
+    ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.  A ``k`` below 1
+    raises :class:`DomainError` when the first block is asked for.
+    """
+    if k < 1:
+        raise DomainError(f"sketch dimension must be >= 1, got {k}")
     n = hierarchy.n
-    k = sketch_dimension(n, epsilon)
     upper = sp.triu(hierarchy.levels[0].matrix, k=1, format="coo")
     m = upper.nnz
     root_w = np.sqrt(-upper.data)
@@ -171,53 +181,28 @@ def _sketch_chunks(
     rng = np.random.default_rng(seed)
     inv_sqrt_k = 1.0 / math.sqrt(k)
     width = BLOCK_COLUMNS * max(1, threads)
+    for start in range(0, k, width):
+        rhs = np.empty((min(width, k - start), n))
+        for lo in range(0, rhs.shape[0], SIGN_ROWS):
+            hi = min(lo + SIGN_ROWS, rhs.shape[0])
+            # Transposed on conversion, so the sparse product reads a
+            # C-ordered m x rows block without a relayout copy.
+            q_block = rng.integers(0, 2, size=(hi - lo, m)).T.astype(np.float64, order="C")
+            q_block *= 2.0
+            q_block -= 1.0
+            q_block *= inv_sqrt_k
+            rhs[lo:hi] = (scaled_t @ q_block).T
+            del q_block  # the dense m-wide signs are dead once pushed to node space
 
-    def chunks() -> Iterator[np.ndarray]:
-        for start in range(0, k, width):
-            rhs = np.empty((min(width, k - start), n))
-            for lo in range(0, rhs.shape[0], SIGN_ROWS):
-                hi = min(lo + SIGN_ROWS, rhs.shape[0])
-                # Transposed on conversion, so the sparse product reads a
-                # C-ordered m x rows block without a relayout copy.
-                q_block = rng.integers(0, 2, size=(hi - lo, m)).T.astype(np.float64, order="C")
-                q_block *= 2.0
-                q_block -= 1.0
-                q_block *= inv_sqrt_k
-                rhs[lo:hi] = (scaled_t @ q_block).T
-                del q_block  # the dense m-wide signs are dead once pushed to node space
+        # Each row is a signed combination of incidence rows, so it must
+        # sum to zero already; re-centering only removes accumulated roundoff.
+        row_sums = rhs.sum(axis=1)
+        scale = np.abs(rhs).sum(axis=1) + 1.0
+        assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
+        rhs -= rhs.mean(axis=1, keepdims=True)
 
-            # Each row is a signed combination of incidence rows, so it must
-            # sum to zero already; re-centering only removes accumulated roundoff.
-            row_sums = rhs.sum(axis=1)
-            scale = np.abs(rhs).sum(axis=1) + 1.0
-            assert np.all(np.abs(row_sums) <= 1e-8 * scale), "sketch right-hand sides unbalanced"
-            rhs -= rhs.mean(axis=1, keepdims=True)
-
-            z, _ = solve_many(hierarchy, rhs, threads=threads)
-            del rhs
-            yield z
-            del z  # hold no chunk while the next one is drawn and solved
-
-    return chunks()
-
-
-def build_sketch(
-    hierarchy: MultigridHierarchy,
-    epsilon: float,
-    seed: int,
-    *,
-    threads: int = 1,
-) -> np.ndarray:
-    """The read-only ``k x n`` resistance sketch, one mean-centered row per
-    projection direction: the chunks of :func:`_sketch_chunks`, stacked.
-
-    The squared Euclidean distance between columns u and v estimates the
-    effective resistance R(u, v).  Deterministic for a fixed seed and
-    independent of ``threads``.  Until the last chunk is solved, memory
-    is the chunks solved so far plus
-    ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``; stacking them
-    then takes a second ``k x n`` array for a moment.
-    """
-    z = np.concatenate(list(_sketch_chunks(hierarchy, epsilon, seed, threads)))
-    z.setflags(write=False)
-    return z
+        z, _ = solve_many(hierarchy, rhs, threads=threads)
+        del rhs
+        for lo in range(0, z.shape[0], BLOCK_COLUMNS):
+            yield z[lo : lo + BLOCK_COLUMNS]
+        del z  # hold no chunk while the next one is drawn and solved

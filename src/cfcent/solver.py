@@ -234,6 +234,8 @@ def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError("matrix must be square")
     matrix = matrix.tocsr()
+    if not np.isfinite(matrix.data).all():
+        raise DomainError("matrix has a non-finite entry")
     n = matrix.shape[0]
     scale = _max_abs(matrix)
     tol = 1e-12 * n * max(scale, 1.0)
@@ -534,7 +536,8 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
     """Build the multigrid hierarchy for a connected-graph Laplacian.
 
     ``tau`` is the relative residual every solve on the hierarchy must
-    reach; ``seed`` drives the aggregation test vectors.  One rule per
+    reach, in (0, 1): the zero vector already meets a residual of 1.
+    ``seed`` drives the aggregation test vectors.  One rule per
     level above ``MAX_DIRECT_SIZE``: eliminate if
     :func:`coarsen_eliminate` gives a level, else aggregate if that removes
     at least ``MIN_REDUCTION`` of the nodes, else stop.  An aggregation
@@ -544,8 +547,8 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
     level where coarsening stalled, which happens on dense levels such as
     cliques.
     """
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    if not 0 < tau < 1:
+        raise DomainError(f"tau must be in (0, 1), got {tau}")
     current = _validate_laplacian(matrix)
     rng = np.random.default_rng(seed)
     levels: list[Level] = []
@@ -787,6 +790,9 @@ def _solve_block(
 
     # One row at a time, so the check holds one row-sized temporary.
     l1 = np.array([np.abs(row).sum() for row in rows])
+    bad = ~np.isfinite(l1)
+    if bad.any():
+        raise DomainError(f"supply vector columns {np.nonzero(bad)[0].tolist()} are not finite")
     imbalance = np.abs(rows.sum(axis=1))
     bad = imbalance > 1e-10 * np.maximum(l1, np.finfo(float).tiny)
     if bad.any():

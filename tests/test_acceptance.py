@@ -32,7 +32,12 @@ from cfcent import (
     spearman,
 )
 from cfcent import solver as solver_module
-from cfcent.resistance import build_sketch, node_solution_chunks, resistance_sums
+from cfcent.resistance import (
+    node_solution_chunks,
+    resistance_sums,
+    sketch_blocks,
+    sketch_dimension,
+)
 
 from conftest import (
     cf_scores_oracle,
@@ -198,7 +203,8 @@ def _projection_band_stats(epsilon, seeds):
     hierarchy = setup(laplacian(g))
     in_band_fractions, emaxes = [], []
     for seed in range(seeds):
-        z = build_sketch(hierarchy, epsilon, seed, threads=4)
+        k = sketch_dimension(n, epsilon)
+        z = np.concatenate(list(sketch_blocks(hierarchy, k, seed, threads=4)))
         col_sq = np.einsum("ij,ij->j", z, z)
         gram = z.T @ z
         dist = col_sq[:, None] + col_sq[None, :] - 2.0 * gram

@@ -311,9 +311,12 @@ class TestArgumentHandling:
             ("compare", ["--epsilon", "nan"], "--epsilon"),
             ("score", ["--measure", "cf_sampling", "--pivots", "0"], "--pivots"),
             ("compare", ["--pivots", "-3"], "--pivots"),
+            # A relative residual of 1 is met by the zero vector.
+            ("score", ["--measure", "cf_exact", "--tau", "inf"], "--tau"),
+            ("compare", ["--tau", "1"], "--tau"),
         ],
         ids=["eps-zero", "eps-above-one", "eps-negative", "eps-nan", "pivots-zero",
-             "pivots-negative"],
+             "pivots-negative", "tau-inf", "tau-one"],
     )
     def test_bad_epsilon_or_pivots_fails_before_loading(
         self, command, flags, message, monkeypatch, capsys

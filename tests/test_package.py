@@ -33,7 +33,7 @@ def test_only_setup_takes_tau_or_seed():
     }
     assert {name: got for name, got in takers.items() if got} == {
         "cfcent.solver.setup": {"tau", "seed"},
-        "cfcent.resistance.build_sketch": {"seed"},
+        "cfcent.resistance.sketch_blocks": {"seed"},
         "cfcent.centrality.pivot_set": {"seed"},
         "cfcent.centrality.cf_closeness_sampling": {"seed"},
         "cfcent.centrality.cf_closeness_projection": {"seed"},
@@ -45,7 +45,7 @@ def test_current_flow_estimators_read_only_the_hierarchy():
     # The hierarchy's finest level is the Laplacian the estimators solve;
     # a separate graph argument could describe a different one.
     names = [
-        "cfcent.resistance.build_sketch",
+        "cfcent.resistance.sketch_blocks",
         "cfcent.centrality.cf_closeness_exact",
         "cfcent.centrality.cf_closeness_sampling",
         "cfcent.centrality.cf_closeness_projection",
@@ -72,7 +72,7 @@ def test_threads_is_keyword_only_on_every_solve_path():
         "cfcent.solver.solve_many",
         "cfcent.resistance.node_solution_chunks",
         "cfcent.resistance.resistance_sums",
-        "cfcent.resistance.build_sketch",
+        "cfcent.resistance.sketch_blocks",
         "cfcent.centrality.cf_closeness_exact",
         "cfcent.centrality.cf_closeness_sampling",
         "cfcent.centrality.cf_closeness_projection",
@@ -100,7 +100,6 @@ def test_benchmark_hooks_resolve():
         "cfcent.solver.relaxed_test_vectors",
         "cfcent.solver.coarsen_aggregate",
         "cfcent.solver.solve_many",
-        "cfcent.resistance.build_sketch",
         "cfcent.centrality.cf_closeness_exact",
         "cfcent.centrality.cf_closeness_sampling",
         "cfcent.centrality.cf_closeness_projection",

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from cfcent import (
     DomainError,
     Graph,
-    build_sketch,
     cf_closeness_projection,
     effective_resistance,
     laplacian,
@@ -19,7 +18,12 @@ from cfcent import (
 from cfcent import resistance as resistance_module
 from cfcent import solver as solver_module
 from cfcent.generators import complete_graph, grid_graph, path_graph
-from cfcent.resistance import node_solution_chunks, resistance_sums, sketch_dimension
+from cfcent.resistance import (
+    node_solution_chunks,
+    resistance_sums,
+    sketch_blocks,
+    sketch_dimension,
+)
 
 from conftest import random_connected_graph, resistance_matrix_oracle, traced_peak_bytes
 
@@ -240,6 +244,12 @@ class TestMetricLaws:
         assert measured == pytest.approx(expected, rel=0.05)
 
 
+def stacked_sketch(h, epsilon, seed, threads=1):
+    """The ``k x n`` sketch for distortion ``epsilon``: every block, stacked."""
+    blocks = sketch_blocks(h, sketch_dimension(h.n, epsilon), seed, threads=threads)
+    return np.concatenate(list(blocks))
+
+
 def sketch_distance(z, u, v):
     diff = z[:, u] - z[:, v]
     return float(diff @ diff)
@@ -255,7 +265,7 @@ class TestSketch:
         h = hierarchy_for(g)
         hits = 0
         for seed in range(10):
-            sk = build_sketch(h, epsilon=0.5, seed=seed)
+            sk = stacked_sketch(h, epsilon=0.5, seed=seed)
             assert sk.shape == (3, 2)
             if 0.5 <= sketch_distance(sk, 0, 1) <= 1.5:
                 hits += 1
@@ -264,38 +274,58 @@ class TestSketch:
     def test_deterministic_for_fixed_seed(self, rng):
         g = random_connected_graph(40, rng)
         h = hierarchy_for(g)
-        a = build_sketch(h, epsilon=0.4, seed=11)
-        b = build_sketch(h, epsilon=0.4, seed=11)
+        a = stacked_sketch(h, epsilon=0.4, seed=11)
+        b = stacked_sketch(h, epsilon=0.4, seed=11)
         assert np.array_equal(a, b)
-        assert not a.flags.writeable
-        c = build_sketch(h, epsilon=0.4, seed=12)
+        c = stacked_sketch(h, epsilon=0.4, seed=12)
         assert not np.array_equal(a, c)
 
     def test_rhs_rows_sum_to_zero(self, rng):
         # signed combinations of incidence rows are balanced by construction
         g = random_connected_graph(30, rng, weighted=True)
         h = hierarchy_for(g)
-        sk = build_sketch(h, epsilon=0.5, seed=0)
+        sk = stacked_sketch(h, epsilon=0.5, seed=0)
         # solved rows stay mean-centered
         assert np.abs(sk.mean(axis=1)).max() < 1e-10
 
     def test_epsilon_validation(self, rng):
-        # Checked on the call, before any row is drawn or the stream is
-        # iterated: epsilon = 0 must not reach sketch_dimension's division.
+        # sketch_dimension is the one check: epsilon = 0 must not reach
+        # its division.
         g = random_connected_graph(10, rng)
         h = hierarchy_for(g)
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(DomainError):
-                build_sketch(h, epsilon=bad, seed=0)
-            with pytest.raises(DomainError):
+        for bad in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(DomainError, match="epsilon"):
+                sketch_dimension(g.n, bad)
+            with pytest.raises(DomainError, match="epsilon"):
                 cf_closeness_projection(h, [0], epsilon=bad, seed=0)
-            with pytest.raises(DomainError):
-                resistance_module._sketch_chunks(h, bad, 0, 1)
+
+    def test_bad_epsilon_raises_before_any_solve(self, rng, monkeypatch):
+        g = random_connected_graph(10, rng)
+        h = hierarchy_for(g)
+        calls = []
+        inner = resistance_module.solve_many
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(resistance_module, "solve_many", spy)
+        with pytest.raises(DomainError, match="epsilon"):
+            cf_closeness_projection(h, [0], epsilon=0.0, seed=0)
+        assert calls == []
+        cf_closeness_projection(h, [0], epsilon=0.5, seed=0)
+        assert calls != []  # the spy sees the stream's solves
+
+    def test_dimension_below_one_rejected(self, rng):
+        h = hierarchy_for(random_connected_graph(10, rng))
+        for k in (0, -3):
+            with pytest.raises(DomainError, match="sketch dimension"):
+                next(sketch_blocks(h, k, 0))
 
     def test_distance_sums_match_pairwise(self, rng):
         g = random_connected_graph(30, rng)
         h = hierarchy_for(g)
-        sk = build_sketch(h, epsilon=0.5, seed=4)
+        sk = stacked_sketch(h, epsilon=0.5, seed=4)
         table = cf_closeness_projection(h, [5, 17], epsilon=0.5, seed=4)
         for node in [5, 17]:
             total = (g.n - 1) / table.scores[node]
@@ -309,7 +339,7 @@ class TestSketch:
         # node is queried as a range (none) or as a list (all).
         g = random_connected_graph(40, rng)
         h = hierarchy_for(g)
-        sk = build_sketch(h, epsilon=0.5, seed=7)
+        sk = stacked_sketch(h, epsilon=0.5, seed=7)
         diff = sk[:, :, None] - sk[:, None, :]
         brute = np.einsum("kvw,kvw->v", diff, diff)
         idx = np.arange(g.n) if nodes in (None, "all") else np.asarray(nodes)
@@ -343,7 +373,7 @@ class TestSketch:
         eps = 0.5
         ratios = []
         for seed in range(3):
-            sk = build_sketch(h, epsilon=eps, seed=seed)
+            sk = stacked_sketch(h, epsilon=eps, seed=seed)
             pairs = [(int(a), int(b)) for a, b in rng.integers(0, g.n, (300, 2)) if a != b]
             for a, b in pairs:
                 ratios.append(sketch_distance(sk, a, b) / oracle[a, b])
@@ -371,7 +401,7 @@ class TestSketch:
             monkeypatch.setattr(resistance_module, "solve_many", spy)
             tracemalloc.start()
             try:
-                sk = build_sketch(h, epsilon=0.2, seed=0, threads=threads)
+                sk = stacked_sketch(h, epsilon=0.2, seed=0, threads=threads)
             finally:
                 tracemalloc.stop()
             assert len(calls) == -(-sk.shape[0] // (64 * threads)) > 1
@@ -398,5 +428,7 @@ class TestSketch:
         rhs -= rhs.mean(axis=1, keepdims=True)
         reference, _ = solve_many(h, rhs)
         for threads in (1, 2, 4):
-            sk = build_sketch(h, epsilon=epsilon, seed=seed, threads=threads)
-            assert np.array_equal(sk, reference)
+            blocks = list(sketch_blocks(h, k, seed, threads=threads))
+            assert [b.shape[0] for b in blocks[:-1]] == [64] * (len(blocks) - 1)
+            assert 1 <= blocks[-1].shape[0] <= 64
+            assert np.array_equal(np.concatenate(blocks), reference)

@@ -57,7 +57,9 @@ class TestConfig:
 
     def test_validation(self):
         lap = laplacian(path_graph(3))
-        for tau in (0.0, -1e-5, float("nan")):
+        # A relative residual of 1 is met by the zero vector, so tau must
+        # lie strictly below it.
+        for tau in (0.0, -1e-5, float("nan"), 1.0, float("inf")):
             with pytest.raises(DomainError):
                 setup(lap, tau=tau)
 
@@ -180,8 +182,12 @@ class TestSetup:
             ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]], "square"),
             ([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]], "symmetric"),
             ([[-1.0, 1.0], [1.0, -1.0]], "positive off-diagonal"),
+            # A NaN edge passes every comparison and would be dropped by
+            # the rebuild, so the program would solve a different graph.
+            ([[1.0, -1.0, 0.0], [-1.0, np.nan, np.nan], [0.0, np.nan, np.nan]], "non-finite"),
+            ([[np.inf, -np.inf], [-np.inf, np.inf]], "non-finite"),
         ],
-        ids=["not-square", "asymmetric", "positive-off-diagonal"],
+        ids=["not-square", "asymmetric", "positive-off-diagonal", "nan-edge", "inf-entry"],
     )
     def test_rejects_each_non_laplacian_shape(self, matrix, message):
         with pytest.raises(DomainError, match=message):
@@ -657,6 +663,15 @@ class TestSolve:
         h = setup(laplacian(path_graph(4)))
         with pytest.raises(DomainError):
             solve_many(h, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_supply_rejected(self, bad):
+        # Each slips past the balance check, since NaN and inf compare
+        # false, and would return zeros or NaN residuals without a raise.
+        h = setup(laplacian(path_graph(4)))
+        supplies = np.array([[1.0, 0.0, 0.0, -1.0], [bad, 0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match=r"columns \[1\] are not finite"):
+            solve_many(h, supplies)
 
     def test_supply_of_the_wrong_length_rejected(self):
         h = setup(laplacian(path_graph(4)))
