@@ -3,10 +3,12 @@
 Five measures share the :class:`ScoreTable` result type: exact
 current-flow closeness, its pivot-sampling and random-projection
 estimators, shortest-path closeness, and the degree-based asymptotic
-surrogate.  Scores of a connected graph with at least two nodes are
-always positive.  The three current-flow measures read the graph from
-the hierarchy alone, whose finest level is its Laplacian; the other two
-read the :class:`Graph`.  :func:`score` dispatches on the measure.
+surrogate.  All five score a node by the one closeness rule
+``c(v) = (n - 1) / sum_w d(v, w)``, with ``d`` the measure's distance
+(:func:`_closeness`).  Scores of a connected graph with at least two
+nodes are always positive.  The three current-flow measures read the
+graph from the hierarchy alone, whose finest level is its Laplacian; the
+other two read the :class:`Graph`.  :func:`score` dispatches on the measure.
 Exact closeness solves the Laplacian for the nodes of a vertex cover
 only; the pseudoinverse diagonal of the independent set left over
 follows from its neighbors' solutions.
@@ -68,12 +70,36 @@ class ScoreTable:
 def _check_query(n: int, query_nodes: Sequence[int]) -> list[int]:
     if n < 2:
         raise DomainError("centrality needs a connected graph with n >= 2")
-    nodes = [int(v) for v in query_nodes]
+    ids = np.asarray(query_nodes)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise DomainError("query node ids must be integers")
+    nodes = ids.tolist()
     if not nodes:
         raise DomainError("query node list is empty")
     if any(v < 0 or v >= n for v in nodes):
         raise DomainError("query node out of range")
     return nodes
+
+
+def _closeness(
+    measure: Measure,
+    params: dict,
+    n: int,
+    nodes: list[int],
+    sums: np.ndarray,
+    scale: float = 1.0,
+) -> ScoreTable:
+    """The closeness rule all five measures share: node ``nodes[i]`` scores
+    ``scale * (n - 1) / sums[i]``, where ``sums[i]`` is its distance sum.
+
+    A nonpositive sum raises :class:`UndefinedScoreError`.
+    """
+    scores: dict[int, float] = {}
+    for v, total in zip(nodes, sums.tolist()):
+        if total <= 0.0:
+            raise UndefinedScoreError(f"distance sum of node {v} is {total}; score undefined")
+        scores[v] = scale * (n - 1) / total
+    return ScoreTable(measure, params, scores)
 
 
 def pivot_set(n: int, k: int, seed: int) -> np.ndarray:
@@ -117,7 +143,8 @@ def cf_closeness_exact(
     streamed, each once, in ``O(BLOCK_COLUMNS * threads * n + m)``
     memory.  One term ``w_vu L+_uv`` is kept per cover-to-F edge and the
     terms are summed per F node in edge order after the last chunk, so
-    the scores do not depend on ``threads``.
+    the scores do not depend on ``threads``.  The distance sum
+    ``n L+_vv + tr L+`` goes to :func:`_closeness`.
     """
     lap = hierarchy.levels[0].matrix
     n = hierarchy.n
@@ -136,11 +163,10 @@ def cf_closeness_exact(
         lo, hi = np.searchsorted(row, [done, done + chunk.size])
         terms[lo:hi] = weight[lo:hi] * z[row[lo:hi] - done, dst[lo:hi]]
         done += chunk.size
-    sums = np.bincount(dst, weights=terms, minlength=n)
-    diag[independent] = (1.0 - 1.0 / n + sums[independent]) / lap.diagonal()[independent]
-    trace = float(diag.sum())
-    scores = {v: (n - 1) / (n * float(diag[v]) + trace) for v in nodes}
-    return ScoreTable(Measure.CF_EXACT, {"tau": hierarchy.tau}, scores)
+    f_terms = np.bincount(dst, weights=terms, minlength=n)
+    diag[independent] = (1.0 - 1.0 / n + f_terms[independent]) / lap.diagonal()[independent]
+    sums = n * diag[nodes] + float(diag.sum())
+    return _closeness(Measure.CF_EXACT, {"tau": hierarchy.tau}, n, nodes, sums)
 
 
 def cf_closeness_sampling(
@@ -155,27 +181,21 @@ def cf_closeness_sampling(
 
     One pivot set of ``k`` distinct nodes is drawn uniformly (without
     replacement) and shared by every query node; the resistance sum over
-    pivots (:func:`resistance_sums`) is scaled by n/k.  It takes each
+    pivots (:func:`resistance_sums`) goes to :func:`_closeness` with the
+    scale k/n, which estimates the sum over all nodes.  It takes each
     resistance by the diagonal rule ``R(v, p) = L+_vv + L+_pp - 2 L+_pv``,
     whose sum over every node is exact closeness's ``n L+_vv + tr L+``.
     Each pivot and query node is solved once; the pivot rows are kept
     only at the query nodes, and the diagonal entry of every solved node,
     so memory is ``O(BLOCK_COLUMNS * threads * n + k * q + n)`` for
-    ``q`` query nodes.  Zero pivot distance sums (possible only for k=1
-    with the query node as the pivot) raise :class:`UndefinedScoreError`.
+    ``q`` query nodes.  A zero pivot distance sum (possible only for k=1
+    with the query node as the pivot) raises :class:`UndefinedScoreError`.
     """
     n = hierarchy.n
     nodes = _check_query(n, query_nodes)
-    totals = resistance_sums(hierarchy, nodes, pivot_set(n, k, seed), threads=threads)
-    scores: dict[int, float] = {}
-    for v, total in zip(nodes, totals.tolist()):
-        if total <= 0.0:
-            raise UndefinedScoreError(
-                f"pivot distance sum is zero for node {v}; score undefined"
-            )
-        scores[v] = (k / n) * (n - 1) / total
+    sums = resistance_sums(hierarchy, nodes, pivot_set(n, k, seed), threads=threads)
     params = {"k": k, "seed": seed, "tau": hierarchy.tau}
-    return ScoreTable(Measure.CF_SAMPLING, params, scores)
+    return _closeness(Measure.CF_SAMPLING, params, n, nodes, sums, scale=k / n)
 
 
 def cf_closeness_projection(
@@ -195,6 +215,7 @@ def cf_closeness_projection(
     :func:`sketch_blocks`, in block order, as the blocks stream past, so
     the scores do not depend on ``threads`` and no ``k x n`` array is
     held: memory is ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.
+    The sketched sums go to :func:`_closeness`.
     """
     n = hierarchy.n
     nodes = _check_query(n, query_nodes)
@@ -203,16 +224,9 @@ def cf_closeness_projection(
     for z in sketch_blocks(hierarchy, k, seed, threads=threads):
         col_sq += np.einsum("ij,ij->j", z, z)
         del z  # hold no chunk while the next one is solved
-    totals = col_sq.sum() + n * col_sq[nodes]
-    scores: dict[int, float] = {}
-    for v, total in zip(nodes, totals.tolist()):
-        if total <= 0.0:
-            raise UndefinedScoreError(
-                f"sketch distance sum is nonpositive for node {v}"
-            )
-        scores[v] = (n - 1) / total
+    sums = col_sq.sum() + n * col_sq[nodes]
     params = {"epsilon": epsilon, "k": k, "seed": seed, "tau": hierarchy.tau}
-    return ScoreTable(Measure.CF_PROJECTION, params, scores)
+    return _closeness(Measure.CF_PROJECTION, params, n, nodes, sums)
 
 
 def sp_closeness(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:
@@ -221,40 +235,39 @@ def sp_closeness(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:
     Breadth-first distances are used when all weights are 1, otherwise a
     priority-queue search.  The query nodes are searched from
     ``SP_BLOCK_ROWS`` at a time and each block of distance rows is
-    reduced before the next, so memory is ``O(SP_BLOCK_ROWS * n)`` for
-    any number of query nodes.
+    reduced to its row sums before the next, so memory is
+    ``O(SP_BLOCK_ROWS * n)`` for any number of query nodes.  The sums go
+    to :func:`_closeness`.
     """
     nodes = _check_query(g.n, query_nodes)
     adjacency = g.adjacency_matrix()
     unweighted = bool(np.all(g.weights == 1.0))
-    scores: dict[int, float] = {}
+    sums = []
     for start in range(0, len(nodes), SP_BLOCK_ROWS):
         block = nodes[start : start + SP_BLOCK_ROWS]
         dist = dijkstra(adjacency, indices=block, unweighted=unweighted, directed=False)
         if not np.all(np.isfinite(dist)):
             raise DomainError("graph is not connected")
-        for v, row in zip(block, dist):
-            scores[v] = (g.n - 1) / float(row.sum())
-    return ScoreTable(Measure.SP_CLOSENESS, {}, scores)
+        sums.append(dist.sum(axis=1))
+    return _closeness(Measure.SP_CLOSENESS, {}, g.n, nodes, np.concatenate(sums))
 
 
 def degree_asymptotic(g: Graph, query_nodes: Sequence[int]) -> ScoreTable:
-    """Degree-based limit score: (n-1) / sum of reciprocal-degree pairs.
+    """Degree-based limit score: the distance is ``d(v, w) = 1/d_v + 1/d_w``
+    for weighted degrees ``d``.
 
-    Computed in O(n + m) from the precomputed global sum of reciprocal
-    weighted degrees.
+    The sum over ``w != v`` is ``(n - 1)/d_v + sum_{w != v} 1/d_w``, taken
+    for every query node at once from the global sum of reciprocal
+    degrees in O(n + m), and goes to :func:`_closeness`.
     """
     nodes = _check_query(g.n, query_nodes)
     deg = g.degrees()
     if np.any(deg <= 0):
         raise DomainError("graph is not connected")
     inv = 1.0 / deg
-    total_inv = inv.sum()
     n = g.n
-    scores = {
-        v: (n - 1) / ((n - 1) * inv[v] + (total_inv - inv[v])) for v in nodes
-    }
-    return ScoreTable(Measure.DEGREE_ASYMPTOTIC, {}, scores)
+    sums = (n - 1) * inv[nodes] + (inv.sum() - inv[nodes])
+    return _closeness(Measure.DEGREE_ASYMPTOTIC, {}, n, nodes, sums)
 
 
 def score(

@@ -106,8 +106,11 @@ def _load_graph(args) -> Graph:
     if bool(args.input) == bool(args.gen):
         raise CfcentError("exactly one of --input or --gen is required")
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            g = load_edge_list(handle, one_indexed=args.one_indexed)
+        try:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                g = load_edge_list(handle, one_indexed=args.one_indexed)
+        except UnicodeDecodeError as exc:
+            raise CfcentError(f"{args.input}: not UTF-8 text: {exc.reason}") from None
     else:
         g = _generate(args.gen)
     g, _ = largest_connected_component(g)

@@ -7,14 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import (
-    CURRENT_FLOW,
-    Measure,
-    cf_closeness_sampling,
-    degree_asymptotic,
-    score,
-    sp_closeness,
-)
+from .centrality import CURRENT_FLOW, Measure, degree_asymptotic, score
 from .errors import DomainError, UndefinedMetricError
 from .graph import Graph, insert_noise_edges, laplacian
 from .solver import setup
@@ -41,11 +34,13 @@ class RankComparison:
 
 
 def compare_rankings(exact: Sequence[float], approx: Sequence[float]) -> RankComparison:
-    count, pct = rank_inversions(exact, approx)
+    """Spearman correlation and rank inversions of ``approx`` against
+    ``exact``; ``inversion_pct`` is the inversions' percentage of all pairs."""
+    count, fraction = rank_inversions(exact, approx)
     return RankComparison(
         spearman=spearman(exact, approx),
         inversions=count,
-        inversion_pct=pct,
+        inversion_pct=100 * fraction,
         q=len(exact),
     )
 
@@ -217,6 +212,7 @@ def degree_correlation_experiment(
     """Rank correlation of shortest-path and sampled current-flow
     closeness against the degree-based asymptotic score.
 
+    Both measures are scored as :func:`noise_resilience` scores them:
     ``seed`` drives both the pivot set and the hierarchy, which is built
     to ``tau``.  Raises :class:`UndefinedMetricError` on regular graphs,
     where the degree score is constant.
@@ -226,12 +222,9 @@ def degree_correlation_experiment(
         raise UndefinedMetricError(
             "degree score is constant (regular graph); correlation undefined"
         )
-    sp_scores = sp_closeness(g, query_nodes).vector(query_nodes)
-    hierarchy = setup(laplacian(g), tau=tau, seed=seed)
-    cf_scores = cf_closeness_sampling(
-        hierarchy, query_nodes, pivots, seed, threads=threads
-    ).vector(query_nodes)
     return {
-        Measure.SP_CLOSENESS: spearman(sp_scores, base),
-        Measure.CF_SAMPLING: spearman(cf_scores, base),
+        measure: spearman(
+            _measure_scores(g, measure, query_nodes, pivots, seed, tau, threads), base
+        )
+        for measure in (Measure.SP_CLOSENESS, Measure.CF_SAMPLING)
     }

@@ -29,16 +29,14 @@ def path_graph(n: int) -> Graph:
     return Graph.from_edges(u, u + 1, n=n)
 
 
-def grid_graph(rows: int, cols: int | None = None) -> Graph:
-    """Two-dimensional 4-neighbor grid; ``grid_graph(k)`` is the k-by-k grid."""
-    if cols is None:
-        cols = rows
-    if rows < 1 or cols < 1:
+def grid_graph(k: int) -> Graph:
+    """The k-by-k two-dimensional 4-neighbor grid, nodes numbered row by row."""
+    if k < 1:
         raise DomainError("grid dimensions must be >= 1")
-    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    ids = np.arange(k * k, dtype=np.int64).reshape(k, k)
     u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    return Graph.from_edges(u, v, n=rows * cols)
+    return Graph.from_edges(u, v, n=k * k)
 
 
 def star_graph(n: int) -> Graph:

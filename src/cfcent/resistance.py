@@ -37,6 +37,18 @@ __all__ = [
 SIGN_ROWS = 8  # sketch rows drawn and pushed per step, so the dense signs take O(8 m)
 
 
+def _node_ids(nodes: Sequence[int], n: int) -> np.ndarray:
+    """``nodes`` as a 1-D int64 array; :class:`DomainError` unless every
+    id is an integer in ``[0, n)``."""
+    ids = np.asarray(nodes).reshape(-1)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise DomainError("node ids must be integers")
+    ids = ids.astype(np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise DomainError("node ids out of range")
+    return ids
+
+
 def effective_resistance(hierarchy: MultigridHierarchy, u: int, v: int) -> float:
     """Potential difference at ``u`` and ``v`` under a unit u-v supply.
 
@@ -44,8 +56,7 @@ def effective_resistance(hierarchy: MultigridHierarchy, u: int, v: int) -> float
     distinct nodes of a connected graph.
     """
     n = hierarchy.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise DomainError("node ids out of range")
+    u, v = _node_ids([u, v], n).tolist()
     if u == v:
         return 0.0
     b = np.zeros(n)
@@ -69,12 +80,11 @@ def node_solution_chunks(
     :func:`solve_many` returned.  Each chunk is one :func:`solve_many`
     call; chunks start on block boundaries, so every value is independent
     of ``threads``.  Only the current chunk is held, so memory is
-    ``O(BLOCK_COLUMNS * threads * n)`` for any node count.
+    ``O(BLOCK_COLUMNS * threads * n)`` for any node count.  Node ids must
+    be integers in ``[0, n)``, else :class:`DomainError`.
     """
     n = hierarchy.n
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
-        raise DomainError("node ids out of range")
+    nodes = _node_ids(nodes, n)
     width = BLOCK_COLUMNS * max(1, threads)
     for start in range(0, nodes.size, width):
         chunk = nodes[start : start + width]
@@ -106,11 +116,8 @@ def resistance_sums(
     ``O(BLOCK_COLUMNS * threads * n + |S| * |T| + n)``.
     """
     n = hierarchy.n
-    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-    sources = np.unique(np.asarray(sources, dtype=np.int64))
-    nodes = np.r_[targets, sources]
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
-        raise DomainError("node ids out of range")
+    targets = _node_ids(targets, n)
+    sources = np.unique(_node_ids(sources, n))
     diag = np.empty(n)
     kept = np.empty((sources.size, targets.size))
     done = 0

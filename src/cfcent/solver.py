@@ -233,6 +233,8 @@ def _rebuild_laplacian(
 def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError("matrix must be square")
+    if matrix.shape[0] == 0:
+        raise DomainError("matrix is empty")
     matrix = matrix.tocsr()
     if not np.isfinite(matrix.data).all():
         raise DomainError("matrix has a non-finite entry")
@@ -319,16 +321,12 @@ def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | Non
     )
 
 
-def relaxed_test_vectors(
-    matrix: sp.csr_matrix,
-    count: int,
-    rng: np.random.Generator,
-    colors: Sequence[ColorClass],
-) -> np.ndarray:
-    """Mean-free random vectors smoothed by multicolor Gauss-Seidel sweeps
-    on Lx=0, over the level's color classes ``colors``."""
-    n = matrix.shape[0]
-    vectors = rng.standard_normal((n, count))
+def relaxed_test_vectors(colors: Sequence[ColorClass], rng: np.random.Generator) -> np.ndarray:
+    """``AGGREGATION_TEST_VECTORS`` mean-free random vectors smoothed by
+    multicolor Gauss-Seidel sweeps on Lx=0 over the level's color classes
+    ``colors``, which partition its nodes and so give its size."""
+    n = sum(cls.nodes.size for cls in colors)
+    vectors = rng.standard_normal((n, AGGREGATION_TEST_VECTORS))
     vectors -= vectors.mean(axis=0, keepdims=True)
     zero = np.zeros_like(vectors)
     for _ in range(TEST_VECTOR_SWEEPS):
@@ -441,34 +439,28 @@ def _tie_break(n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def color_classes(matrix: sp.csr_matrix) -> list[np.ndarray]:
-    """Partition the nodes of a level into independent sets.
+def color_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:
+    """Partition the nodes of a level into Gauss-Seidel color classes.
 
     First-fit coloring in descending priority: each node gets the smallest
     color that none of its higher-priority neighbors has.  Priority is the
     off-diagonal degree, ties broken by :func:`_tie_break`, so the classes
     depend on the matrix pattern alone.  Color ``c`` is the
     :func:`_greedy_independent_set` over the nodes left after colors
-    ``0 .. c - 1``, in priority order.  Returns one array of ascending
-    node ids per color.
+    ``0 .. c - 1``, in priority order.  Returns one :class:`ColorClass`
+    per color: its ascending node ids, their rows of ``matrix`` and their
+    inverse diagonal as a column, in float64.
     """
     matrix = matrix.tocsr()
+    diag = matrix.diagonal()
     order = np.lexsort((_tie_break(matrix.shape[0]), _off_diagonal_degree(matrix)))[::-1]
     classes = []
     while order.size:
         taken = _greedy_independent_set(matrix, order)
-        classes.append(np.flatnonzero(taken))
+        nodes = np.flatnonzero(taken)
+        classes.append(ColorClass(nodes=nodes, rows=matrix[nodes], dinv=1.0 / diag[nodes, None]))
         order = order[~taken[order]]
-    return classes
-
-
-def _smoother_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:
-    """The level's color classes with their matrix rows and 1/diag."""
-    dinv = 1.0 / matrix.diagonal()
-    return tuple(
-        ColorClass(nodes=nodes, rows=matrix[nodes], dinv=dinv[nodes, None])
-        for nodes in color_classes(matrix)
-    )
+    return tuple(classes)
 
 
 def _single(matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -562,8 +554,8 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
             if (MAX_AGGREGATE_SIZE - 1) * seeds.sum() < MIN_REDUCTION * current.shape[0]:
                 break
             # One coloring serves the test vectors and the smoother.
-            colors = _smoother_classes(current)
-            vectors = relaxed_test_vectors(current, AGGREGATION_TEST_VECTORS, rng, colors)
+            colors = color_classes(current)
+            vectors = relaxed_test_vectors(colors, rng)
             coarse, p = coarsen_aggregate(current, vectors, seeds)
             if current.shape[0] - coarse.shape[0] < MIN_REDUCTION * current.shape[0]:
                 break
@@ -784,9 +776,6 @@ def _solve_block(
     n = matrix.shape[0]
     if rows.shape[1] != n:
         raise DomainError(f"right-hand side length {rows.shape[1]} != {n}")
-    ncols = rows.shape[0]
-    if ncols == 0:
-        return np.zeros(0)
 
     # One row at a time, so the check holds one row-sized temporary.
     l1 = np.array([np.abs(row).sum() for row in rows])

@@ -13,6 +13,7 @@ from cfcent import (
     cf_closeness_projection,
     cf_closeness_sampling,
     degree_asymptotic,
+    effective_resistance,
     laplacian,
     setup,
     sp_closeness,
@@ -453,3 +454,31 @@ class TestValidation:
     def test_out_of_range_query(self):
         with pytest.raises(DomainError):
             sp_closeness(path_graph(3), [5])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: cf_closeness_sampling(h, [1.5], 3, 0),
+            lambda h: next(node_solution_chunks(h, [1.7])),
+            lambda h: resistance_sums(h, [1.5], [2]),
+            lambda h: effective_resistance(h, 0.5, 3),
+        ],
+        ids=["check_query", "node_solution_chunks", "resistance_sums", "effective_resistance"],
+    )
+    def test_non_integer_node_ids_rejected(self, call):
+        # Each used to truncate the id (or index with it) instead.
+        h = setup(laplacian(path_graph(4)))
+        with pytest.raises(DomainError, match="integers"):
+            call(h)
+
+    def test_integer_node_ids_accepted_in_every_form(self):
+        h = setup(laplacian(path_graph(4)))
+        expected = cf_closeness_sampling(h, [0, 1], 3, 0).scores
+        for ids in (range(2), np.arange(2), np.arange(2, dtype=np.int32), [np.int64(0), 1]):
+            assert cf_closeness_sampling(h, ids, 3, 0).scores == expected
+        assert effective_resistance(h, np.int32(0), 1) == effective_resistance(h, 0, 1)
+        # Empty sequences behave as before.
+        assert list(node_solution_chunks(h, [])) == []
+        assert resistance_sums(h, [], [2]).shape == (0,)
+        with pytest.raises(DomainError, match="empty"):
+            sp_closeness(path_graph(4), [])

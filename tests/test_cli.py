@@ -91,6 +91,16 @@ class TestScore:
         assert code == EXIT_OK
         assert len(body_lines(text)) == 1 + 3
 
+    def test_non_utf8_input_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 1\n1 2\xff\n")
+        code = main(["--command", "score", "--input", str(path), "--measure", "degree",
+                     "--query", "all"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"cfcent: {path}: ")
+        assert err.count("\n") == 1
+
     def test_missing_input_is_error(self, tmp_path):
         code = main(["--command", "score", "--input", str(tmp_path / "nope.txt"),
                      "--measure", "sp"])
@@ -156,6 +166,19 @@ class TestCompare:
         row = body_lines(text)[1].split(",")
         assert row[0] == "cf_exact"
         assert row[6] == row[7]   # the reference time is reported for both
+
+    def test_inversion_column_is_a_percentage_of_pairs(self, tmp_path):
+        code, text = run_cli(
+            ["--command", "compare", "--gen", "ba:200,2", "--measure", "sp,degree",
+             "--query", "random:30", "--seed", "4"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        pairs = 30 * 29 // 2
+        for line in body_lines(text)[1:]:
+            row = line.split(",")
+            assert int(row[3]) > 0
+            assert float(row[4]) == pytest.approx(100 * int(row[3]) / pairs, rel=1e-11)
 
     def test_default_runs_both_estimators(self, tmp_path):
         code, text = run_cli(

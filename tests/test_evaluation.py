@@ -196,6 +196,11 @@ class TestCompareRankings:
         assert result.inversions == 0
         assert result.q == 30
 
+    def test_inversion_pct_is_a_percentage(self):
+        result = compare_rankings([1, 2, 3], [3, 2, 1])
+        assert result.inversions == 3
+        assert result.inversion_pct == 100.0
+
 
 class TestNoiseResilience:
     def test_control_fraction_gives_one(self, rng):

@@ -35,7 +35,7 @@ def dense_solve_oracle(lap_dense, b):
 
 def relaxed_vectors(lap, rng):
     """Four relaxed test vectors over the level's own color classes."""
-    return relaxed_test_vectors(lap, 4, rng, solver_module._smoother_classes(lap))
+    return relaxed_test_vectors(color_classes(lap), rng)
 
 
 def aggregate(lap, vectors):
@@ -136,7 +136,7 @@ class TestSetup:
         def no_coloring(matrix):
             raise AssertionError("a stage that cannot succeed was colored")
 
-        monkeypatch.setattr(solver_module, "_smoother_classes", no_coloring)
+        monkeypatch.setattr(solver_module, "color_classes", no_coloring)
         h = setup(laplacian(complete_graph(300)))
         assert [lvl.kind for lvl in h.levels] == [LevelKind.COARSEST]
         supplies = rng.standard_normal((5, 300))
@@ -186,8 +186,11 @@ class TestSetup:
             # the rebuild, so the program would solve a different graph.
             ([[1.0, -1.0, 0.0], [-1.0, np.nan, np.nan], [0.0, np.nan, np.nan]], "non-finite"),
             ([[np.inf, -np.inf], [-np.inf, np.inf]], "non-finite"),
+            (np.zeros((0, 0)), "matrix is empty"),
         ],
-        ids=["not-square", "asymmetric", "positive-off-diagonal", "nan-edge", "inf-entry"],
+        ids=[
+            "not-square", "asymmetric", "positive-off-diagonal", "nan-edge", "inf-entry", "empty"
+        ],
     )
     def test_rejects_each_non_laplacian_shape(self, matrix, message):
         with pytest.raises(DomainError, match=message):
@@ -492,7 +495,7 @@ class TestColorClasses:
     @pytest.mark.parametrize("name", ["grid", "ba", "star", "weighted"])
     def test_classes_partition_into_independent_sets(self, name):
         lap = _color_test_laplacians()[name]
-        classes = color_classes(lap)
+        classes = [c.nodes for c in color_classes(lap)]
         nodes = np.concatenate(classes)
         assert np.array_equal(np.sort(nodes), np.arange(lap.shape[0]))
         for cls in classes:
@@ -500,14 +503,14 @@ class TestColorClasses:
             assert np.all(np.diff(cls) > 0)
             block = lap[cls][:, cls]
             assert np.count_nonzero(block.toarray() - np.diag(block.diagonal())) == 0
-        again = color_classes(lap.copy())
+        again = [c.nodes for c in color_classes(lap.copy())]
         assert len(again) == len(classes)
         assert all(np.array_equal(a, b) for a, b in zip(classes, again))
 
     def test_star_needs_two_colors(self):
         classes = color_classes(_color_test_laplacians()["star"])
         # the hub has the highest degree, so it is colored first, alone
-        assert [c.tolist() for c in classes] == [[0], list(range(1, 50))]
+        assert [c.nodes.tolist() for c in classes] == [[0], list(range(1, 50))]
 
     @staticmethod
     def _assert_first_fit(lap, classes):
@@ -539,7 +542,7 @@ class TestColorClasses:
             lap = laplacian(complete_graph(300)).tocsr()
         else:
             lap = _aggregation_test_laplacians()[name]
-        self._assert_first_fit(lap, color_classes(lap))
+        self._assert_first_fit(lap, [c.nodes for c in color_classes(lap)])
 
     def test_hub_heavy_levels_take_the_first_free_color(self):
         h = setup(laplacian(barabasi_albert_graph(4000, 5, seed=0)), seed=1)
@@ -547,6 +550,35 @@ class TestColorClasses:
         assert max(len(lvl.colors) for lvl in levels) >= 20
         for level in levels:
             self._assert_first_fit(level.matrix, [cls.nodes for cls in level.colors])
+
+    @pytest.mark.parametrize("name", ["grid", "ba", "star", "weighted"])
+    def test_classes_carry_their_rows_and_inverse_diagonal(self, name):
+        # Before setup casts them, the classes hold the level's own float64
+        # rows and 1/diag as a column.
+        lap = _color_test_laplacians()[name]
+        for cls in color_classes(lap):
+            rows = lap[cls.nodes]
+            assert cls.rows.dtype == cls.dinv.dtype == np.float64
+            assert np.array_equal(cls.rows.indptr, rows.indptr)
+            assert np.array_equal(cls.rows.indices, rows.indices)
+            assert np.array_equal(cls.rows.data, rows.data)
+            assert np.array_equal(cls.dinv, 1.0 / lap.diagonal()[cls.nodes, None])
+
+    def test_relaxed_test_vectors_take_their_size_from_the_classes(self):
+        lap = _color_test_laplacians()["ba"]
+        colors = color_classes(lap)
+        vectors = relaxed_test_vectors(colors, np.random.default_rng(3))
+        assert vectors.shape == (lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS)
+        # The same draw sized by the level matrix, swept the same way.
+        expected = np.random.default_rng(3).standard_normal(
+            (lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS)
+        )
+        expected -= expected.mean(axis=0, keepdims=True)
+        zero = np.zeros_like(expected)
+        for _ in range(solver_module.TEST_VECTOR_SWEEPS):
+            solver_module._sweep(colors, expected, zero)
+        expected -= expected.mean(axis=0, keepdims=True)
+        assert np.array_equal(vectors, expected)
 
     def test_levels_store_their_classes(self):
         # Only the V-cycle reads the classes once setup is done, so they
@@ -557,7 +589,7 @@ class TestColorClasses:
             if level.kind is not LevelKind.AGGREGATION:
                 assert level.colors == ()
                 continue
-            expected = color_classes(level.matrix)
+            expected = [c.nodes for c in color_classes(level.matrix)]
             assert len(level.colors) == len(expected)
             for cls, nodes in zip(level.colors, expected):
                 assert np.array_equal(cls.nodes, nodes)
