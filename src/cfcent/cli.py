@@ -134,11 +134,18 @@ def _query_nodes(args, g: Graph) -> list[int]:
     if kind == "list":
         label_to_id = {int(lbl): i for i, lbl in enumerate(g.node_labels)}
         try:
-            return [label_to_id[int(tok)] for tok in rest.split(",")]
+            nodes = [label_to_id[int(tok)] for tok in rest.split(",")]
         except KeyError as exc:
             raise CfcentError(f"query label {exc.args[0]} not in the LCC") from None
         except ValueError:
             raise CfcentError(f"bad --query spec {spec!r}") from None
+        # A repeated node would be scored, ranked and written twice.
+        seen: set[int] = set()
+        for v in nodes:
+            if v in seen:
+                raise CfcentError(f"query label {g.node_labels[v]} is listed twice")
+            seen.add(v)
+        return nodes
     raise CfcentError(f"bad --query spec {spec!r}")
 
 

@@ -6,7 +6,13 @@ set of low-degree nodes exactly via the Schur complement; aggregation
 partitions nodes by the affinity of relaxed test vectors and coarsens with
 the Galerkin product of the piecewise-constant interpolation.  Each must
 remove ``MIN_REDUCTION`` of the level's nodes; where neither does, the
-level is the coarsest.
+level is the coarsest.  Before the first aggregation, where elimination
+first stops, a fixed probe decides whether aggregation pays at all: if
+Jacobi-preconditioned conjugate gradients converges there within
+``PROBE_ITERATIONS``, as on expanders such as Barabasi-Albert graphs
+(Mihail, Papadimitriou & Saberi 2006), that level is the coarsest, kept
+without a pseudoinverse, and solves iterate on it with Jacobi; meshes and
+widely spread edge weights fail the probe and aggregate.
 Elimination, aggregation seeding and the smoother's color classes pick
 their independent sets with one greedy loop over the nodes; aggregation
 attaches the other nodes in rounds of whole-array passes over the level's
@@ -20,8 +26,9 @@ Galerkin operator.  A solve restricts its block once through the leading
 elimination levels, which are exact, and runs one flexible conjugate
 gradient routine on the reduced system with one V-cycle as the
 preconditioner of every iteration (a reduced system that is the coarsest
-level is solved directly); each column is back-substituted to the finest
-level when it converges.  Columns that run out of iterations, break down
+level is solved directly, or, when it passed the probe, preconditioned by
+Jacobi); each column is back-substituted to the finest level when it
+converges.  Columns that run out of iterations, break down
 or miss the tolerance when their residual is recomputed on the finest
 level are finished by the safety net: the same path, restrict, iterate
 and back-substitute, with a Jacobi preconditioner on the reduced system.
@@ -37,8 +44,9 @@ recomputed finest residual, the safety net and the ``tau`` check stay in
 float64, so the contract is unchanged.
 
 Singularity of the Laplacian is handled by mean-centering supplies and
-iterates; the coarsest level keeps its dense pseudoinverse
-``L+ = (L + J/n)^-1 - J/n``, so a coarsest solve is one dense product.
+iterates; a coarsest level that did not pass the probe keeps its dense
+pseudoinverse ``L+ = (L + J/n)^-1 - J/n``, so a coarsest solve is one
+dense product.
 """
 
 from __future__ import annotations
@@ -78,6 +86,9 @@ MIN_REDUCTION = 0.10          # a stage must shrink the level by 10% to be used
 SMOOTHING_STEPS = (1, 2)      # (pre, post) multicolor Gauss-Seidel sweeps
 MAX_DIRECT_SIZE = 200         # levels this small are solved directly
 MAX_CYCLES = 100              # flexible-PCG iterations per column, then the net
+PROBE_ITERATIONS = 30         # Jacobi-CG probe cap; BA 16k to 1M needs 11-12,
+                              # ER 20k 15, grid 100 (fails) 155
+PROBE_SEED = 0                # the probe column's own generator, not setup's
 BLOCK_COLUMNS = 64            # fixed so results never depend on thread count
 STOP_MARGIN = 0.9             # iterate slightly past tau so independently
                               # recomputed residuals stay below it
@@ -133,22 +144,28 @@ class SolveStats:
     """Aggregate bookkeeping across solves on one hierarchy.
 
     ``cycles`` counts V-cycle applications summed over columns;
-    ``fallback_solves`` counts columns finished by the safety net.
+    ``iterations`` counts flexible-CG iterations of both passes summed
+    over columns; ``fallback_solves`` counts columns finished by the
+    safety net.
     """
 
     solves: int = 0
     max_residual: float = 0.0
     fallback_solves: int = 0
     cycles: int = 0
+    iterations: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record(self, residuals: np.ndarray, fallbacks: int, cycles: int) -> None:
+    def record(
+        self, residuals: np.ndarray, fallbacks: int, cycles: int, iterations: int
+    ) -> None:
         with self._lock:
             self.solves += residuals.size
             if residuals.size:
                 self.max_residual = max(self.max_residual, float(residuals.max()))
             self.fallback_solves += fallbacks
             self.cycles += cycles
+            self.iterations += iterations
 
 
 @dataclass
@@ -170,8 +187,11 @@ class MultigridHierarchy:
 
     def describe(self) -> list[dict]:
         """One entry per level, finest first: kind, size, matrix nonzeros,
-        number of smoother color classes (0 off aggregation levels) and
-        the bytes of every array the level keeps, shared ones once."""
+        number of smoother color classes (0 off aggregation levels), the
+        bytes of every array the level keeps, shared ones once, and, on
+        the reduced system only, the preconditioner its solves use
+        (:func:`_preconditioner`; ``None`` on the other levels)."""
+        top = _top(self.levels)
         return [
             {
                 "kind": lvl.kind.value,
@@ -179,8 +199,9 @@ class MultigridHierarchy:
                 "nnz": int(lvl.matrix.nnz),
                 "colors": len(lvl.colors),
                 "bytes": _level_bytes(lvl),
+                "preconditioner": _preconditioner(lvl) if j == top else None,
             }
-            for lvl in self.levels
+            for j, lvl in enumerate(self.levels)
         ]
 
 
@@ -476,6 +497,16 @@ def _top(levels: Sequence[Level]) -> int:
     return next(j for j, lvl in enumerate(levels) if lvl.kind is not LevelKind.ELIMINATION)
 
 
+def _preconditioner(level: Level) -> str:
+    """What preconditions the flexible CG on ``level`` as a reduced system:
+    ``"cycle"`` on an aggregation level, ``"direct"`` on a coarsest level
+    with its pseudoinverse, ``"jacobi"`` on one that passed setup's probe
+    (:func:`_jacobi_converges`) and keeps no pseudoinverse."""
+    if level.kind is not LevelKind.COARSEST:
+        return "cycle"
+    return "direct" if level.pinv is not None else "jacobi"
+
+
 def _store_cycle_data_in_single(levels: list[Level]) -> None:
     """Replace what only the V-cycle reads by its float32 values.
 
@@ -524,6 +555,40 @@ def _direct_solve(level: Level, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _jacobi(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The Jacobi preconditioner of ``matrix``: a block scaled row by row
+    by the inverse diagonal."""
+    dinv = 1.0 / np.maximum(matrix.diagonal(), np.finfo(float).tiny)[:, None]
+    return lambda r: dinv * r
+
+
+def _jacobi_iteration_cap(n: int) -> int:
+    """Most Jacobi-preconditioned iterations a column of an ``n``-node
+    system gets, in the main pass on a Jacobi reduced level and in the
+    safety net alike."""
+    return max(2000, int(50 * np.sqrt(n)))
+
+
+def _jacobi_converges(matrix: sp.csr_matrix, tau: float) -> bool:
+    """Setup's probe: whether Jacobi-preconditioned :func:`_fcg` on
+    ``matrix`` reaches ``STOP_MARGIN * tau`` within ``PROBE_ITERATIONS``
+    on one mean-centered standard-normal column drawn from
+    ``PROBE_SEED``.
+
+    Expanders such as Barabasi-Albert and Erdos-Renyi graphs pass it in a
+    bounded number of iterations; meshes, which lack a spectral gap, and
+    widely spread edge weights fail it.
+    """
+    b = np.random.default_rng(PROBE_SEED).standard_normal((matrix.shape[0], 1))
+    b -= b.mean()
+    iteration = _fcg(
+        matrix, np.zeros_like(b), b, _column_norms(b), STOP_MARGIN * tau,
+        PROBE_ITERATIONS, _jacobi(matrix),
+    )
+    _, _, converged = next(iteration)
+    return bool(converged[0])
+
+
 def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> MultigridHierarchy:
     """Build the multigrid hierarchy for a connected-graph Laplacian.
 
@@ -536,18 +601,33 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
     whose seeds are too few to reach that bound even with every aggregate
     full is not attempted.  The coarsest level
     gets the dense pseudoinverse; it is at most ``MAX_DIRECT_SIZE`` or the
-    level where coarsening stalled, which happens on dense levels such as
-    cliques.
+    level where coarsening stalled, which happens on dense levels.
+
+    The first level that elimination does not reduce, under elimination
+    levels alone, is first probed (:func:`_jacobi_converges`).  If
+    Jacobi-preconditioned CG converges there, aggregation would cost more
+    than it saves: that level becomes the coarsest, with no pseudoinverse,
+    and solves precondition their iteration on it with Jacobi.  The probe
+    depends on the matrix, ``tau`` and a fixed seed only, and draws
+    nothing from ``seed``'s generator, so hierarchies that fail it are
+    the ones aggregation builds without it.  A clique, where nothing is
+    eliminated or aggregated, passes: Jacobi is exact on its mean-free
+    vectors.
     """
     if not 0 < tau < 1:
         raise DomainError(f"tau must be in (0, 1), got {tau}")
     current = _validate_laplacian(matrix)
     rng = np.random.default_rng(seed)
     levels: list[Level] = []
+    probe_passed = False
 
     while current.shape[0] > MAX_DIRECT_SIZE:
         coarse, level = coarsen_eliminate(current)
         if level is None:
+            if all(lvl.kind is LevelKind.ELIMINATION for lvl in levels):
+                probe_passed = _jacobi_converges(current, tau)
+                if probe_passed:
+                    break
             # A seed gathers at most MAX_AGGREGATE_SIZE - 1 other nodes, so
             # too few seeds fail the stage before it is colored or relaxed.
             seeds = _greedy_independent_set(current, np.arange(current.shape[0]))
@@ -567,7 +647,7 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
         Level(
             kind=LevelKind.COARSEST,
             matrix=current,
-            pinv=_pseudoinverse(current),
+            pinv=None if probe_passed else _pseudoinverse(current),
         )
     )
     sizes = [lvl.size for lvl in levels]
@@ -752,16 +832,18 @@ def _solve_block(
     reduced residual falls below ``STOP_MARGIN * tau`` of its fine
     right-hand side's norm, which is exact: after back-substitution the
     fine residual equals the reduced one on the C rows and is zero on the
-    F rows.  The path runs twice.  First on every column from zero,
-    preconditioned by one V-cycle from the reduced level per iteration; a
-    reduced system that is the coarsest level is solved directly and
-    needs no cycle.  Then, as the safety net, on the columns that reach
-    ``MAX_CYCLES`` iterations, break down (``<p, Lp> <= 0`` or
-    ``<r, z> <= 0``) or whose residual, recomputed from the finest
-    matrix, exceeds ``tau``: Jacobi on the reduced matrix, from the
-    columns' current solutions restricted to the reduced nodes, for at
-    most ``max(2000, 50 sqrt(n))`` iterations.  A column the net leaves
-    above ``tau`` raises :class:`ConvergenceError`.
+    F rows.  The path runs twice.  First on every column from zero, with
+    the reduced level's preconditioner (:func:`_preconditioner`): one
+    V-cycle from it per iteration, for at most ``MAX_CYCLES`` iterations;
+    on a coarsest level with a pseudoinverse, a direct solve, which needs
+    no cycle; on a coarsest level that passed setup's probe, Jacobi, for
+    at most :func:`_jacobi_iteration_cap` iterations.  Then, as the
+    safety net, on the columns that reach the cap, break down
+    (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose residual, recomputed
+    from the finest matrix, exceeds ``tau``: Jacobi on the reduced
+    matrix, from the columns' current solutions restricted to the reduced
+    nodes, for at most :func:`_jacobi_iteration_cap` iterations.  A
+    column the net leaves above ``tau`` raises :class:`ConvergenceError`.
 
     Every column runs its own iteration and leaves the loop at its own
     convergence step.  Its low-order bits may still depend on which
@@ -794,7 +876,7 @@ def _solve_block(
     tau = hierarchy.tau
     top = _top(levels)
     reduced = levels[top]
-    cycles = 0
+    cycles = iterations = 0
 
     def reduced_solve(
         cols: np.ndarray,
@@ -803,10 +885,10 @@ def _solve_block(
         precondition: Callable[[np.ndarray], np.ndarray],
     ) -> np.ndarray:
         """Solve columns ``cols`` on the reduced system from the fine
-        iterate ``x`` (``None``: from zero, or directly on a coarsest
-        reduced level), writing each column's fine solution, re-centered,
-        into its row of ``out`` as it leaves; returns the columns that
-        missed the stop test."""
+        iterate ``x`` (``None``: from zero, or directly on a reduced level
+        with a pseudoinverse), writing each column's fine solution,
+        re-centered, into its row of ``out`` as it leaves; returns the
+        columns that missed the stop test."""
         # ``take`` on the transposed rows gathers a C-ordered block, so
         # sparse products on it need no relayout copy.
         b = rows.T.take(cols, axis=1)
@@ -818,14 +900,20 @@ def _solve_block(
             del f_part  # the list alone holds it, so narrowing frees it
             if x is not None:
                 x = x[level.c_nodes]
-        if x is None and reduced.kind is LevelKind.COARSEST:
+        if x is None and reduced.pinv is not None:
             x = _direct_solve(reduced, b)
         if x is None:
             x = np.zeros_like(b)
         else:
             b -= reduced.matrix @ x
+
+        def counted(r: np.ndarray) -> np.ndarray:
+            nonlocal iterations
+            iterations += r.shape[1]
+            return precondition(r)
+
         iteration = _fcg(
-            reduced.matrix, x, b, bnorm[cols], STOP_MARGIN * tau, max_iters, precondition
+            reduced.matrix, x, b, bnorm[cols], STOP_MARGIN * tau, max_iters, counted
         )
         del x, b  # the iteration alone holds them, so narrowing frees them
         missed = []
@@ -854,21 +942,23 @@ def _solve_block(
         np.subtract(rows.T, residual, out=residual)
         return np.where(nonzero, _column_norms(residual) / np.where(nonzero, bnorm, 1.0), 0.0)
 
+    jacobi = _jacobi(reduced.matrix)
+    jacobi_cap = _jacobi_iteration_cap(n)
+    if _preconditioner(reduced) == "jacobi":
+        precondition, max_iters = jacobi, jacobi_cap
+    else:
+        precondition, max_iters = v_cycle, MAX_CYCLES
     active = np.flatnonzero(nonzero)
-    missed = reduced_solve(active, None, MAX_CYCLES, v_cycle) if active.size else active
+    missed = reduced_solve(active, None, max_iters, precondition) if active.size else active
     res = residuals()
     cols = np.union1d(missed, np.flatnonzero(res > tau))
     if cols.size:
         # The safety net: the same path, preconditioned by Jacobi on the
         # reduced matrix, from the columns' current solutions.
-        dinv = 1.0 / np.maximum(reduced.matrix.diagonal(), np.finfo(float).tiny)[:, None]
-        reduced_solve(
-            cols, out.T.take(cols, axis=1), max(2000, int(50 * np.sqrt(n))),
-            lambda r: dinv * r,
-        )
+        reduced_solve(cols, out.T.take(cols, axis=1), jacobi_cap, jacobi)
         res = residuals()
     # Recorded before any raise, so a failed block still shows its work.
-    hierarchy.stats.record(res, cols.size, cycles)
+    hierarchy.stats.record(res, cols.size, cycles, iterations)
     if (res[cols] > tau).any():
         raise ConvergenceError(
             f"{int((res[cols] > tau).sum())} solve(s) failed to reach tau={tau:g}",

@@ -33,6 +33,15 @@ def random_connected_graph(n, rng, extra_edge_prob=0.15, weighted=False):
     return Graph.from_edges(np.asarray(us), np.asarray(vs), w, n=n)
 
 
+def spread_weights(g, span, seed=0):
+    """``g`` with edge weights 10^U(-span, span).  From a span of 2 up,
+    Jacobi-preconditioned CG needs too many iterations for setup's probe,
+    so such a graph keeps its aggregation levels and V-cycles."""
+    us, vs, _ = g.edge_array()
+    weights = 10.0 ** np.random.default_rng(seed).uniform(-span, span, us.size)
+    return Graph.from_edges(us, vs, weights, n=g.n)
+
+
 def dense_laplacian(g):
     lap = np.zeros((g.n, g.n))
     eu, ev, ew = g.edge_array()

@@ -405,6 +405,30 @@ class TestArgumentHandling:
         assert text == ""
         assert capsys.readouterr().err.startswith("cfcent: ranking needs at least 2")
 
+    @pytest.mark.parametrize(
+        "command, query",
+        [("score", "list:1,1,2"), ("compare", "list:1,2,01")],
+        ids=["score", "compare"],
+    )
+    def test_repeated_query_label_fails_before_setup_and_output(
+        self, command, query, tmp_path, monkeypatch, capsys
+    ):
+        # Listed twice, a node would get two score rows and two ranks.
+        import cfcent.cli as cli
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("setup ran before the query list was checked")
+
+        monkeypatch.setattr(cli, "setup", no_setup)
+        code, text = run_cli(
+            ["--command", command, "--gen", "ba:300,3", "--measure", "cf_sampling",
+             "--query", query],
+            tmp_path,
+        )
+        assert code == EXIT_ERROR
+        assert text == ""
+        assert capsys.readouterr().err == "cfcent: query label 1 is listed twice\n"
+
     @pytest.mark.parametrize("command", ["score", "compare"])
     def test_pivots_above_lcc_size_accepted_without_sampling(self, command, tmp_path):
         code, text = run_cli(

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cfcent import ConvergenceError, DomainError, Graph, laplacian, setup, solve_many
+from cfcent import (
+    ConvergenceError,
+    DomainError,
+    laplacian,
+    largest_connected_component,
+    setup,
+    solve_many,
+)
 from cfcent.generators import (
     barabasi_albert_graph,
     complete_graph,
+    erdos_renyi_graph,
     grid_graph,
     path_graph,
     star_graph,
@@ -22,7 +30,7 @@ from cfcent.solver import (
     relaxed_test_vectors,
 )
 
-from conftest import dense_laplacian, random_connected_graph
+from conftest import dense_laplacian, random_connected_graph, spread_weights
 
 
 def dense_solve_oracle(lap_dense, b):
@@ -54,6 +62,7 @@ class TestConfig:
         assert solver_module.ELIMINATION_DEGREE_CAP == 4
         assert solver_module.SMOOTHING_STEPS == (1, 2)
         assert solver_module.MAX_CYCLES == 100
+        assert solver_module.PROBE_ITERATIONS == 30
 
     def test_validation(self):
         lap = laplacian(path_graph(3))
@@ -85,6 +94,8 @@ class TestSetup:
         # Every level but the coarsest removes MIN_REDUCTION of its nodes;
         # the coarsest is at most MAX_DIRECT_SIZE, or the level where
         # neither elimination nor the last aggregation cleared that bar.
+        # Sparse graphs with spread weights fail setup's Jacobi probe, so
+        # they keep the cycle.
         aggregated = []  # (fine size, coarse size) of each aggregation call
         real_aggregate = solver_module.coarsen_aggregate
 
@@ -97,7 +108,9 @@ class TestSetup:
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 20)
         for n in (50, 200, 400):
             aggregated.clear()
-            h = setup(laplacian(random_connected_graph(n, rng)))
+            g = random_connected_graph(n, rng, extra_edge_prob=0.03)
+            h = setup(laplacian(spread_weights(g, 4)))
+            assert h.levels[-1].pinv is not None
             sizes = h.level_sizes
             assert all(a > b for a, b in zip(sizes, sizes[1:]))
             assert all(
@@ -130,15 +143,21 @@ class TestSetup:
         assert res.max() <= 1e-8
 
     def test_clique_stalls_into_one_coarsest_level(self, rng, monkeypatch):
-        # No node of K300 is eligible for elimination, and its one seed
-        # cannot gather MIN_REDUCTION of the nodes, so aggregation is not
-        # even colored: the clique itself is factored directly.
+        # No node of K300 is eligible for elimination, and Jacobi is exact
+        # on a clique, so the probe passes and the clique is the reduced
+        # system.  With the probe failing, its one seed cannot gather
+        # MIN_REDUCTION of the nodes, so aggregation is not even colored:
+        # the clique itself is factored directly.
         def no_coloring(matrix):
             raise AssertionError("a stage that cannot succeed was colored")
 
         monkeypatch.setattr(solver_module, "color_classes", no_coloring)
-        h = setup(laplacian(complete_graph(300)))
+        lap = laplacian(complete_graph(300))
+        assert setup(lap).describe()[0]["preconditioner"] == "jacobi"
+        monkeypatch.setattr(solver_module, "_jacobi_converges", lambda matrix, tau: False)
+        h = setup(lap)
         assert [lvl.kind for lvl in h.levels] == [LevelKind.COARSEST]
+        assert h.describe()[0]["preconditioner"] == "direct"
         supplies = rng.standard_normal((5, 300))
         supplies -= supplies.mean(axis=1, keepdims=True)
         _, res = solve_many(h, supplies)
@@ -146,14 +165,18 @@ class TestSetup:
 
     def test_depth_stays_bounded_on_hub_heavy_graphs(self):
         # Attachment runs until no node attaches, so aggregation keeps
-        # shrinking BA levels instead of stalling into a long tail.
-        h = setup(laplacian(barabasi_albert_graph(16000, 5, seed=0)))
+        # shrinking BA levels instead of stalling into a long tail.  Spread
+        # weights keep the aggregation that unweighted BA skips.
+        h = setup(laplacian(spread_weights(barabasi_albert_graph(16000, 5, seed=0), 4)))
+        assert h.levels[0].kind is LevelKind.AGGREGATION
         assert len(h.levels) <= 8
 
     def test_every_level_is_connected_laplacian(self, rng, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 10)
-        g = random_connected_graph(300, rng, weighted=True)
+        g = spread_weights(random_connected_graph(300, rng, extra_edge_prob=0.01), 4)
         h = setup(laplacian(g))
+        kinds = {lvl.kind for lvl in h.levels}
+        assert kinds == {LevelKind.ELIMINATION, LevelKind.AGGREGATION, LevelKind.COARSEST}
         from scipy.sparse.csgraph import connected_components
 
         for level in h.levels:
@@ -545,7 +568,10 @@ class TestColorClasses:
         self._assert_first_fit(lap, [c.nodes for c in color_classes(lap)])
 
     def test_hub_heavy_levels_take_the_first_free_color(self):
-        h = setup(laplacian(barabasi_albert_graph(4000, 5, seed=0)), seed=1)
+        # Spread weights keep the BA graph's aggregation levels; the
+        # classes depend on the pattern alone.
+        g = spread_weights(barabasi_albert_graph(4000, 5, seed=0), 4)
+        h = setup(laplacian(g), seed=1)
         levels = [lvl for lvl in h.levels if lvl.kind is LevelKind.AGGREGATION]
         assert max(len(lvl.colors) for lvl in levels) >= 20
         for level in levels:
@@ -603,7 +629,7 @@ class TestColorClasses:
 
     def test_sweep_is_point_gauss_seidel_in_class_order(self, rng, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 10)
-        g = random_connected_graph(300, rng, weighted=True)
+        g = spread_weights(random_connected_graph(300, rng, extra_edge_prob=0.03), 4)
         h = setup(laplacian(g))
         level = next(lvl for lvl in h.levels if lvl.kind is LevelKind.AGGREGATION)
         b = rng.standard_normal((level.size, 3))
@@ -777,10 +803,11 @@ class TestSolveMany:
         supplies = rng.standard_normal((130, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         serial, serial_res = solve_many(h, supplies, threads=1)
-        serial_cycles = h.stats.cycles
+        serial_cycles, serial_iterations = h.stats.cycles, h.stats.iterations
         assert h.stats.fallback_solves == (130 if starved else 0)
         threaded, threaded_res = solve_many(h, supplies, threads=4)
         assert h.stats.cycles - serial_cycles == serial_cycles > 0
+        assert h.stats.iterations - serial_iterations == serial_iterations >= serial_cycles
         assert np.array_equal(serial, threaded)
         assert np.array_equal(serial_res, threaded_res)
 
@@ -821,7 +848,10 @@ class TestSolveMany:
             pytest.param(lambda: grid_graph(60), False, id="grid60"),
             pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), False, id="ba4000"),
             pytest.param(lambda: grid_graph(60), True, id="grid60-starved"),
-            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), True, id="ba4000-starved"),
+            pytest.param(
+                lambda: spread_weights(barabasi_albert_graph(4000, 5, seed=0), 4), True,
+                id="ba4000-spread-starved",
+            ),
         ],
     )
     def test_block_solve_peak_is_under_eight_blocks(self, graph, starved, rng, monkeypatch):
@@ -830,7 +860,8 @@ class TestSolveMany:
         # residual, plus the coarse levels: about 7.5 blocks of 64 x n.
         # Starved, every column is finished by the safety net, which holds
         # the returned rows, its starting iterate and the same arrays on
-        # the reduced system.
+        # the reduced system.  Unweighted BA 4000 takes the Jacobi branch,
+        # so only its spread-weight copy has V-cycles to starve.
         import tracemalloc
 
         if starved:
@@ -957,10 +988,7 @@ class TestSolveMany:
 
 def _wide_weight_ba(span):
     """``barabasi_albert_graph(2000, 3, seed=0)`` with weights 10^U(-span, span)."""
-    g = barabasi_albert_graph(2000, 3, seed=0)
-    us, vs, _ = g.edge_array()
-    weights = 10.0 ** np.random.default_rng(0).uniform(-span, span, us.size)
-    return Graph.from_edges(us, vs, weights, n=g.n)
+    return spread_weights(barabasi_albert_graph(2000, 3, seed=0), span)
 
 
 def _supplies(n, count):
@@ -1007,15 +1035,23 @@ class TestSinglePrecisionCycle:
         assert dtypes and set(dtypes) == {(np.dtype(np.float32), np.dtype(np.float32))}
         assert x.dtype == res.dtype == np.float64
 
-    # V-cycles per 64-column block (32 on grid40), read at the float64
-    # cycle; float32 leaves every count unchanged.
+    # V-cycles per 64-column block (32 on grid40).  The grids' counts were
+    # read at the float64 cycle, and float32 left them unchanged; the BA
+    # graphs carry weights 10^U(-2, 2), which keep their aggregation levels,
+    # and their counts were read at the float32 cycle.
     @pytest.mark.parametrize(
         "graph, count, cycles",
         [
             pytest.param(lambda: grid_graph(40), 32, 256, id="grid40"),
             pytest.param(lambda: grid_graph(60), 64, 640, id="grid60"),
-            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), 64, 192, id="ba4000"),
-            pytest.param(lambda: barabasi_albert_graph(1000, 3, seed=0), 64, 231, id="ba1000"),
+            pytest.param(
+                lambda: spread_weights(barabasi_albert_graph(4000, 5, seed=0), 2), 64, 857,
+                id="ba4000-spread",
+            ),
+            pytest.param(
+                lambda: spread_weights(barabasi_albert_graph(1000, 3, seed=0), 2), 64, 639,
+                id="ba1000-spread",
+            ),
         ],
     )
     def test_cycles_per_column_and_the_residual_contract(self, graph, count, cycles):
@@ -1049,7 +1085,7 @@ class TestSinglePrecisionCycle:
         # Each float32 array replaces a float64 one of the same length,
         # and matrix32 adds 4 bytes per nonzero, its index arrays being
         # the matrix's own; the class rows save 4 bytes per nonzero.
-        h = setup(laplacian(barabasi_albert_graph(4000, 5, seed=0)))
+        h = setup(laplacian(spread_weights(barabasi_albert_graph(4000, 5, seed=0), 4)))
         assert h.levels[0].kind is LevelKind.AGGREGATION
         total = sum(row["bytes"] for row in h.describe())
         as_float64 = total
@@ -1060,6 +1096,163 @@ class TestSinglePrecisionCycle:
             if lvl.matrix32 is not None:
                 as_float64 -= lvl.matrix32.data.nbytes
         assert total < as_float64
+
+
+def _spy_on_fcg(monkeypatch):
+    """Record every :func:`_fcg` run from now on: its matrix, iteration
+    cap, column count and the preconditioner calls it makes."""
+    fcg = solver_module._fcg
+    runs = []
+
+    def spy(matrix, x, r, norm, stop, max_iters, precondition):
+        run = {"matrix": matrix, "cap": max_iters, "columns": r.shape[1], "iterations": 0}
+        runs.append(run)
+
+        def counted(block):
+            run["iterations"] += 1
+            return precondition(block)
+
+        return fcg(matrix, x, r, norm, stop, max_iters, counted)
+
+    monkeypatch.setattr(solver_module, "_fcg", spy)
+    return runs
+
+
+def _er_graph():
+    """A sparse Erdos-Renyi graph's largest component: low-degree nodes to
+    eliminate, then an expander."""
+    return largest_connected_component(erdos_renyi_graph(4000, 0.001, seed=0))[0]
+
+
+def _hierarchy_arrays(h):
+    """Every array of every level, by level and name, for bitwise comparison."""
+    arrays = {}
+    for j, lvl in enumerate(h.levels):
+        arrays[j, "kind"] = np.array(lvl.kind.value)
+        matrices = {"matrix": lvl.matrix, "matrix32": lvl.matrix32, "w_cf": lvl.w_cf, "p": lvl.p}
+        matrices.update({f"class{c}": cls.rows for c, cls in enumerate(lvl.colors)})
+        for name, m in matrices.items():
+            if m is not None:
+                for part in ("data", "indices", "indptr"):
+                    arrays[j, name, part] = getattr(m, part)
+        for name in ("f_nodes", "c_nodes", "f_degree", "pinv"):
+            if getattr(lvl, name) is not None:
+                arrays[j, name] = getattr(lvl, name)
+        for c, cls in enumerate(lvl.colors):
+            arrays[j, f"class{c}", "nodes"] = cls.nodes
+            arrays[j, f"class{c}", "dinv"] = cls.dinv
+    return arrays
+
+
+class TestJacobiReducedSystem:
+    """Setup probes Jacobi-preconditioned CG where elimination stops; where
+    it converges, the reduced system is the coarsest level, with no
+    pseudoinverse and no cycle."""
+
+    @pytest.mark.parametrize(
+        "graph, eliminations, per_column",
+        [
+            # Every node of BA m0=5 has degree 5 or more: none is eliminated.
+            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), 0, 11, id="ba4000"),
+            pytest.param(_er_graph, 2, 15, id="er"),
+        ],
+    )
+    def test_expanders_take_the_jacobi_branch(self, graph, eliminations, per_column):
+        g = graph()
+        h = setup(laplacian(g))
+        *leading, reduced = h.levels
+        assert [lvl.kind for lvl in leading] == [LevelKind.ELIMINATION] * eliminations
+        assert reduced.kind is LevelKind.COARSEST and reduced.pinv is None
+        assert reduced.size > solver_module.MAX_DIRECT_SIZE
+        assert [row["preconditioner"] for row in h.describe()] == [None] * len(leading) + ["jacobi"]
+        supplies = _supplies(g.n, 130)
+        results = []
+        for threads in (1, 2, 4):
+            before = h.stats.iterations
+            x, res = solve_many(h, supplies, threads=threads)
+            results.append((x, res, h.stats.iterations - before))
+        assert (h.stats.cycles, h.stats.fallback_solves) == (0, 0)
+        # Every column takes about the same few iterations on an expander.
+        assert results[0][2] / 130 == pytest.approx(per_column, abs=0.5)
+        for x, res, iterations in results[1:]:
+            assert np.array_equal(x, results[0][0])
+            assert np.array_equal(res, results[0][1])
+            assert iterations == results[0][2]
+        x, res, _ = results[0]
+        recomputed = np.linalg.norm(supplies.T - laplacian(g) @ x.T, axis=0)
+        recomputed /= np.linalg.norm(supplies, axis=1)
+        assert recomputed.max() <= h.tau
+        assert recomputed == pytest.approx(res, rel=1e-6)
+
+    def test_the_main_pass_reads_the_nets_cap(self, monkeypatch):
+        g = barabasi_albert_graph(4000, 5, seed=0)
+        h = setup(laplacian(g))
+        runs = _spy_on_fcg(monkeypatch)
+        solve_many(h, _supplies(g.n, 3))
+        assert [run["cap"] for run in runs] == [solver_module._jacobi_iteration_cap(g.n)]
+        assert solver_module._jacobi_iteration_cap(g.n) == 3162
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: grid_graph(100), id="grid100"),
+            pytest.param(lambda: _wide_weight_ba(4), id="ba2000-spread"),
+        ],
+    )
+    def test_graphs_that_fail_the_probe_keep_their_hierarchies(self, graph, monkeypatch):
+        # The probe draws from its own generator, so a hierarchy that fails
+        # it is bit for bit the one built without a probe.
+        lap = laplacian(graph())
+        probe = solver_module._jacobi_converges
+        verdicts = []
+
+        def spy(matrix, tau):
+            verdicts.append(probe(matrix, tau))
+            return verdicts[-1]
+
+        monkeypatch.setattr(solver_module, "_jacobi_converges", spy)
+        probed = setup(lap, seed=1)
+        assert verdicts == [False]
+        monkeypatch.setattr(solver_module, "_jacobi_converges", lambda matrix, tau: False)
+        unprobed = setup(lap, seed=1)
+        assert any(lvl.kind is LevelKind.AGGREGATION for lvl in probed.levels)
+        assert probed.levels[-1].pinv is not None
+        got, want = _hierarchy_arrays(probed), _hierarchy_arrays(unprobed)
+        assert got.keys() == want.keys()
+        for key, array in got.items():
+            assert array.dtype == want[key].dtype and np.array_equal(array, want[key]), key
+
+    @pytest.mark.parametrize(
+        "graph, passes",
+        [
+            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), True, id="ba4000"),
+            pytest.param(lambda: grid_graph(100), False, id="grid100"),
+        ],
+    )
+    def test_the_probe_runs_at_most_its_cap(self, graph, passes, monkeypatch):
+        runs = _spy_on_fcg(monkeypatch)
+        h = setup(laplacian(graph()))
+        cap = solver_module.PROBE_ITERATIONS
+        assert [(run["cap"], run["columns"]) for run in runs] == [(cap, 1)]
+        if passes:
+            assert runs[0]["iterations"] == 11
+            assert h.levels[-1].pinv is None
+        else:
+            assert runs[0]["iterations"] == cap
+            assert h.levels[-1].pinv is not None
+
+    def test_describe_names_the_reduced_systems_preconditioner(self):
+        cases = {
+            "cycle": grid_graph(40),
+            "direct": star_graph(300),
+            "jacobi": barabasi_albert_graph(2000, 3, seed=0),
+        }
+        for name, g in cases.items():
+            h = setup(laplacian(g))
+            rows = h.describe()
+            top = solver_module._top(h.levels)
+            assert rows[top]["preconditioner"] == name
+            assert all(row["preconditioner"] is None for j, row in enumerate(rows) if j != top)
 
 
 class TestFallback:
@@ -1105,22 +1298,17 @@ class TestFallback:
         h = setup(laplacian(g))
         top = solver_module._top(h.levels)
         assert top > 0
-        fcg = solver_module._fcg
-        matrices = []
-
-        def spy(matrix, *args):
-            matrices.append(matrix)
-            return fcg(matrix, *args)
-
-        monkeypatch.setattr(solver_module, "_fcg", spy)
+        runs = _spy_on_fcg(monkeypatch)
         supplies = rng.standard_normal((8, g.n))
         supplies -= supplies.mean(axis=1, keepdims=True)
         _, res = solve_many(h, supplies)
         assert h.stats.fallback_solves == 8
         assert res.max() <= h.tau
+        matrices = [run["matrix"] for run in runs]
         assert len(matrices) == 2
         assert all(m is h.levels[top].matrix for m in matrices)
         assert not any(m is h.levels[0].matrix for m in matrices)
+        assert [run["cap"] for run in runs] == [1, solver_module._jacobi_iteration_cap(g.n)]
 
     def test_unreachable_tolerance_raises_with_best_residual(self, rng):
         # far below machine precision: every stage must give up, and the
