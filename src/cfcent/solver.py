@@ -307,6 +307,26 @@ def _greedy_independent_set(matrix: sp.csr_matrix, order: np.ndarray) -> np.ndar
     return mask
 
 
+def _schur_complement(
+    matrix: sp.csr_matrix, in_f: np.ndarray
+) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+    """Eliminate the independent set ``in_f`` (a boolean mask) exactly.
+
+    With F the masked nodes and C the others, both in ascending id,
+    returns ``(S, w_cf, d_f)``: the Schur complement
+    ``S = L_CC - w_cf D_F^-1 w_cf^T`` on C, again a Laplacian
+    (:func:`_rebuild_laplacian`), the weights ``w_cf = -L_CF`` and the
+    diagonal ``d_f`` of ``L_FF``, which is diagonal because F is
+    independent.
+    """
+    f, c = np.flatnonzero(in_f), np.flatnonzero(~in_f)
+    d_f = matrix.diagonal()[f]
+    rows_c = matrix[c]
+    w_cf = -rows_c[:, f]
+    schur = rows_c[:, c] - w_cf @ sp.diags(1.0 / d_f) @ w_cf.T
+    return _rebuild_laplacian(schur), w_cf, d_f
+
+
 def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | None]:
     """Exact Schur-complement elimination of an independent low-degree set.
 
@@ -328,11 +348,8 @@ def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | Non
     if not f.size or f.size < MIN_REDUCTION * n:
         return matrix, None
 
-    d_f = matrix.diagonal()[f]
-    rows_c = matrix[c]
-    w_cf = -rows_c[:, f]
-    schur = rows_c[:, c] - w_cf @ sp.diags(1.0 / d_f) @ w_cf.T
-    return _rebuild_laplacian(schur), Level(
+    schur, w_cf, d_f = _schur_complement(matrix, in_f)
+    return schur, Level(
         kind=LevelKind.ELIMINATION,
         matrix=matrix,
         f_nodes=f,

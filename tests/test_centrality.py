@@ -29,7 +29,7 @@ from cfcent.generators import (
 from cfcent import resistance as resistance_module
 from cfcent import solver as solver_module
 from cfcent.resistance import node_solution_chunks, resistance_sums, sketch_dimension
-from cfcent.solver import LevelKind
+from cfcent.solver import LevelKind, _schur_complement
 
 from conftest import (
     cf_scores_oracle,
@@ -126,8 +126,10 @@ class TestExact:
 
 
 class TestCoverIdentity:
-    """Exact closeness solves only the cover, the nodes outside F; the diagonal
-    entries of the independent set F come from their neighbors' rows."""
+    """Exact closeness solves only the second cover C2: F1 is an independent
+    set of the graph, F2 one of the Schur complement on the other nodes
+    C1, and the diagonal entries of F2 and then F1 come from the rows of
+    C2."""
 
     @staticmethod
     def graphs():
@@ -139,13 +141,42 @@ class TestCoverIdentity:
             barabasi_albert_graph(400, 3, seed=2),
             random_connected_graph(120, rng, weighted=True),
             random_connected_graph(250, rng, extra_edge_prob=0.02, weighted=True),
+            path_graph(2),
+            path_graph(3),
+            complete_graph(5),
+            spread_weights(barabasi_albert_graph(300, 2, seed=3), 3),
         ]
+
+    @staticmethod
+    def rounds(g):
+        """F1, F2 and C2 as boolean masks by node id."""
+        lap = laplacian(g)
+        f1 = _independent_set(lap)
+        schur, _, _ = _schur_complement(lap, f1)
+        f2 = np.zeros(g.n, dtype=bool)
+        f2[np.flatnonzero(~f1)[_independent_set(schur)]] = True
+        return f1, f2, ~(f1 | f2)
 
     def test_matches_pseudoinverse_oracle(self):
         for g in self.graphs():
             h = hierarchy_for(g, tau=1e-10)
             got = cf_closeness_exact(h, range(g.n)).vector(range(g.n))
             assert got == pytest.approx(cf_scores_oracle(g), rel=1e-6)
+
+    def test_second_round_cases_occur(self):
+        # Where C1 is one node (the star, path 2 and path 3) its Schur
+        # complement is [0] and round 2 takes nothing; K5 leaves C1 four
+        # nodes and takes one.  The other graphs have F1 nodes next to F2
+        # nodes, whose entries L+_uw round 1 then reads.
+        taken, crossed = [], []
+        for g in self.graphs():
+            f1, f2, _ = self.rounds(g)
+            eu, ev, _ = g.edge_array()
+            taken.append(int(f2.sum()))
+            crossed.append(int(np.sum(f1[eu] & f2[ev] | f2[eu] & f1[ev])))
+        assert taken[0] == taken[6] == taken[7] == 0
+        assert taken[8] == 1
+        assert all(crossed[i] > 0 for i in (1, 2, 3, 4, 5, 8, 9))
 
     def test_solves_only_the_cover(self):
         solves = []
@@ -154,7 +185,7 @@ class TestCoverIdentity:
             before = h.stats.solves
             cf_closeness_exact(h, [0])
             solves.append(h.stats.solves - before)
-            assert solves[-1] == g.n - int(_independent_set(laplacian(g)).sum())
+            assert solves[-1] == int(self.rounds(g)[2].sum())
         assert solves[0] == 1  # the star: its center alone
 
     def test_independent_set_is_maximal(self):
@@ -174,9 +205,9 @@ class TestCoverIdentity:
         assert np.flatnonzero(f).tolist() == [0, 2, 4, 6]
 
     def test_bitwise_independent_of_threads(self):
-        g = grid_graph(30)
+        g = grid_graph(40)
         h = hierarchy_for(g)
-        assert g.n - int(_independent_set(laplacian(g)).sum()) > 2 * 192
+        assert int(self.rounds(g)[2].sum()) > 2 * 192  # three chunks at three threads
         one = cf_closeness_exact(h, range(g.n), threads=1).scores
         three = cf_closeness_exact(h, range(g.n), threads=3).scores
         assert one == three

@@ -167,6 +167,36 @@ class TestCompare:
         assert row[0] == "cf_exact"
         assert row[6] == row[7]   # the reference time is reported for both
 
+    def test_exact_reference_solves_the_second_cover(self, tmp_path, monkeypatch):
+        # The compare-exact benchmark graph: exact closeness solves the 340
+        # nodes of its second cover, projection one row per sketch row.
+        import cfcent.cli as cli
+
+        hierarchies, exact_solves = [], []
+        real_setup, real_exact = cli.setup, cli.cf_closeness_exact
+
+        def keep(*args, **kwargs):
+            hierarchies.append(real_setup(*args, **kwargs))
+            return hierarchies[-1]
+
+        def counting(hierarchy, *args, **kwargs):
+            before = hierarchy.stats.solves
+            table = real_exact(hierarchy, *args, **kwargs)
+            exact_solves.append(hierarchy.stats.solves - before)
+            return table
+
+        monkeypatch.setattr(cli, "setup", keep)
+        monkeypatch.setattr(cli, "cf_closeness_exact", counting)
+        code, text = run_cli(
+            ["--command", "compare", "--gen", "ba:1000,3", "--measure", "cf_projection",
+             "--query", "all"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert body_lines(text)[1].split(",")[1].startswith("epsilon=0.2;k=173;")
+        assert exact_solves == [340]
+        assert [h.stats.solves for h in hierarchies] == [340 + 173]
+
     def test_inversion_column_is_a_percentage_of_pairs(self, tmp_path):
         code, text = run_cli(
             ["--command", "compare", "--gen", "ba:200,2", "--measure", "sp,degree",
