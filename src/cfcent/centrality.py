@@ -27,7 +27,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, UndefinedScoreError
 from .graph import Graph
-from .resistance import node_solution_chunks, resistance_sums, sketch_blocks, sketch_dimension
+from .resistance import (
+    _node_ids, node_solution_chunks, resistance_sums, sketch_blocks, sketch_dimension,
+)
 from .solver import MultigridHierarchy, _greedy_independent_set, _schur_complement
 
 __all__ = [
@@ -71,14 +73,9 @@ class ScoreTable:
 def _check_query(n: int, query_nodes: Sequence[int]) -> list[int]:
     if n < 2:
         raise DomainError("centrality needs a connected graph with n >= 2")
-    ids = np.asarray(query_nodes)
-    if ids.size and not np.issubdtype(ids.dtype, np.integer):
-        raise DomainError("query node ids must be integers")
-    nodes = ids.tolist()
+    nodes = _node_ids(query_nodes, n).tolist()
     if not nodes:
         raise DomainError("query node list is empty")
-    if any(v < 0 or v >= n for v in nodes):
-        raise DomainError("query node out of range")
     return nodes
 
 

@@ -1,7 +1,10 @@
 """Command-line front end: graph ingestion, scoring, and experiments.
 
-All randomness flows from the single ``--seed`` flag; two runs with equal
-flags produce identical score values regardless of ``--threads``.
+``--seed`` draws the estimators' samples: the random query nodes, the
+pivots, the projection signs and the noise edges.  The solver's hierarchy
+depends on the graph alone, so two runs with equal flags produce identical
+score values regardless of ``--threads``, and runs that differ only in
+``--seed`` share one hierarchy.
 """
 
 from __future__ import annotations
@@ -183,7 +186,7 @@ def cmd_score(args, out) -> int:
     query = _query_nodes(args, g)
     _check_pivots(args, g, measures)
     hierarchy = (
-        setup(laplacian(g), tau=args.tau, seed=args.seed) if measure in CURRENT_FLOW else None
+        setup(laplacian(g), tau=args.tau) if measure in CURRENT_FLOW else None
     )
     table = score(
         measure, g, hierarchy, query, pivots=args.pivots, epsilon=args.epsilon,
@@ -209,7 +212,7 @@ def cmd_compare(args, out) -> int:
     query = _query_nodes(args, g)
     _check_ranked(query)
     _check_pivots(args, g, measures)
-    hierarchy = setup(laplacian(g), tau=args.tau, seed=args.seed)
+    hierarchy = setup(laplacian(g), tau=args.tau)
 
     start = time.perf_counter()
     exact = cf_closeness_exact(hierarchy, query, threads=args.threads)
@@ -317,6 +320,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise CfcentError(f"--epsilon must be in (0, 1], got {args.epsilon}")
         if args.pivots < 1:
             raise CfcentError(f"--pivots must be >= 1, got {args.pivots}")
+        if args.command == "degree-corr" and args.measure is not None:
+            raise CfcentError("--measure must be omitted: degree-corr scores sp and cf_sampling")
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
                 return COMMANDS[args.command](args, out)

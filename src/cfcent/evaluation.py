@@ -146,7 +146,7 @@ def _measure_scores(
     tau: float,
     threads: int,
 ) -> np.ndarray:
-    hierarchy = setup(laplacian(g), tau=tau, seed=seed) if measure in CURRENT_FLOW else None
+    hierarchy = setup(laplacian(g), tau=tau) if measure in CURRENT_FLOW else None
     table = score(measure, g, hierarchy, query_nodes, pivots=pivots, seed=seed, threads=threads)
     return table.vector(query_nodes)
 
@@ -177,7 +177,8 @@ def noise_resilience(
     the baseline is compared with itself.  Each perturbation is seeded
     deterministically from ``(seed, fraction)``, so repeated fractions
     repeat results.  The same ``seed`` draws the ``pivots`` of sampled
-    closeness and seeds every hierarchy, each built to ``tau``.
+    closeness; every hierarchy is built to ``tau`` and depends on its
+    graph alone.
     """
     if measure not in (Measure.CF_EXACT, Measure.CF_SAMPLING, Measure.SP_CLOSENESS):
         raise DomainError(f"unsupported noise-resilience measure {measure}")
@@ -213,9 +214,9 @@ def degree_correlation_experiment(
     closeness against the degree-based asymptotic score.
 
     Both measures are scored as :func:`noise_resilience` scores them:
-    ``seed`` drives both the pivot set and the hierarchy, which is built
-    to ``tau``.  Raises :class:`UndefinedMetricError` on regular graphs,
-    where the degree score is constant.
+    ``seed`` draws the pivot set, and the hierarchy is built to ``tau``.
+    Raises :class:`UndefinedMetricError` on regular graphs, where the
+    degree score is constant.
     """
     base = degree_asymptotic(g, query_nodes).vector(query_nodes)
     if np.ptp(base) == 0.0:

@@ -12,7 +12,10 @@ Jacobi-preconditioned conjugate gradients converges there within
 ``PROBE_ITERATIONS``, as on expanders such as Barabasi-Albert graphs
 (Mihail, Papadimitriou & Saberi 2006), that level is the coarsest, kept
 without a pseudoinverse, and solves iterate on it with Jacobi; meshes and
-widely spread edge weights fail the probe and aggregate.
+widely spread edge weights fail the probe and aggregate.  The probe column
+and the aggregation test vectors each draw from a generator of their own
+seeded with ``SETUP_SEED``, so ``setup`` takes only ``tau`` and the
+hierarchy depends on the Laplacian alone.
 Elimination, aggregation seeding and the smoother's color classes pick
 their independent sets with one greedy loop over the nodes; aggregation
 attaches the other nodes in rounds of whole-array passes over the level's
@@ -76,7 +79,7 @@ __all__ = [
     "solve_many",
 ]
 
-# Fixed algorithm parameters; ``setup`` takes only ``tau`` and ``seed``.
+# Fixed algorithm parameters; ``setup`` takes only ``tau``.
 AFFINITY_THRESHOLD = 0.5
 AGGREGATION_TEST_VECTORS = 4
 TEST_VECTOR_SWEEPS = 3
@@ -88,7 +91,8 @@ MAX_DIRECT_SIZE = 200         # levels this small are solved directly
 MAX_CYCLES = 100              # flexible-PCG iterations per column, then the net
 PROBE_ITERATIONS = 30         # Jacobi-CG probe cap; BA 16k to 1M needs 11-12,
                               # ER 20k 15, grid 100 (fails) 155
-PROBE_SEED = 0                # the probe column's own generator, not setup's
+SETUP_SEED = 0                # seeds the probe column and, separately, the
+                              # aggregation test vectors
 BLOCK_COLUMNS = 64            # fixed so results never depend on thread count
 STOP_MARGIN = 0.9             # iterate slightly past tau so independently
                               # recomputed residuals stay below it
@@ -467,8 +471,8 @@ def _tie_break(n: int) -> np.ndarray:
     """Fixed pseudo-random key per node id (the splitmix64 finalizer).
 
     It orders nodes of equal degree for :func:`color_classes`.  Being
-    seedless, it keeps the classes independent of the setup ``seed`` and
-    of the thread count.  Any fixed key would do, but changing it changes
+    seedless, it keeps the classes independent of the test vectors' draw
+    and of the thread count.  Any fixed key would do, but changing it changes
     every hierarchy.
     """
     z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
@@ -589,14 +593,14 @@ def _jacobi_iteration_cap(n: int) -> int:
 def _jacobi_converges(matrix: sp.csr_matrix, tau: float) -> bool:
     """Setup's probe: whether Jacobi-preconditioned :func:`_fcg` on
     ``matrix`` reaches ``STOP_MARGIN * tau`` within ``PROBE_ITERATIONS``
-    on one mean-centered standard-normal column drawn from
-    ``PROBE_SEED``.
+    on one mean-centered standard-normal column drawn from a generator of
+    its own, seeded with ``SETUP_SEED``.
 
     Expanders such as Barabasi-Albert and Erdos-Renyi graphs pass it in a
     bounded number of iterations; meshes, which lack a spectral gap, and
     widely spread edge weights fail it.
     """
-    b = np.random.default_rng(PROBE_SEED).standard_normal((matrix.shape[0], 1))
+    b = np.random.default_rng(SETUP_SEED).standard_normal((matrix.shape[0], 1))
     b -= b.mean()
     iteration = _fcg(
         matrix, np.zeros_like(b), b, _column_norms(b), STOP_MARGIN * tau,
@@ -606,13 +610,14 @@ def _jacobi_converges(matrix: sp.csr_matrix, tau: float) -> bool:
     return bool(converged[0])
 
 
-def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> MultigridHierarchy:
+def setup(matrix: sp.spmatrix, *, tau: float = 1e-5) -> MultigridHierarchy:
     """Build the multigrid hierarchy for a connected-graph Laplacian.
 
     ``tau`` is the relative residual every solve on the hierarchy must
     reach, in (0, 1): the zero vector already meets a residual of 1.
-    ``seed`` drives the aggregation test vectors.  One rule per
-    level above ``MAX_DIRECT_SIZE``: eliminate if
+    The hierarchy depends on the matrix alone: the aggregation test
+    vectors draw from a generator seeded with ``SETUP_SEED``.  One rule
+    per level above ``MAX_DIRECT_SIZE``: eliminate if
     :func:`coarsen_eliminate` gives a level, else aggregate if that removes
     at least ``MIN_REDUCTION`` of the nodes, else stop.  An aggregation
     whose seeds are too few to reach that bound even with every aggregate
@@ -625,16 +630,16 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5, seed: int = 0) -> Multigrid
     Jacobi-preconditioned CG converges there, aggregation would cost more
     than it saves: that level becomes the coarsest, with no pseudoinverse,
     and solves precondition their iteration on it with Jacobi.  The probe
-    depends on the matrix, ``tau`` and a fixed seed only, and draws
-    nothing from ``seed``'s generator, so hierarchies that fail it are
-    the ones aggregation builds without it.  A clique, where nothing is
+    builds its own generator from ``SETUP_SEED`` and draws nothing from the
+    test vectors' one, so hierarchies that fail it are the ones
+    aggregation builds without it.  A clique, where nothing is
     eliminated or aggregated, passes: Jacobi is exact on its mean-free
     vectors.
     """
     if not 0 < tau < 1:
         raise DomainError(f"tau must be in (0, 1), got {tau}")
     current = _validate_laplacian(matrix)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SETUP_SEED)
     levels: list[Level] = []
     probe_passed = False
 

@@ -42,6 +42,26 @@ def spread_weights(g, span, seed=0):
     return Graph.from_edges(us, vs, weights, n=g.n)
 
 
+def hierarchy_arrays(h):
+    """Every array of every level, by level and name, for bitwise comparison."""
+    arrays = {}
+    for j, lvl in enumerate(h.levels):
+        arrays[j, "kind"] = np.array(lvl.kind.value)
+        matrices = {"matrix": lvl.matrix, "matrix32": lvl.matrix32, "w_cf": lvl.w_cf, "p": lvl.p}
+        matrices.update({f"class{c}": cls.rows for c, cls in enumerate(lvl.colors)})
+        for name, m in matrices.items():
+            if m is not None:
+                for part in ("data", "indices", "indptr"):
+                    arrays[j, name, part] = getattr(m, part)
+        for name in ("f_nodes", "c_nodes", "f_degree", "pinv"):
+            if getattr(lvl, name) is not None:
+                arrays[j, name] = getattr(lvl, name)
+        for c, cls in enumerate(lvl.colors):
+            arrays[j, f"class{c}", "nodes"] = cls.nodes
+            arrays[j, f"class{c}", "dinv"] = cls.dinv
+    return arrays
+
+
 def dense_laplacian(g):
     lap = np.zeros((g.n, g.n))
     eu, ev, ew = g.edge_array()

@@ -18,7 +18,7 @@ from cfcent import (
     setup,
     sp_closeness,
 )
-from cfcent.centrality import _independent_set, pivot_set
+from cfcent.centrality import _independent_set, pivot_set, score
 from cfcent.generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -517,6 +517,25 @@ class TestValidation:
         h = setup(laplacian(path_graph(4)))
         with pytest.raises(DomainError, match="integers"):
             call(h)
+
+    @pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([1.5], "integers"),
+            (np.array([0.0, 1.0]), "integers"),
+            ([4], "out of range"),
+            ([0, -1], "out of range"),
+            ([], "empty"),
+        ],
+        ids=["float", "float-array", "above", "negative", "empty"],
+    )
+    def test_every_measure_rejects_bad_query_ids(self, measure, ids, message):
+        # All five measures validate their query through one node-id check.
+        g = path_graph(4)
+        h = setup(laplacian(g))
+        with pytest.raises(DomainError, match=message):
+            score(measure, g, h, ids, pivots=3)
 
     def test_integer_node_ids_accepted_in_every_form(self):
         h = setup(laplacian(path_graph(4)))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cfcent.cli import EXIT_ERROR, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_UNDEFINED_METRIC, main
@@ -273,6 +274,72 @@ class TestDegreeCorr:
         grid_cf = float(body_lines(grid_text)[2].split(",")[1])
         ba_cf = float(body_lines(ba_text)[2].split(",")[1])
         assert grid_cf < ba_cf
+
+    @pytest.mark.parametrize("measure", ["foo", "cf_sampling", "sp,cf_exact"])
+    def test_measure_fails_before_loading_and_output(
+        self, measure, tmp_path, monkeypatch, capsys
+    ):
+        # degree-corr always scores sp and cf_sampling; a --measure it
+        # ignored would label its rows with measures that were never run.
+        import cfcent.cli as cli
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the graph was loaded before --measure was checked")
+
+        monkeypatch.setattr(cli, "_load_graph", no_graph)
+        out = tmp_path / "out.csv"
+        code = main(["--command", "degree-corr", "--gen", "ba:300,2", "--measure", measure,
+                     "--query", "random:50", "--seed", "1", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert not out.exists() and captured.out == ""
+        assert captured.err.startswith("cfcent: --measure must be omitted")
+
+
+class TestSeed:
+    def test_hierarchy_does_not_depend_on_seed(self, tmp_path, monkeypatch):
+        # --seed draws the estimators' samples only: every setup the CLI and
+        # the experiments run takes the Laplacian and tau, and score at two
+        # seeds builds one hierarchy bit for bit on a graph that aggregates.
+        import cfcent.cli as cli
+        import cfcent.evaluation as evaluation
+        from cfcent.solver import LevelKind
+        from conftest import hierarchy_arrays
+
+        calls, hierarchies = [], []
+
+        def spy(real):
+            def keep(*args, **kwargs):
+                calls.append((len(args), sorted(kwargs)))
+                hierarchies.append(real(*args, **kwargs))
+                return hierarchies[-1]
+            return keep
+
+        monkeypatch.setattr(cli, "setup", spy(cli.setup))
+        monkeypatch.setattr(evaluation, "setup", spy(evaluation.setup))
+        for seed in ("1", "2"):
+            code, _ = run_cli(
+                ["--command", "score", "--gen", "grid:40", "--measure", "cf_projection",
+                 "--epsilon", "0.5", "--query", "random:20", "--seed", seed],
+                tmp_path,
+            )
+            assert code == EXIT_OK
+        scored = hierarchies[:]
+        for command in ("compare", "noise", "degree-corr"):
+            code, _ = run_cli(
+                ["--command", command, "--gen", "ba:60,2", "--query", "random:10",
+                 "--pivots", "5", "--seed", "3"],
+                tmp_path,
+            )
+            assert code == EXIT_OK, command
+        # score twice, compare once, noise on the graph and 4 perturbations,
+        # degree-corr for cf_sampling.
+        assert calls == [(1, ["tau"])] * 9
+        assert any(lvl.kind is LevelKind.AGGREGATION for lvl in scored[0].levels)
+        got, want = hierarchy_arrays(scored[0]), hierarchy_arrays(scored[1])
+        assert got.keys() == want.keys()
+        for key, array in got.items():
+            assert array.dtype == want[key].dtype and np.array_equal(array, want[key]), key
 
 
 class TestExitCodes:

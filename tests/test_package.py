@@ -21,8 +21,9 @@ def test_every_exported_name_resolves(module_name):
 
 def test_only_setup_takes_tau_or_seed():
     # The hierarchy carries the solver settings; solves and estimators
-    # read tau from it rather than taking an override.  Any other seed
-    # draws an estimator's own sample: pivots or projection signs.
+    # read tau from it rather than taking an override.  Setup takes no
+    # seed, so every seed draws an estimator's own sample: pivots or
+    # projection signs.
     takers = {
         f"{module_name}.{name}": {"tau", "seed"} & set(inspect.signature(obj).parameters)
         for module_name in ("cfcent.solver", "cfcent.resistance", "cfcent.centrality")
@@ -32,7 +33,7 @@ def test_only_setup_takes_tau_or_seed():
         and obj.__module__ == module_name
     }
     assert {name: got for name, got in takers.items() if got} == {
-        "cfcent.solver.setup": {"tau", "seed"},
+        "cfcent.solver.setup": {"tau"},
         "cfcent.resistance.sketch_blocks": {"seed"},
         "cfcent.centrality.pivot_set": {"seed"},
         "cfcent.centrality.cf_closeness_sampling": {"seed"},
@@ -59,10 +60,10 @@ def test_current_flow_estimators_read_only_the_hierarchy():
     assert [name for name, p in params.items() if "g" in p] == []
 
 
-def test_setup_keyword_settings_are_tau_and_seed():
+def test_setup_keyword_setting_is_tau():
     params = inspect.signature(cfcent.setup).parameters.values()
     keyword_only = [p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY]
-    assert keyword_only == ["tau", "seed"]
+    assert keyword_only == ["tau"]
 
 
 def test_threads_is_keyword_only_on_every_solve_path():

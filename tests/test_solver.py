@@ -30,7 +30,7 @@ from cfcent.solver import (
     relaxed_test_vectors,
 )
 
-from conftest import dense_laplacian, random_connected_graph, spread_weights
+from conftest import dense_laplacian, hierarchy_arrays, random_connected_graph, spread_weights
 
 
 def dense_solve_oracle(lap_dense, b):
@@ -56,7 +56,9 @@ def aggregate(lap, vectors):
 class TestConfig:
     def test_defaults(self):
         params = inspect.signature(setup).parameters
-        assert (params["tau"].default, params["seed"].default) == (1e-5, 0)
+        assert params["tau"].default == 1e-5
+        assert "seed" not in params
+        assert solver_module.SETUP_SEED == 0
         assert solver_module.MAX_DIRECT_SIZE == 200
         assert solver_module.AGGREGATION_TEST_VECTORS == 4
         assert solver_module.ELIMINATION_DEGREE_CAP == 4
@@ -571,7 +573,7 @@ class TestColorClasses:
         # Spread weights keep the BA graph's aggregation levels; the
         # classes depend on the pattern alone.
         g = spread_weights(barabasi_albert_graph(4000, 5, seed=0), 4)
-        h = setup(laplacian(g), seed=1)
+        h = setup(laplacian(g))
         levels = [lvl for lvl in h.levels if lvl.kind is LevelKind.AGGREGATION]
         assert max(len(lvl.colors) for lvl in levels) >= 20
         for level in levels:
@@ -609,7 +611,7 @@ class TestColorClasses:
     def test_levels_store_their_classes(self):
         # Only the V-cycle reads the classes once setup is done, so they
         # hold the float32 casts of the level's rows and 1/diag, exactly.
-        h = setup(laplacian(grid_graph(40)), seed=3)
+        h = setup(laplacian(grid_graph(40)))
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         for level in h.levels:
             if level.kind is not LevelKind.AGGREGATION:
@@ -1124,26 +1126,6 @@ def _er_graph():
     return largest_connected_component(erdos_renyi_graph(4000, 0.001, seed=0))[0]
 
 
-def _hierarchy_arrays(h):
-    """Every array of every level, by level and name, for bitwise comparison."""
-    arrays = {}
-    for j, lvl in enumerate(h.levels):
-        arrays[j, "kind"] = np.array(lvl.kind.value)
-        matrices = {"matrix": lvl.matrix, "matrix32": lvl.matrix32, "w_cf": lvl.w_cf, "p": lvl.p}
-        matrices.update({f"class{c}": cls.rows for c, cls in enumerate(lvl.colors)})
-        for name, m in matrices.items():
-            if m is not None:
-                for part in ("data", "indices", "indptr"):
-                    arrays[j, name, part] = getattr(m, part)
-        for name in ("f_nodes", "c_nodes", "f_degree", "pinv"):
-            if getattr(lvl, name) is not None:
-                arrays[j, name] = getattr(lvl, name)
-        for c, cls in enumerate(lvl.colors):
-            arrays[j, f"class{c}", "nodes"] = cls.nodes
-            arrays[j, f"class{c}", "dinv"] = cls.dinv
-    return arrays
-
-
 class TestJacobiReducedSystem:
     """Setup probes Jacobi-preconditioned CG where elimination stops; where
     it converges, the reduced system is the coarsest level, with no
@@ -1211,13 +1193,13 @@ class TestJacobiReducedSystem:
             return verdicts[-1]
 
         monkeypatch.setattr(solver_module, "_jacobi_converges", spy)
-        probed = setup(lap, seed=1)
+        probed = setup(lap)
         assert verdicts == [False]
         monkeypatch.setattr(solver_module, "_jacobi_converges", lambda matrix, tau: False)
-        unprobed = setup(lap, seed=1)
+        unprobed = setup(lap)
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in probed.levels)
         assert probed.levels[-1].pinv is not None
-        got, want = _hierarchy_arrays(probed), _hierarchy_arrays(unprobed)
+        got, want = hierarchy_arrays(probed), hierarchy_arrays(unprobed)
         assert got.keys() == want.keys()
         for key, array in got.items():
             assert array.dtype == want[key].dtype and np.array_equal(array, want[key]), key
