@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
-from .solver import BLOCK_COLUMNS, MultigridHierarchy, solve_many
+from .solver import BLOCK_COLUMNS, MultigridHierarchy, _thread_count, solve_many
 
 __all__ = [
     "effective_resistance",
@@ -75,17 +75,18 @@ def node_solution_chunks(
     """Stream the solutions of ``L z_x = e_x - (1/n) 1`` for ``nodes``.
 
     Yields ``(chunk, z)`` in node order, where ``chunk`` holds the next
-    ``BLOCK_COLUMNS * max(1, threads)`` node ids and row ``i`` of ``z`` is
+    ``BLOCK_COLUMNS * threads`` node ids and row ``i`` of ``z`` is
     the mean-centered solution for ``chunk[i]``; ``z`` is the array
     :func:`solve_many` returned.  Each chunk is one :func:`solve_many`
     call; chunks start on block boundaries, so every value is independent
     of ``threads``.  Only the current chunk is held, so memory is
     ``O(BLOCK_COLUMNS * threads * n)`` for any node count.  Node ids must
-    be integers in ``[0, n)``, else :class:`DomainError`.
+    be integers in ``[0, n)`` and ``threads`` at least 1, else
+    :class:`DomainError`.
     """
     n = hierarchy.n
     nodes = _node_ids(nodes, n)
-    width = BLOCK_COLUMNS * max(1, threads)
+    width = BLOCK_COLUMNS * _thread_count(threads)
     for start in range(0, nodes.size, width):
         chunk = nodes[start : start + width]
         supplies = np.full((chunk.size, n), -1.0 / n)
@@ -168,11 +169,13 @@ def sketch_blocks(
     Signs are drawn ``SIGN_ROWS`` rows at a time, which leaves the random
     stream as one draw of all k rows would make it, so every value is
     independent of ``threads``.  Memory is
-    ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.  A ``k`` below 1
-    raises :class:`DomainError` when the first block is asked for.
+    ``O(BLOCK_COLUMNS * threads * n + SIGN_ROWS * m)``.  A ``k`` or
+    ``threads`` below 1 raises :class:`DomainError` when the first block
+    is asked for.
     """
     if k < 1:
         raise DomainError(f"sketch dimension must be >= 1, got {k}")
+    width = BLOCK_COLUMNS * _thread_count(threads)
     n = hierarchy.n
     upper = sp.triu(hierarchy.levels[0].matrix, k=1, format="coo")
     m = upper.nnz
@@ -187,7 +190,6 @@ def sketch_blocks(
 
     rng = np.random.default_rng(seed)
     inv_sqrt_k = 1.0 / math.sqrt(k)
-    width = BLOCK_COLUMNS * max(1, threads)
     for start in range(0, k, width):
         rhs = np.empty((min(width, k - start), n))
         for lo in range(0, rhs.shape[0], SIGN_ROWS):

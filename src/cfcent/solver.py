@@ -40,11 +40,13 @@ column, or :class:`ConvergenceError` when even the safety net misses it.
 
 The V-cycle is only a preconditioner, so it runs in float32 from the
 reduced system down: smoothing, residuals, transfers, line searches, the
-elimination levels below the reduced system and the coarsest solve, on
-data ``setup`` stores in float32 once.  The flexible conjugate gradient
-routine, the leading elimination levels, the level matrices, the
-recomputed finest residual, the safety net and the ``tau`` check stay in
-float64, so the contract is unchanged.
+elimination levels below the reduced system and the coarsest solve.  The
+color classes and the aggregation interpolation are built in float32, and
+the test vectors are relaxed in float32 on those classes; ``setup`` casts
+only what depends on a level's place in the hierarchy, once.  The flexible
+conjugate gradient routine, the leading elimination levels, the level
+matrices, the affinities, the recomputed finest residual, the safety net
+and the ``tau`` check stay in float64, so the contract is unchanged.
 
 Singularity of the Laplacian is handled by mean-centering supplies and
 iterates; a coarsest level that did not pass the probe keeps its dense
@@ -107,8 +109,8 @@ class LevelKind(Enum):
 @dataclass(frozen=True)
 class ColorClass:
     """One Gauss-Seidel color class: pairwise non-adjacent nodes, their
-    rows of the level matrix, and their inverse diagonal as a column;
-    float32 once ``setup`` returns."""
+    rows of the level matrix, and their inverse diagonal as a column, both
+    in float32, the V-cycle's precision."""
 
     nodes: np.ndarray
     rows: sp.csr_matrix
@@ -121,7 +123,8 @@ class Level:
 
     ``matrix32`` is ``matrix`` in float32, sharing its index arrays, on
     the levels whose matrix the V-cycle multiplies; what else only the
-    cycle reads is float32 too (:func:`_store_cycle_data_in_single`).
+    cycle reads is float32 too: ``p`` and ``colors`` as they are built,
+    the rest as :func:`_store_cycle_data_in_single` casts it.
     """
 
     kind: LevelKind
@@ -348,16 +351,15 @@ def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | Non
     in_f = _greedy_independent_set(matrix, np.flatnonzero(offdeg <= ELIMINATION_DEGREE_CAP))
     if in_f.all():
         in_f[-1:] = False  # never eliminate every node
-    f, c = np.flatnonzero(in_f), np.flatnonzero(~in_f)
-    if not f.size or f.size < MIN_REDUCTION * n:
+    if in_f.sum() < MIN_REDUCTION * n:
         return matrix, None
 
     schur, w_cf, d_f = _schur_complement(matrix, in_f)
     return schur, Level(
         kind=LevelKind.ELIMINATION,
         matrix=matrix,
-        f_nodes=f,
-        c_nodes=c,
+        f_nodes=np.flatnonzero(in_f),
+        c_nodes=np.flatnonzero(~in_f),
         f_degree=d_f,
         w_cf=w_cf,
     )
@@ -366,9 +368,14 @@ def coarsen_eliminate(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, Level | Non
 def relaxed_test_vectors(colors: Sequence[ColorClass], rng: np.random.Generator) -> np.ndarray:
     """``AGGREGATION_TEST_VECTORS`` mean-free random vectors smoothed by
     multicolor Gauss-Seidel sweeps on Lx=0 over the level's color classes
-    ``colors``, which partition its nodes and so give its size."""
+    ``colors``, which partition its nodes and so give its size.
+
+    The standard-normal draw is cast to float32 once and swept in float32,
+    the precision of the classes; the vectors only rank the affinities,
+    which :func:`coarsen_aggregate` computes in float64.
+    """
     n = sum(cls.nodes.size for cls in colors)
-    vectors = rng.standard_normal((n, AGGREGATION_TEST_VECTORS))
+    vectors = rng.standard_normal((n, AGGREGATION_TEST_VECTORS)).astype(np.float32)
     vectors -= vectors.mean(axis=0, keepdims=True)
     zero = np.zeros_like(vectors)
     for _ in range(TEST_VECTOR_SWEEPS):
@@ -407,8 +414,10 @@ def coarsen_aggregate(
 
     Returns the coarse Laplacian ``P.T @ L @ P`` and the interpolation
     ``P``, which has one unit entry per row: node ``i`` belongs to
-    aggregate ``P.indices[i]``.  A partition always exists; with
-    all-singleton aggregates the stage is simply non-reducing.
+    aggregate ``P.indices[i]``.  ``P`` is float32, the V-cycle's precision;
+    its unit entries are exact, and the Galerkin product upcasts them, so
+    the coarse Laplacian is the float64 one.  A partition always exists;
+    with all-singleton aggregates the stage is simply non-reducing.
     """
     matrix = matrix.tocsr()
     n = matrix.shape[0]
@@ -463,7 +472,7 @@ def coarsen_aggregate(
     left = agg < 0
     n_agg = n_seeds + int(left.sum())
     agg[left] = np.arange(n_seeds, n_agg)
-    p = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, n_agg))
+    p = sp.csr_matrix((np.ones(n, dtype=np.float32), (np.arange(n), agg)), shape=(n, n_agg))
     return _rebuild_laplacian(p.T @ matrix @ p), p
 
 
@@ -491,16 +500,16 @@ def color_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:
     :func:`_greedy_independent_set` over the nodes left after colors
     ``0 .. c - 1``, in priority order.  Returns one :class:`ColorClass`
     per color: its ascending node ids, their rows of ``matrix`` and their
-    inverse diagonal as a column, in float64.
+    inverse diagonal as a column, both cast to float32 for the smoother.
     """
     matrix = matrix.tocsr()
-    diag = matrix.diagonal()
+    dinv = (1.0 / matrix.diagonal()).astype(np.float32)
     order = np.lexsort((_tie_break(matrix.shape[0]), _off_diagonal_degree(matrix)))[::-1]
     classes = []
     while order.size:
         taken = _greedy_independent_set(matrix, order)
         nodes = np.flatnonzero(taken)
-        classes.append(ColorClass(nodes=nodes, rows=matrix[nodes], dinv=1.0 / diag[nodes, None]))
+        classes.append(ColorClass(nodes, _single(matrix[nodes]), dinv[nodes, None]))
         order = order[~taken[order]]
     return tuple(classes)
 
@@ -529,15 +538,17 @@ def _preconditioner(level: Level) -> str:
 
 
 def _store_cycle_data_in_single(levels: list[Level]) -> None:
-    """Replace what only the V-cycle reads by its float32 values.
+    """Cast to float32 what the V-cycle reads, depending on each level's
+    place in the hierarchy.
 
     The cycle is the preconditioner of a float64 flexible CG, which
     accepts an inexact, varying preconditioner (Notay 2000), so it runs
-    from ``levels[top]`` down in single precision: the classes and ``p``
-    of every aggregation level, the transfers of the elimination levels
-    below ``top``, the coarsest pseudoinverse unless the coarsest level
-    is ``top`` (a solve then applies it once, exactly), and ``matrix32``
-    on the levels the cycle multiplies.  ``matrix`` stays float64
+    from ``levels[top]`` down in single precision.  The classes and ``p``
+    of the aggregation levels are built in float32; what is cast here is
+    what the place decides: the transfers of the elimination levels below
+    ``top``, the coarsest pseudoinverse unless the coarsest level is
+    ``top`` (a solve then applies it once, exactly), and ``matrix32`` on
+    the levels the cycle multiplies.  ``matrix`` stays float64
     everywhere, as do the leading elimination levels, which a solve
     restricts and back-substitutes through exactly.
     """
@@ -545,11 +556,6 @@ def _store_cycle_data_in_single(levels: list[Level]) -> None:
     for j in range(top, len(levels)):
         level = levels[j]
         if level.kind is LevelKind.AGGREGATION:
-            level.p = _single(level.p)
-            level.colors = tuple(
-                ColorClass(cls.nodes, _single(cls.rows), cls.dinv.astype(np.float32))
-                for cls in level.colors
-            )
             # The residual and, on the next level, the line search.
             for lvl in (level, levels[j + 1]):
                 if lvl.matrix32 is None:
@@ -989,6 +995,13 @@ def _solve_block(
     return res
 
 
+def _thread_count(threads: int) -> int:
+    """``threads``; :class:`DomainError` unless it is at least 1."""
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
 def solve_many(
     hierarchy: MultigridHierarchy,
     supplies: Sequence[Sequence[float]] | np.ndarray,
@@ -1006,8 +1019,9 @@ def solve_many(
     boundaries depend only on the row count, so every block, and every
     bit of its result, is the same whichever worker runs it.  A row may
     differ at roundoff from the same supply solved in another batch (see
-    :func:`_solve_block`).
+    :func:`_solve_block`).  ``threads`` below 1 raises :class:`DomainError`.
     """
+    threads = _thread_count(threads)
     stacked = np.asarray(supplies, dtype=np.float64)
     if stacked.ndim == 1:
         stacked = stacked.reshape(1, -1)

@@ -179,6 +179,12 @@ class TestNodeSolutionChunks:
             with pytest.raises(DomainError):
                 next(node_solution_chunks(h, bad))
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        h = hierarchy_for(path_graph(4))
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            next(node_solution_chunks(h, [0, 1], threads=threads))
+
 
 class TestMetricLaws:
     def test_metric_on_all_small_graphs(self):
@@ -321,6 +327,12 @@ class TestSketch:
         for k in (0, -3):
             with pytest.raises(DomainError, match="sketch dimension"):
                 next(sketch_blocks(h, k, 0))
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, rng, threads):
+        h = hierarchy_for(random_connected_graph(10, rng))
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            next(sketch_blocks(h, 4, 0, threads=threads))
 
     def test_distance_sums_match_pairwise(self, rng):
         g = random_connected_graph(30, rng)

@@ -415,8 +415,11 @@ def _aggregation_test_laplacians():
 
 
 def _affinity(vectors, u, w):
-    dot = vectors[u] @ vectors[w]
-    return dot * dot / ((vectors[u] @ vectors[u]) * (vectors[w] @ vectors[w]))
+    # In float64 like coarsen_aggregate, and 0 for a zero test-vector row
+    # (a star's relaxed vectors are exactly 0 in float32).
+    a, b = vectors[u].astype(np.float64), vectors[w].astype(np.float64)
+    denom = (a @ a) * (b @ b)
+    return (a @ b) ** 2 / denom if denom > 0 else 0.0
 
 
 class TestAggregateRounds:
@@ -581,26 +584,29 @@ class TestColorClasses:
 
     @pytest.mark.parametrize("name", ["grid", "ba", "star", "weighted"])
     def test_classes_carry_their_rows_and_inverse_diagonal(self, name):
-        # Before setup casts them, the classes hold the level's own float64
-        # rows and 1/diag as a column.
+        # The classes are built in the V-cycle's precision: the float32
+        # casts of the level's rows and of 1/diag as a column, exactly.
         lap = _color_test_laplacians()[name]
         for cls in color_classes(lap):
             rows = lap[cls.nodes]
-            assert cls.rows.dtype == cls.dinv.dtype == np.float64
+            assert cls.rows.dtype == cls.dinv.dtype == np.float32
             assert np.array_equal(cls.rows.indptr, rows.indptr)
             assert np.array_equal(cls.rows.indices, rows.indices)
-            assert np.array_equal(cls.rows.data, rows.data)
-            assert np.array_equal(cls.dinv, 1.0 / lap.diagonal()[cls.nodes, None])
+            assert np.array_equal(cls.rows.data, rows.data.astype(np.float32))
+            dinv = 1.0 / lap.diagonal()[cls.nodes, None]
+            assert np.array_equal(cls.dinv, dinv.astype(np.float32))
 
     def test_relaxed_test_vectors_take_their_size_from_the_classes(self):
         lap = _color_test_laplacians()["ba"]
         colors = color_classes(lap)
         vectors = relaxed_test_vectors(colors, np.random.default_rng(3))
         assert vectors.shape == (lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS)
-        # The same draw sized by the level matrix, swept the same way.
+        assert vectors.dtype == np.float32
+        # The same draw sized by the level matrix, cast to float32 and
+        # swept in float32 on the classes.
         expected = np.random.default_rng(3).standard_normal(
             (lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS)
-        )
+        ).astype(np.float32)
         expected -= expected.mean(axis=0, keepdims=True)
         zero = np.zeros_like(expected)
         for _ in range(solver_module.TEST_VECTOR_SWEEPS):
@@ -737,6 +743,13 @@ class TestSolve:
         h = setup(laplacian(path_graph(4)))
         with pytest.raises(DomainError, match="length 3 != 4"):
             solve_many(h, np.array([1.0, 0.0, -1.0]))
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        # Not run serially in silence: the CLI rejects the same values.
+        h = setup(laplacian(path_graph(4)))
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            solve_many(h, np.array([1.0, 0.0, 0.0, -1.0]), threads=threads)
 
     def test_matches_dense_oracle_small(self, rng, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 2)
@@ -993,6 +1006,23 @@ def _wide_weight_ba(span):
     return spread_weights(barabasi_albert_graph(2000, 3, seed=0), span)
 
 
+def _float64_relaxed_vectors(lap, rng):
+    """The float64 relaxation setup used before the test vectors were swept
+    in float32: the same draw, swept in float64 on the level's own float64
+    rows and 1/diag.  The reference for the float32 path."""
+    colors = [
+        solver_module.ColorClass(c.nodes, lap[c.nodes], 1.0 / lap.diagonal()[c.nodes, None])
+        for c in color_classes(lap)
+    ]
+    vectors = rng.standard_normal((lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS))
+    vectors -= vectors.mean(axis=0, keepdims=True)
+    zero = np.zeros_like(vectors)
+    for _ in range(solver_module.TEST_VECTOR_SWEEPS):
+        solver_module._sweep(colors, vectors, zero)
+    vectors -= vectors.mean(axis=0, keepdims=True)
+    return vectors
+
+
 def _supplies(n, count):
     supplies = np.random.default_rng(1).standard_normal((count, n))
     supplies -= supplies.mean(axis=1, keepdims=True)
@@ -1020,6 +1050,43 @@ class TestSinglePrecisionCycle:
         for lvl in (agg, elim):
             assert lvl.matrix32.dtype == np.float32
             assert np.array_equal(lvl.matrix32.data, lvl.matrix.data.astype(np.float32))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: grid_graph(100), id="grid100"),
+            pytest.param(lambda: _wide_weight_ba(4), id="ba2000-1e4"),
+        ],
+    )
+    def test_float32_relaxation_builds_the_float64_hierarchy(self, graph):
+        # Setup's aggregation levels draw their test vectors in order from
+        # one generator; relaxed in float64 instead, the same draws give the
+        # same aggregates and the same coarse matrices, bit for bit.
+        h = setup(laplacian(graph()))
+        rng = np.random.default_rng(solver_module.SETUP_SEED)
+        aggregated = 0
+        for j, level in enumerate(h.levels):
+            if level.kind is not LevelKind.AGGREGATION:
+                continue
+            aggregated += 1
+            coarse, p = aggregate(level.matrix, _float64_relaxed_vectors(level.matrix, rng))
+            assert np.array_equal(p.indices, level.p.indices)
+            expected = h.levels[j + 1].matrix
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(coarse, part), getattr(expected, part))
+        assert aggregated >= 2
+
+    def test_float32_interpolation_gives_the_float64_galerkin_product(self):
+        # P's unit entries are exact in float32 and the product upcasts
+        # them, so the coarse matrix is the one a float64 P builds.
+        lap = laplacian(grid_graph(100)).tocsr()
+        coarse, p = aggregate(lap, relaxed_vectors(lap, np.random.default_rng(0)))
+        assert p.dtype == np.float32
+        p64 = p.astype(np.float64)
+        expected = solver_module._rebuild_laplacian(p64.T @ lap @ p64)
+        assert coarse.dtype == np.float64
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(coarse, part), getattr(expected, part))
 
     def test_cycles_take_and_return_float32_blocks(self, monkeypatch):
         g = grid_graph(40)
