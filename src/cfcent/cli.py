@@ -201,8 +201,10 @@ def cmd_score(args, out) -> int:
         f"seed={args.seed} {params} max_residual={max_residual:.3e}\n"
     )
     out.write("node,score\n")
-    for v in query:
-        out.write(f"{g.node_labels[v]},{_fmt(table.scores[v])}\n")
+    labels = g.node_labels[query].tolist()
+    out.write("".join(
+        f"{label},{_fmt(table.scores[v])}\n" for label, v in zip(labels, query)
+    ))
     return EXIT_OK
 
 

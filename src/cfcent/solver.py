@@ -21,11 +21,14 @@ their independent sets with one greedy loop over the nodes; aggregation
 attaches the other nodes in rounds of whole-array passes over the level's
 edges.  Each aggregation candidate level is split once into color classes,
 one greedy independent set after another in descending degree order, each
-stored as its own block of matrix rows; the same classes smooth the test
-vectors and serve the V-cycle.  The V-cycle smooths with multicolor
-Gauss-Seidel, one sparse row-block product per class, and scales the
-coarse-grid correction by an energy line search taken on the coarse
-Galerkin operator.  A solve restricts its block once through the leading
+stored as its own block of update rows, ``-a_vj / a_vv`` and ``1 / a_vv``
+on the stacked block ``[x; b]``; the same classes smooth the test vectors
+and serve the V-cycle.  The V-cycle smooths with multicolor Gauss-Seidel,
+one sparse product and one row scatter per class, restricts through a
+stored transpose of the interpolation, and scales the coarse-grid
+correction by an energy line search taken on the coarse Galerkin
+operator.  Each of its levels works on one stacked block that its parent
+fills.  A solve restricts its block once through the leading
 elimination levels, which are exact, and runs one flexible conjugate
 gradient routine on the reduced system with one V-cycle as the
 preconditioner of every iteration (a reduced system that is the coarsest
@@ -41,9 +44,11 @@ column, or :class:`ConvergenceError` when even the safety net misses it.
 The V-cycle is only a preconditioner, so it runs in float32 from the
 reduced system down: smoothing, residuals, transfers, line searches, the
 elimination levels below the reduced system and the coarsest solve.  The
-color classes and the aggregation interpolation are built in float32, and
-the test vectors are relaxed in float32 on those classes; ``setup`` casts
-only what depends on a level's place in the hierarchy, once.  The flexible
+color classes, the aggregation interpolation and its transpose are built
+in float32, and the test vectors are relaxed in float32 on those classes;
+``setup`` casts only what depends on a level's place in the hierarchy,
+once.  The flexible conjugate gradient routine takes the cycle's float32
+result as it is.  The flexible
 conjugate gradient routine, the leading elimination levels, the level
 matrices, the affinities, the recomputed finest residual, the safety net
 and the ``tau`` check stay in float64, so the contract is unchanged.
@@ -64,7 +69,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConvergenceError, DomainError
 
@@ -108,13 +113,16 @@ class LevelKind(Enum):
 
 @dataclass(frozen=True)
 class ColorClass:
-    """One Gauss-Seidel color class: pairwise non-adjacent nodes, their
-    rows of the level matrix, and their inverse diagonal as a column, both
-    in float32, the V-cycle's precision."""
+    """One Gauss-Seidel color class: pairwise non-adjacent nodes and their
+    update rows in float32, the V-cycle's precision.
+
+    On a level of ``n`` nodes the rows act on the stacked block ``[x; b]``
+    of ``2 n`` rows: node ``v``'s row holds ``-a_vj / a_vv`` at column
+    ``j != v`` and ``1 / a_vv`` at column ``n + v``, so one product gives
+    the class's new ``x`` (:func:`_sweep`)."""
 
     nodes: np.ndarray
     rows: sp.csr_matrix
-    dinv: np.ndarray
 
 
 @dataclass
@@ -123,8 +131,9 @@ class Level:
 
     ``matrix32`` is ``matrix`` in float32, sharing its index arrays, on
     the levels whose matrix the V-cycle multiplies; what else only the
-    cycle reads is float32 too: ``p`` and ``colors`` as they are built,
-    the rest as :func:`_store_cycle_data_in_single` casts it.
+    cycle reads is float32 too: ``p``, its transpose ``pt`` as CSR (the
+    restriction) and ``colors`` as they are built, the rest as
+    :func:`_store_cycle_data_in_single` casts it.
     """
 
     kind: LevelKind
@@ -137,6 +146,7 @@ class Level:
     w_cf: sp.csr_matrix | None = None
     # aggregation transfer and smoother
     p: sp.csr_matrix | None = None
+    pt: sp.csr_matrix | None = None
     colors: tuple[ColorClass, ...] = ()
     # coarsest-level dense pseudoinverse
     pinv: np.ndarray | None = None
@@ -215,10 +225,10 @@ class MultigridHierarchy:
 def _level_bytes(level: Level) -> int:
     """Bytes of the arrays ``level`` keeps; an array that several of its
     matrices share (``matrix32``'s index arrays) counts once."""
-    matrices = [level.matrix, level.matrix32, level.w_cf, level.p]
+    matrices = [level.matrix, level.matrix32, level.w_cf, level.p, level.pt]
     matrices += [cls.rows for cls in level.colors]
     arrays = [level.f_nodes, level.c_nodes, level.f_degree, level.pinv]
-    arrays += [a for cls in level.colors for a in (cls.nodes, cls.dinv)]
+    arrays += [cls.nodes for cls in level.colors]
     arrays += [
         a for m in matrices if m is not None for a in (m.data, m.indices, m.indptr)
     ]
@@ -281,11 +291,12 @@ def _validate_laplacian(matrix: sp.spmatrix) -> sp.csr_matrix:
     off = matrix.indices != rows
     if off.any() and matrix.data[off].max() > tol:
         raise DomainError("positive off-diagonal entry; not a Laplacian")
-    if n > 1:
-        ncomp, _ = connected_components(matrix, directed=False)
-        if ncomp > 1:
-            raise DomainError("Laplacian graph is not connected")
-    return _rebuild_laplacian(matrix, transpose)
+    # Connectivity on the rebuilt matrix, whose edges are the negative
+    # entries alone: stored zeros and roundoff-positive entries are gone.
+    lap = _rebuild_laplacian(matrix, transpose)
+    if breadth_first_order(lap, 0, return_predecessors=False).size < n:
+        raise DomainError("Laplacian graph is not connected")
+    return lap
 
 
 def _off_diagonal_degree(matrix: sp.csr_matrix) -> np.ndarray:
@@ -371,15 +382,17 @@ def relaxed_test_vectors(colors: Sequence[ColorClass], rng: np.random.Generator)
     ``colors``, which partition its nodes and so give its size.
 
     The standard-normal draw is cast to float32 once and swept in float32,
-    the precision of the classes; the vectors only rank the affinities,
-    which :func:`coarsen_aggregate` computes in float64.
+    the precision of the classes, as the upper half of a stacked block
+    whose lower half, the right-hand side, is zero; the vectors only rank
+    the affinities, which :func:`coarsen_aggregate` computes in float64.
     """
     n = sum(cls.nodes.size for cls in colors)
-    vectors = rng.standard_normal((n, AGGREGATION_TEST_VECTORS)).astype(np.float32)
+    stacked = np.zeros((2 * n, AGGREGATION_TEST_VECTORS), dtype=np.float32)
+    vectors = stacked[:n]
+    vectors[...] = rng.standard_normal((n, AGGREGATION_TEST_VECTORS))
     vectors -= vectors.mean(axis=0, keepdims=True)
-    zero = np.zeros_like(vectors)
     for _ in range(TEST_VECTOR_SWEEPS):
-        _sweep(colors, vectors, zero)
+        _sweep(colors, stacked)
     vectors -= vectors.mean(axis=0, keepdims=True)
     return vectors
 
@@ -499,17 +512,23 @@ def color_classes(matrix: sp.csr_matrix) -> tuple[ColorClass, ...]:
     depend on the matrix pattern alone.  Color ``c`` is the
     :func:`_greedy_independent_set` over the nodes left after colors
     ``0 .. c - 1``, in priority order.  Returns one :class:`ColorClass`
-    per color: its ascending node ids, their rows of ``matrix`` and their
-    inverse diagonal as a column, both cast to float32 for the smoother.
+    per color: its ascending node ids and their float32 update rows on the
+    stacked block ``[x; b]``.  The rows are made in one pass over the
+    level's stored entries, each diagonal slot becoming the ``b`` slot, so
+    they keep the level's pattern and entry order.
     """
     matrix = matrix.tocsr()
-    dinv = (1.0 / matrix.diagonal()).astype(np.float32)
-    order = np.lexsort((_tie_break(matrix.shape[0]), _off_diagonal_degree(matrix)))[::-1]
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    on_diag = matrix.indices == rows
+    values = (np.where(on_diag, 1.0, -matrix.data) / matrix.diagonal()[rows]).astype(np.float32)
+    update = sp.csr_matrix((values, matrix.indices + n * on_diag, matrix.indptr), shape=(n, 2 * n))
+    order = np.lexsort((_tie_break(n), _off_diagonal_degree(matrix)))[::-1]
     classes = []
     while order.size:
         taken = _greedy_independent_set(matrix, order)
         nodes = np.flatnonzero(taken)
-        classes.append(ColorClass(nodes, _single(matrix[nodes]), dinv[nodes, None]))
+        classes.append(ColorClass(nodes, update[nodes]))
         order = order[~taken[order]]
     return tuple(classes)
 
@@ -543,12 +562,12 @@ def _store_cycle_data_in_single(levels: list[Level]) -> None:
 
     The cycle is the preconditioner of a float64 flexible CG, which
     accepts an inexact, varying preconditioner (Notay 2000), so it runs
-    from ``levels[top]`` down in single precision.  The classes and ``p``
-    of the aggregation levels are built in float32; what is cast here is
-    what the place decides: the transfers of the elimination levels below
-    ``top``, the coarsest pseudoinverse unless the coarsest level is
-    ``top`` (a solve then applies it once, exactly), and ``matrix32`` on
-    the levels the cycle multiplies.  ``matrix`` stays float64
+    from ``levels[top]`` down in single precision.  The classes, ``p`` and
+    ``pt`` of the aggregation levels are built in float32; what is cast
+    here is what the place decides: the transfers of the elimination
+    levels below ``top``, the coarsest pseudoinverse unless the coarsest
+    level is ``top`` (a solve then applies it once, exactly), and
+    ``matrix32`` on the levels the cycle multiplies.  ``matrix`` stays float64
     everywhere, as do the leading elimination levels, which a solve
     restricts and back-substitutes through exactly.
     """
@@ -667,7 +686,7 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5) -> MultigridHierarchy:
             coarse, p = coarsen_aggregate(current, vectors, seeds)
             if current.shape[0] - coarse.shape[0] < MIN_REDUCTION * current.shape[0]:
                 break
-            level = Level(kind=LevelKind.AGGREGATION, matrix=current, p=p, colors=colors)
+            level = Level(LevelKind.AGGREGATION, current, p=p, pt=p.T.tocsr(), colors=colors)
         levels.append(level)
         current = coarse
 
@@ -684,70 +703,81 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5) -> MultigridHierarchy:
     return MultigridHierarchy(levels=levels, tau=tau)
 
 
-def _cycle(levels: list[Level], j: int, b: np.ndarray) -> np.ndarray:
+def _cycle(levels: list[Level], j: int, block: np.ndarray) -> np.ndarray:
     """One V-cycle for ``L x = b`` starting from zero, on level ``j``.
 
-    ``b`` is only read.  Each level holds its iterate and, while the
-    coarser levels run, nothing else of its own size.  A solve passes a
-    float32 ``b``, the precision of the cycle's level data.
+    ``block`` is the stacked ``[x; b]`` of ``2 n`` rows, ``n`` the level's
+    size: the caller fills the lower half with ``b``, which is only read,
+    and the cycle returns ``x``, written into the upper half except on the
+    coarsest level.  Each level fills its child's block the same way and,
+    while the coarser levels run, holds nothing else of its own size.  A
+    solve passes a float32 block, the precision of the cycle's level data.
     """
     level = levels[j]
+    x, b = np.split(block, 2)
     if level.kind is LevelKind.COARSEST:
         return _direct_solve(level, b)
 
     if level.kind is LevelKind.ELIMINATION:
         # Exact transfer: no smoothing around elimination levels.
-        bc, scaled = _eliminate_restrict(level, b)
-        xc = _cycle(levels, j + 1, bc)
-        del bc
-        return _eliminate_interpolate(level, xc, scaled)
+        nc = level.c_nodes.size
+        child = np.empty((2 * nc, b.shape[1]), dtype=block.dtype)
+        scaled = _eliminate_restrict(level, b, child[nc:])
+        return _eliminate_interpolate(level, _cycle(levels, j + 1, child), scaled, x)
 
     # Pre-smoothing sweeps the classes forward from a zero initial guess,
     # post-smoothing sweeps them in reverse.
     nu1, nu2 = SMOOTHING_STEPS
-    x = np.zeros_like(b)
+    x[...] = 0
     for _ in range(nu1):
-        _sweep(level.colors, x, b)
+        _sweep(level.colors, block)
     residual = level.matrix32 @ x
     np.subtract(b, residual, out=residual)
-    rc = level.p.T @ residual
+    rc = level.pt @ residual
     del residual
-    xc = _cycle(levels, j + 1, rc)
+    nc = rc.shape[0]
+    child = np.empty((2 * nc, b.shape[1]), dtype=block.dtype)
+    child[nc:] = rc
+    del rc
+    xc = _cycle(levels, j + 1, child)
     # Energy line search on the coarse correction d = P xc; plain
     # aggregation under-corrects without it.  Both inner products are
-    # taken on the coarse level: <r, d> = <P^T r, xc> and
-    # <d, L d> = <xc, P^T L P xc>, whose operator is the next level's.
-    num = np.einsum("ij,ij->j", rc, xc)
+    # taken on the coarse level: <r, d> = <P^T r, xc>, with P^T r read
+    # back from the child's block, and <d, L d> = <xc, P^T L P xc>, whose
+    # operator is the next level's.
+    num = np.einsum("ij,ij->j", child[nc:], xc)
     den = np.einsum("ij,ij->j", xc, levels[j + 1].matrix32 @ xc)
-    del rc
     alpha = np.divide(num, den, out=np.ones_like(num), where=den > 0)
     xc *= alpha
     x += level.p @ xc
-    del xc
+    del xc, child
     for _ in range(nu2):
-        _sweep(level.colors[::-1], x, b)
+        _sweep(level.colors[::-1], block)
     return x
 
 
-def _eliminate_restrict(level: Level, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eliminate_restrict(level: Level, b: np.ndarray, bc: np.ndarray) -> np.ndarray:
     """Reduce ``L x = b`` exactly through an elimination level.
 
-    Returns the reduced right-hand side ``b_c + W_cf D_f^-1 b_f`` and
-    ``D_f^-1 b_f``, which :func:`_eliminate_interpolate` needs back.
-    ``b`` is only read.
+    Writes the reduced right-hand side ``b_c + W_cf D_f^-1 b_f`` into
+    ``bc`` and returns ``D_f^-1 b_f``, which :func:`_eliminate_interpolate`
+    needs back.  ``b`` is only read.
     """
     scaled = b[level.f_nodes]
     scaled /= level.f_degree[:, None]
-    bc = level.w_cf @ scaled
-    bc += b[level.c_nodes]
-    return bc, scaled
+    # ``clip`` never clips valid ids; unlike the default it writes into
+    # ``bc`` without a buffer.
+    np.take(b, level.c_nodes, axis=0, out=bc, mode="clip")
+    bc += level.w_cf @ scaled
+    return scaled
 
 
-def _eliminate_interpolate(level: Level, xc: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+def _eliminate_interpolate(
+    level: Level, xc: np.ndarray, scaled: np.ndarray, x: np.ndarray
+) -> np.ndarray:
     """Back-substitute ``x_f = D_f^-1 (b_f + W_cf^T x_c)`` under the reduced
-    solution ``xc``, given ``scaled = D_f^-1 b_f``; returns the level's ``x``,
-    in ``xc``'s precision."""
-    x = np.empty((level.size, xc.shape[1]), dtype=xc.dtype)
+    solution ``xc``, given ``scaled = D_f^-1 b_f``, into the level's ``x``,
+    which it returns."""
     x[level.c_nodes] = xc
     xf = level.w_cf.T @ xc
     xf /= level.f_degree[:, None]
@@ -756,18 +786,18 @@ def _eliminate_interpolate(level: Level, xc: np.ndarray, scaled: np.ndarray) -> 
     return x
 
 
-def _sweep(classes: Sequence[ColorClass], x: np.ndarray, b: np.ndarray) -> None:
-    """One Gauss-Seidel sweep in place, a color class at a time.
+def _sweep(classes: Sequence[ColorClass], stacked: np.ndarray) -> None:
+    """One Gauss-Seidel sweep in place on the upper half ``x`` of
+    ``stacked = [x; b]``, a color class at a time.
 
     Nodes of one class are not adjacent, so updating them together is
-    exactly a point Gauss-Seidel sweep in class order.  Each column's
-    arithmetic is independent of the other columns of the block.
+    exactly a point Gauss-Seidel sweep in class order.  A class costs one
+    sparse product, which runs without the GIL, and one row scatter.
+    Each column's arithmetic is independent of the other columns of the
+    block.
     """
     for cls in classes:
-        step = cls.rows @ x
-        np.subtract(b[cls.nodes], step, out=step)
-        step *= cls.dinv
-        x[cls.nodes] += step
+        stacked[cls.nodes] = cls.rows @ stacked
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:
@@ -834,14 +864,13 @@ def _fcg(
         rz = np.einsum("ij,ij->j", r, z)
         p *= beta
         p += z
+        del z  # freed before L p is made; a V-cycle's float32 z cannot hold the steps
         lp = matrix @ p
         plp = np.einsum("ij,ij->j", p, lp)
         broken = (plp <= 0) | (rz <= 0)
         alpha = np.divide(rz, plp, out=np.zeros_like(rz), where=~broken)
-        # ``z`` is spent: it holds the scaled steps.
-        x += np.multiply(p, alpha, out=z)
-        r -= np.multiply(lp, alpha, out=z)
-        del z
+        x += p * alpha
+        r -= lp * alpha
 
 
 def _solve_block(
@@ -923,9 +952,10 @@ def _solve_block(
         b -= b.mean(axis=0, keepdims=True)
         scaled = []  # D_f^-1 b_f per elimination level, for back-substitution
         for level in levels[:top]:
-            b, f_part = _eliminate_restrict(level, b)
-            scaled.append(f_part)
-            del f_part  # the list alone holds it, so narrowing frees it
+            # The list alone holds each D_f^-1 b_f, so narrowing frees it.
+            b, fine = np.empty((level.c_nodes.size, b.shape[1])), b
+            scaled.append(_eliminate_restrict(level, fine, b))
+            del fine
             if x is not None:
                 x = x[level.c_nodes]
         if x is None and reduced.pinv is not None:
@@ -953,7 +983,9 @@ def _solve_block(
             f_done = [f_part.compress(done, axis=1) for f_part in scaled]
             scaled = [f_part.compress(~done, axis=1) for f_part in scaled]
             for level in reversed(levels[:top]):
-                x = _eliminate_interpolate(level, x, f_done.pop())
+                x = _eliminate_interpolate(
+                    level, x, f_done.pop(), np.empty((level.size, x.shape[1]))
+                )
             out[finished] = x.T
             del x
             for i in finished:
@@ -963,7 +995,9 @@ def _solve_block(
     def v_cycle(r: np.ndarray) -> np.ndarray:
         nonlocal cycles
         cycles += r.shape[1]
-        return _cycle(levels, top, r.astype(np.float32)).astype(np.float64)
+        block = np.empty((2 * r.shape[0], r.shape[1]), dtype=np.float32)
+        block[r.shape[0]:] = r
+        return _cycle(levels, top, block)
 
     def residuals() -> np.ndarray:
         residual = matrix @ out.T

@@ -47,7 +47,10 @@ def hierarchy_arrays(h):
     arrays = {}
     for j, lvl in enumerate(h.levels):
         arrays[j, "kind"] = np.array(lvl.kind.value)
-        matrices = {"matrix": lvl.matrix, "matrix32": lvl.matrix32, "w_cf": lvl.w_cf, "p": lvl.p}
+        matrices = {
+            "matrix": lvl.matrix, "matrix32": lvl.matrix32, "w_cf": lvl.w_cf,
+            "p": lvl.p, "pt": lvl.pt,
+        }
         matrices.update({f"class{c}": cls.rows for c, cls in enumerate(lvl.colors)})
         for name, m in matrices.items():
             if m is not None:
@@ -58,7 +61,6 @@ def hierarchy_arrays(h):
                 arrays[j, name] = getattr(lvl, name)
         for c, cls in enumerate(lvl.colors):
             arrays[j, f"class{c}", "nodes"] = cls.nodes
-            arrays[j, f"class{c}", "dinv"] = cls.dinv
     return arrays
 
 

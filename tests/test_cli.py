@@ -81,6 +81,40 @@ class TestScore:
         nodes = [row.split(",")[0] for row in body_lines(text)[1:]]
         assert nodes == ["10", "20", "30"]
 
+    def test_rows_are_the_row_by_row_text(self, tmp_path, monkeypatch):
+        # The body is written at once; it is the text a write per row
+        # gives: the original label as an integer, then the score by _fmt.
+        from cfcent import cli
+
+        path = tmp_path / "labels.txt"
+        path.write_text("7 3\n3 12\n12 40\n40 7\n3 40\n100 200\n")
+        seen = {}
+        load, score = cli._load_graph, cli.score
+
+        def load_spy(args):
+            seen["g"] = load(args)
+            return seen["g"]
+
+        def score_spy(measure, g, hierarchy, query, **kwargs):
+            seen["query"] = query
+            seen["table"] = score(measure, g, hierarchy, query, **kwargs)
+            return seen["table"]
+
+        monkeypatch.setattr(cli, "_load_graph", load_spy)
+        monkeypatch.setattr(cli, "score", score_spy)
+        code, text = run_cli(
+            ["--command", "score", "--input", str(path), "--measure", "cf_exact",
+             "--query", "all"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        g, table = seen["g"], seen["table"]
+        rows = "".join(
+            f"{g.node_labels[v]},{cli._fmt(table.scores[v])}\n" for v in seen["query"]
+        )
+        assert text.split("\n", 1)[1] == "node,score\n" + rows
+        assert [row.split(",")[0] for row in rows.splitlines()] == ["3", "7", "12", "40"]
+
     def test_lcc_taken_before_scoring(self, tmp_path):
         path = tmp_path / "two_comp.txt"
         path.write_text("0 1\n1 2\n8 9\n")

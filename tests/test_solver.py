@@ -201,6 +201,20 @@ class TestSetup:
         with pytest.raises(DomainError):
             setup(lap)
 
+    @pytest.mark.parametrize("bridge", [0.0, 1e-14], ids=["stored-zero", "tiny-positive"])
+    def test_rejects_components_joined_only_by_entries_the_rebuild_drops(self, bridge):
+        # A stored zero or a positive entry within the tolerance is no
+        # edge: the rebuild drops it, and the two paths stay apart.
+        g1 = path_graph(3)
+        coo = sp.block_diag([laplacian(g1), laplacian(g1)], format="coo")
+        lap = sp.csr_matrix(
+            (np.r_[coo.data, bridge, bridge], (np.r_[coo.row, 2, 3], np.r_[coo.col, 3, 2])),
+            shape=coo.shape,
+        )
+        assert lap.nnz == 16
+        with pytest.raises(DomainError, match="not connected"):
+            setup(lap)
+
     @pytest.mark.parametrize(
         "matrix, message",
         [
@@ -584,17 +598,9 @@ class TestColorClasses:
 
     @pytest.mark.parametrize("name", ["grid", "ba", "star", "weighted"])
     def test_classes_carry_their_rows_and_inverse_diagonal(self, name):
-        # The classes are built in the V-cycle's precision: the float32
-        # casts of the level's rows and of 1/diag as a column, exactly.
         lap = _color_test_laplacians()[name]
         for cls in color_classes(lap):
-            rows = lap[cls.nodes]
-            assert cls.rows.dtype == cls.dinv.dtype == np.float32
-            assert np.array_equal(cls.rows.indptr, rows.indptr)
-            assert np.array_equal(cls.rows.indices, rows.indices)
-            assert np.array_equal(cls.rows.data, rows.data.astype(np.float32))
-            dinv = 1.0 / lap.diagonal()[cls.nodes, None]
-            assert np.array_equal(cls.dinv, dinv.astype(np.float32))
+            _assert_update_rows(lap, cls)
 
     def test_relaxed_test_vectors_take_their_size_from_the_classes(self):
         lap = _color_test_laplacians()["ba"]
@@ -603,20 +609,21 @@ class TestColorClasses:
         assert vectors.shape == (lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS)
         assert vectors.dtype == np.float32
         # The same draw sized by the level matrix, cast to float32 and
-        # swept in float32 on the classes.
-        expected = np.random.default_rng(3).standard_normal(
-            (lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS)
+        # swept in float32 on the classes, over a zero right-hand side.
+        n = lap.shape[0]
+        stacked = np.zeros((2 * n, solver_module.AGGREGATION_TEST_VECTORS), dtype=np.float32)
+        stacked[:n] = np.random.default_rng(3).standard_normal(
+            (n, solver_module.AGGREGATION_TEST_VECTORS)
         ).astype(np.float32)
-        expected -= expected.mean(axis=0, keepdims=True)
-        zero = np.zeros_like(expected)
+        stacked[:n] -= stacked[:n].mean(axis=0, keepdims=True)
         for _ in range(solver_module.TEST_VECTOR_SWEEPS):
-            solver_module._sweep(colors, expected, zero)
-        expected -= expected.mean(axis=0, keepdims=True)
-        assert np.array_equal(vectors, expected)
+            solver_module._sweep(colors, stacked)
+        stacked[:n] -= stacked[:n].mean(axis=0, keepdims=True)
+        assert np.array_equal(vectors, stacked[:n])
 
     def test_levels_store_their_classes(self):
         # Only the V-cycle reads the classes once setup is done, so they
-        # hold the float32 casts of the level's rows and 1/diag, exactly.
+        # hold the float32 update rows of the level's matrix, exactly.
         h = setup(laplacian(grid_graph(40)))
         assert any(lvl.kind is LevelKind.AGGREGATION for lvl in h.levels)
         for level in h.levels:
@@ -627,13 +634,7 @@ class TestColorClasses:
             assert len(level.colors) == len(expected)
             for cls, nodes in zip(level.colors, expected):
                 assert np.array_equal(cls.nodes, nodes)
-                assert cls.rows.dtype == cls.dinv.dtype == np.float32
-                rows = level.matrix[nodes]
-                assert np.array_equal(cls.rows.indptr, rows.indptr)
-                assert np.array_equal(cls.rows.indices, rows.indices)
-                assert np.array_equal(cls.rows.data, rows.data.astype(np.float32))
-                dinv = 1.0 / level.matrix.diagonal()[nodes]
-                assert np.array_equal(cls.dinv[:, 0], dinv.astype(np.float32))
+                _assert_update_rows(level.matrix, cls)
 
     def test_sweep_is_point_gauss_seidel_in_class_order(self, rng, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_DIRECT_SIZE", 10)
@@ -644,17 +645,23 @@ class TestColorClasses:
         b -= b.mean(axis=0)
         x0 = rng.standard_normal((level.size, 3))
 
-        swept = x0.copy()
-        solver_module._sweep(level.colors, swept, b)
+        stacked = np.vstack([x0, b])
+        solver_module._sweep(level.colors, stacked)
+        assert np.array_equal(stacked[level.size:], b)
 
-        # The classes hold float32 rows and 1/diag (the V-cycle's
-        # precision); a float64 block is swept in float64 on those values.
-        dense = level.matrix.toarray().astype(np.float32).astype(np.float64)
-        dinv = (1.0 / level.matrix.diagonal()).astype(np.float32).astype(np.float64)
+        # The classes hold float32 rows (the V-cycle's precision); a
+        # float64 block is swept in float64 on those values: per node,
+        # x_i = (b_i - sum_{j != i} a_ij x_j) / a_ii with a_ij / a_ii and
+        # 1 / a_ii rounded to float32.
+        lap = level.matrix.toarray()
+        diag = np.diag(lap)
+        scaled = (-lap / diag[:, None]).astype(np.float32).astype(np.float64)
+        dinv = (1.0 / diag).astype(np.float32).astype(np.float64)
         expected = x0.copy()
         for i in np.concatenate([cls.nodes for cls in level.colors]):
-            expected[i] += (b[i] - dense[i] @ expected) * dinv[i]
-        assert swept == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            off = np.arange(level.size) != i
+            expected[i] = scaled[i, off] @ expected[off] + dinv[i] * b[i]
+        assert stacked[: level.size] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestDescribe:
@@ -681,14 +688,15 @@ class TestDescribe:
             LevelKind.ELIMINATION, LevelKind.AGGREGATION, LevelKind.ELIMINATION, LevelKind.COARSEST
         ]
         for row, level in zip(h.describe(), h.levels):
-            matrices = [level.matrix, level.w_cf, level.p] + [c.rows for c in level.colors]
+            matrices = [level.matrix, level.w_cf, level.p, level.pt]
+            matrices += [c.rows for c in level.colors]
             expected = sum(
                 a.nbytes for m in matrices if m is not None for a in (m.data, m.indices, m.indptr)
             )
             expected += sum(
                 a.nbytes
                 for a in [level.f_nodes, level.c_nodes, level.f_degree, level.pinv]
-                + [a for c in level.colors for a in (c.nodes, c.dinv)]
+                + [c.nodes for c in level.colors]
                 if a is not None
             )
             if level.matrix32 is not None:
@@ -1006,21 +1014,67 @@ def _wide_weight_ba(span):
     return spread_weights(barabasi_albert_graph(2000, 3, seed=0), span)
 
 
-def _float64_relaxed_vectors(lap, rng):
-    """The float64 relaxation setup used before the test vectors were swept
-    in float32: the same draw, swept in float64 on the level's own float64
-    rows and 1/diag.  The reference for the float32 path."""
-    colors = [
-        solver_module.ColorClass(c.nodes, lap[c.nodes], 1.0 / lap.diagonal()[c.nodes, None])
+def _three_op_relaxed_vectors(lap, rng, dtype):
+    """The relaxation setup used before the stacked sweep: the same draw in
+    ``dtype``, swept on the level's own rows and 1/diag in ``dtype`` with
+    three operations per class (a product, ``b - A x`` scaled by 1/diag,
+    and an add into ``x``).  In float64 it is the relaxation used before
+    the test vectors were swept in float32; in float32 it is the float32
+    sweep used before the stacked one.  The reference for both."""
+    classes = [
+        (c.nodes, lap[c.nodes].astype(dtype), (1.0 / lap.diagonal()[c.nodes, None]).astype(dtype))
         for c in color_classes(lap)
     ]
     vectors = rng.standard_normal((lap.shape[0], solver_module.AGGREGATION_TEST_VECTORS))
+    vectors = vectors.astype(dtype)
     vectors -= vectors.mean(axis=0, keepdims=True)
     zero = np.zeros_like(vectors)
     for _ in range(solver_module.TEST_VECTOR_SWEEPS):
-        solver_module._sweep(colors, vectors, zero)
+        for nodes, rows, dinv in classes:
+            step = rows @ vectors
+            np.subtract(zero[nodes], step, out=step)
+            step *= dinv
+            vectors[nodes] += step
     vectors -= vectors.mean(axis=0, keepdims=True)
     return vectors
+
+
+def _assert_same_aggregation(graph, dtype):
+    """Setup's aggregation levels draw their test vectors in order from
+    one generator; relaxed by :func:`_three_op_relaxed_vectors` in
+    ``dtype`` instead, the same draws give the same aggregates and the same
+    coarse matrices, bit for bit, on every aggregation level."""
+    h = setup(laplacian(graph()))
+    rng = np.random.default_rng(solver_module.SETUP_SEED)
+    aggregated = 0
+    for j, level in enumerate(h.levels):
+        if level.kind is not LevelKind.AGGREGATION:
+            continue
+        aggregated += 1
+        coarse, p = aggregate(level.matrix, _three_op_relaxed_vectors(level.matrix, rng, dtype))
+        assert np.array_equal(p.indices, level.p.indices)
+        expected = h.levels[j + 1].matrix
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(coarse, part), getattr(expected, part))
+    assert aggregated >= 2
+
+
+def _assert_update_rows(lap, cls):
+    """``cls.rows`` are the float32 update rows of ``cls.nodes`` on the
+    stacked block ``[x; b]``: the level's rows, in their stored order, with
+    ``-a_vj / a_vv`` off the diagonal and ``1 / a_vv`` moved from the
+    diagonal slot to column ``n + v``."""
+    n = lap.shape[0]
+    rows = lap[cls.nodes]
+    node = np.repeat(cls.nodes, np.diff(rows.indptr))
+    on_diag = rows.indices == node
+    diag = lap.diagonal()[node]
+    assert cls.rows.dtype == np.float32
+    assert cls.rows.shape == (cls.nodes.size, 2 * n)
+    assert np.array_equal(cls.rows.indptr, rows.indptr)
+    assert np.array_equal(cls.rows.indices, np.where(on_diag, node + n, rows.indices))
+    values = np.where(on_diag, 1.0 / diag, -rows.data / diag)
+    assert np.array_equal(cls.rows.data, values.astype(np.float32))
 
 
 def _supplies(n, count):
@@ -1040,8 +1094,8 @@ class TestSinglePrecisionCycle:
         # exactly, in float64; the cycle never multiplies its matrix.
         assert lead.w_cf.dtype == lead.f_degree.dtype == np.float64
         assert lead.matrix32 is None
-        assert agg.p.dtype == np.float32
-        assert all(c.rows.dtype == c.dinv.dtype == np.float32 for c in agg.colors)
+        assert agg.p.dtype == agg.pt.dtype == np.float32
+        assert all(c.rows.dtype == np.float32 for c in agg.colors)
         assert elim.w_cf.dtype == elim.f_degree.dtype == np.float32
         assert coarsest.pinv.dtype == np.float32
         # The residual on the aggregation level and the line search on the
@@ -1059,22 +1113,36 @@ class TestSinglePrecisionCycle:
         ],
     )
     def test_float32_relaxation_builds_the_float64_hierarchy(self, graph):
-        # Setup's aggregation levels draw their test vectors in order from
-        # one generator; relaxed in float64 instead, the same draws give the
-        # same aggregates and the same coarse matrices, bit for bit.
+        _assert_same_aggregation(graph, np.float64)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: grid_graph(100), id="grid100"),
+            pytest.param(lambda: _wide_weight_ba(4), id="ba2000-1e4"),
+        ],
+    )
+    def test_the_stacked_sweep_builds_the_three_op_hierarchy(self, graph):
+        _assert_same_aggregation(graph, np.float32)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: grid_graph(100), id="grid100"),
+            pytest.param(lambda: _wide_weight_ba(4), id="ba2000-1e4"),
+        ],
+    )
+    def test_the_stored_transpose_restricts_as_p_transposed(self, graph):
+        # The CSR transpose sums each coarse row in the order the
+        # transposed CSC product does, so the restriction keeps its bits.
         h = setup(laplacian(graph()))
-        rng = np.random.default_rng(solver_module.SETUP_SEED)
-        aggregated = 0
-        for j, level in enumerate(h.levels):
-            if level.kind is not LevelKind.AGGREGATION:
-                continue
-            aggregated += 1
-            coarse, p = aggregate(level.matrix, _float64_relaxed_vectors(level.matrix, rng))
-            assert np.array_equal(p.indices, level.p.indices)
-            expected = h.levels[j + 1].matrix
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(coarse, part), getattr(expected, part))
-        assert aggregated >= 2
+        rng = np.random.default_rng(0)
+        levels = [lvl for lvl in h.levels if lvl.kind is LevelKind.AGGREGATION]
+        assert len(levels) >= 2
+        for level in levels:
+            assert level.pt.dtype == np.float32 and level.pt.format == "csr"
+            r = rng.standard_normal((level.size, 64)).astype(np.float32)
+            assert np.array_equal(level.pt @ r, level.p.T @ r)
 
     def test_float32_interpolation_gives_the_float64_galerkin_product(self):
         # P's unit entries are exact in float32 and the product upcasts
@@ -1159,8 +1227,9 @@ class TestSinglePrecisionCycle:
         total = sum(row["bytes"] for row in h.describe())
         as_float64 = total
         for lvl in h.levels:
-            singles = [lvl.f_degree, lvl.pinv] + [c.dinv for c in lvl.colors]
-            singles += [m.data for m in [lvl.w_cf, lvl.p] + [c.rows for c in lvl.colors] if m is not None]
+            singles = [lvl.f_degree, lvl.pinv]
+            matrices = [lvl.w_cf, lvl.p, lvl.pt] + [c.rows for c in lvl.colors]
+            singles += [m.data for m in matrices if m is not None]
             as_float64 += sum(a.nbytes for a in singles if a is not None and a.dtype == np.float32)
             if lvl.matrix32 is not None:
                 as_float64 -= lvl.matrix32.data.nbytes
