@@ -185,9 +185,11 @@ def cmd_score(args, out) -> int:
     g = _load_graph(args)
     query = _query_nodes(args, g)
     _check_pivots(args, g, measures)
-    hierarchy = (
-        setup(laplacian(g), tau=args.tau) if measure in CURRENT_FLOW else None
-    )
+    n, m, node_labels = g.n, g.m, g.node_labels
+    hierarchy = None
+    if measure in CURRENT_FLOW:
+        hierarchy = setup(laplacian(g), tau=args.tau)
+        g = None  # the current-flow measures read the hierarchy alone
     table = score(
         measure, g, hierarchy, query, pivots=args.pivots, epsilon=args.epsilon,
         seed=args.seed, threads=args.threads,
@@ -197,11 +199,11 @@ def cmd_score(args, out) -> int:
         f"{k}={v}" for k, v in sorted(table.params.items()) if k != "seed"
     )
     out.write(
-        f"# command=score measure={measure.value} n={g.n} m={g.m} "
+        f"# command=score measure={measure.value} n={n} m={m} "
         f"seed={args.seed} {params} max_residual={max_residual:.3e}\n"
     )
     out.write("node,score\n")
-    labels = g.node_labels[query].tolist()
+    labels = node_labels[query].tolist()
     out.write("".join(
         f"{label},{_fmt(table.scores[v])}\n" for label, v in zip(labels, query)
     ))
@@ -214,7 +216,10 @@ def cmd_compare(args, out) -> int:
     query = _query_nodes(args, g)
     _check_ranked(query)
     _check_pivots(args, g, measures)
+    n, m = g.n, g.m
     hierarchy = setup(laplacian(g), tau=args.tau)
+    if all(measure in CURRENT_FLOW for measure in measures):
+        g = None  # the current-flow measures read the hierarchy alone
 
     start = time.perf_counter()
     exact = cf_closeness_exact(hierarchy, query, threads=args.threads)
@@ -222,7 +227,7 @@ def cmd_compare(args, out) -> int:
     exact_vec = exact.vector(query)
 
     out.write(
-        f"# command=compare n={g.n} m={g.m} q={len(query)} seed={args.seed} "
+        f"# command=compare n={n} m={m} q={len(query)} seed={args.seed} "
         f"tau={args.tau:g} pivots={args.pivots} epsilon={args.epsilon:g}\n"
     )
     out.write(

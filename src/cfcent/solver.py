@@ -11,7 +11,8 @@ first stops, a fixed probe decides whether aggregation pays at all: if
 Jacobi-preconditioned conjugate gradients converges there within
 ``PROBE_ITERATIONS``, as on expanders such as Barabasi-Albert graphs
 (Mihail, Papadimitriou & Saberi 2006), that level is the coarsest, kept
-without a pseudoinverse, and solves iterate on it with Jacobi; meshes and
+without a pseudoinverse, and solves iterate on it preconditioned by two
+damped-Jacobi sweeps, a polynomial in ``D^-1 L`` (Saad 1985); meshes and
 widely spread edge weights fail the probe and aggregate.  The probe column
 and the aggregation test vectors each draw from a generator of their own
 seeded with ``SETUP_SEED``, so ``setup`` takes only ``tau`` and the
@@ -33,8 +34,8 @@ elimination levels, which are exact, and runs one flexible conjugate
 gradient routine on the reduced system with one V-cycle as the
 preconditioner of every iteration (a reduced system that is the coarsest
 level is solved directly, or, when it passed the probe, preconditioned by
-Jacobi); each column is back-substituted to the finest level when it
-converges.  Columns that run out of iterations, break down
+the two Jacobi sweeps); each column is back-substituted to the finest
+level when it converges.  Columns that run out of iterations, break down
 or miss the tolerance when their residual is recomputed on the finest
 level are finished by the safety net: the same path, restrict, iterate
 and back-substitute, with a Jacobi preconditioner on the reduced system.
@@ -47,9 +48,10 @@ elimination levels below the reduced system and the coarsest solve.  The
 color classes, the aggregation interpolation and its transpose are built
 in float32, and the test vectors are relaxed in float32 on those classes;
 ``setup`` casts only what depends on a level's place in the hierarchy,
-once.  The flexible conjugate gradient routine takes the cycle's float32
-result as it is.  The flexible
-conjugate gradient routine, the leading elimination levels, the level
+once.  The Jacobi sweeps on a probe-passed reduced system run in float32
+too, on a float32 copy of its matrix values.  The flexible conjugate
+gradient routine takes the cycle's or the sweeps' float32 result as it
+is (Notay 2000).  That routine, the leading elimination levels, the level
 matrices, the affinities, the recomputed finest residual, the safety net
 and the ``tau`` check stay in float64, so the contract is unchanged.
 
@@ -98,6 +100,8 @@ MAX_DIRECT_SIZE = 200         # levels this small are solved directly
 MAX_CYCLES = 100              # flexible-PCG iterations per column, then the net
 PROBE_ITERATIONS = 30         # Jacobi-CG probe cap; BA 16k to 1M needs 11-12,
                               # ER 20k 15, grid 100 (fails) 155
+JACOBI_WEIGHT = 0.8           # damping of the sweeps on a probe-passed level;
+                              # w (2 - w l) > 0 on [0, 2], bipartite graphs too
 SETUP_SEED = 0                # seeds the probe column and, separately, the
                               # aggregation test vectors
 BLOCK_COLUMNS = 64            # fixed so results never depend on thread count
@@ -130,7 +134,8 @@ class Level:
     """One hierarchy level: its Laplacian plus transfer data to the next.
 
     ``matrix32`` is ``matrix`` in float32, sharing its index arrays, on
-    the levels whose matrix the V-cycle multiplies; what else only the
+    the levels whose matrix the V-cycle multiplies and on a probe-passed
+    coarsest level, which the Jacobi sweeps multiply; what else only the
     cycle reads is float32 too: ``p``, its transpose ``pt`` as CSR (the
     restriction) and ``colors`` as they are built, the rest as
     :func:`_store_cycle_data_in_single` casts it.
@@ -550,15 +555,16 @@ def _preconditioner(level: Level) -> str:
     """What preconditions the flexible CG on ``level`` as a reduced system:
     ``"cycle"`` on an aggregation level, ``"direct"`` on a coarsest level
     with its pseudoinverse, ``"jacobi"`` on one that passed setup's probe
-    (:func:`_jacobi_converges`) and keeps no pseudoinverse."""
+    (:func:`_jacobi_converges`) and keeps no pseudoinverse: two damped
+    Jacobi sweeps in float32 (:func:`_jacobi_sweeps`)."""
     if level.kind is not LevelKind.COARSEST:
         return "cycle"
     return "direct" if level.pinv is not None else "jacobi"
 
 
 def _store_cycle_data_in_single(levels: list[Level]) -> None:
-    """Cast to float32 what the V-cycle reads, depending on each level's
-    place in the hierarchy.
+    """Cast to float32 what the V-cycle or the Jacobi sweeps read,
+    depending on each level's place in the hierarchy.
 
     The cycle is the preconditioner of a float64 flexible CG, which
     accepts an inexact, varying preconditioner (Notay 2000), so it runs
@@ -567,7 +573,10 @@ def _store_cycle_data_in_single(levels: list[Level]) -> None:
     here is what the place decides: the transfers of the elimination
     levels below ``top``, the coarsest pseudoinverse unless the coarsest
     level is ``top`` (a solve then applies it once, exactly), and
-    ``matrix32`` on the levels the cycle multiplies.  ``matrix`` stays float64
+    ``matrix32`` on the levels the cycle multiplies and on a coarsest
+    level without a pseudoinverse, which passed the probe and whose
+    matrix the sweeps multiply (:func:`_jacobi_sweeps`); it is the only
+    float32 array of such a hierarchy.  ``matrix`` stays float64
     everywhere, as do the leading elimination levels, which a solve
     restricts and back-substitutes through exactly.
     """
@@ -582,6 +591,9 @@ def _store_cycle_data_in_single(levels: list[Level]) -> None:
         elif level.kind is LevelKind.ELIMINATION:
             level.w_cf = _single(level.w_cf)
             level.f_degree = level.f_degree.astype(np.float32)
+        elif level.pinv is None:
+            # A probe-passed reduced system: its Jacobi sweeps' product.
+            level.matrix32 = _single(level.matrix)
         elif j > top:
             level.pinv = level.pinv.astype(np.float32)
 
@@ -606,6 +618,33 @@ def _jacobi(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     by the inverse diagonal."""
     dinv = 1.0 / np.maximum(matrix.diagonal(), np.finfo(float).tiny)[:, None]
     return lambda r: dinv * r
+
+
+def _jacobi_sweeps(level: Level) -> Callable[[np.ndarray], np.ndarray]:
+    """Two damped-Jacobi sweeps from zero on a probe-passed ``level``, in
+    float32: ``z = w D^-1 (2 r - L w D^-1 r)`` with ``w = JACOBI_WEIGHT``.
+
+    On ``D^-1 L``, whose spectrum lies in ``[0, 2]``, this is the
+    polynomial ``w (2 - w l)``, positive there, so the preconditioner is
+    SPD on bipartite graphs too.  Beside the float64 ``r`` it holds two
+    float32 blocks: ``y = 2 w D^-1 r``, made straight from ``r``, and the
+    product ``L y``, which the second sweep overwrites with
+    ``y - (w / 2) D^-1 L y``.  Doubling and halving are exact, so these
+    are the bits of ``2 y' - w D^-1 L y'`` for ``y' = w D^-1 r``, one
+    pass fewer.
+    """
+    tiny = np.finfo(float).tiny
+    wdinv = (JACOBI_WEIGHT / np.maximum(level.matrix.diagonal(), tiny)).astype(np.float32)[:, None]
+    twice, minus_half = 2 * wdinv, -0.5 * wdinv
+
+    def sweeps(r: np.ndarray) -> np.ndarray:
+        y = np.multiply(twice, r, dtype=np.float32)
+        z = level.matrix32 @ y
+        z *= minus_half
+        z += y
+        return z
+
+    return sweeps
 
 
 def _jacobi_iteration_cap(n: int) -> int:
@@ -654,7 +693,8 @@ def setup(matrix: sp.spmatrix, *, tau: float = 1e-5) -> MultigridHierarchy:
     levels alone, is first probed (:func:`_jacobi_converges`).  If
     Jacobi-preconditioned CG converges there, aggregation would cost more
     than it saves: that level becomes the coarsest, with no pseudoinverse,
-    and solves precondition their iteration on it with Jacobi.  The probe
+    and solves precondition their iteration on it with two damped-Jacobi
+    sweeps (:func:`_jacobi_sweeps`).  The probe
     builds its own generator from ``SETUP_SEED`` and draws nothing from the
     test vectors' one, so hierarchies that fail it are the ones
     aggregation builds without it.  A clique, where nothing is
@@ -893,11 +933,12 @@ def _solve_block(
     the reduced level's preconditioner (:func:`_preconditioner`): one
     V-cycle from it per iteration, for at most ``MAX_CYCLES`` iterations;
     on a coarsest level with a pseudoinverse, a direct solve, which needs
-    no cycle; on a coarsest level that passed setup's probe, Jacobi, for
-    at most :func:`_jacobi_iteration_cap` iterations.  Then, as the
+    no cycle; on a coarsest level that passed setup's probe, two float32
+    damped-Jacobi sweeps (:func:`_jacobi_sweeps`), for at most
+    :func:`_jacobi_iteration_cap` iterations.  Then, as the
     safety net, on the columns that reach the cap, break down
     (``<p, Lp> <= 0`` or ``<r, z> <= 0``) or whose residual, recomputed
-    from the finest matrix, exceeds ``tau``: Jacobi on the reduced
+    from the finest matrix, exceeds ``tau``: float64 Jacobi on the reduced
     matrix, from the columns' current solutions restricted to the reduced
     nodes, for at most :func:`_jacobi_iteration_cap` iterations.  A
     column the net leaves above ``tau`` raises :class:`ConvergenceError`.
@@ -1007,7 +1048,7 @@ def _solve_block(
     jacobi = _jacobi(reduced.matrix)
     jacobi_cap = _jacobi_iteration_cap(n)
     if _preconditioner(reduced) == "jacobi":
-        precondition, max_iters = jacobi, jacobi_cap
+        precondition, max_iters = _jacobi_sweeps(reduced), jacobi_cap
     else:
         precondition, max_iters = v_cycle, MAX_CYCLES
     active = np.flatnonzero(nonzero)

@@ -115,6 +115,47 @@ class TestScore:
         assert text.split("\n", 1)[1] == "node,score\n" + rows
         assert [row.split(",")[0] for row in rows.splitlines()] == ["3", "7", "12", "40"]
 
+    @pytest.mark.parametrize(
+        "command, measure, freed",
+        [
+            ("score", "cf_sampling", True),
+            ("score", "sp", False),
+            ("compare", "cf_sampling,cf_projection", True),
+            ("compare", "cf_sampling,sp", False),
+        ],
+    )
+    def test_current_flow_scoring_frees_the_graph(
+        self, command, measure, freed, tmp_path, monkeypatch
+    ):
+        # Once setup returns, the current-flow measures read the hierarchy
+        # alone, so the graph is dropped before any of them scores.
+        import weakref
+
+        from cfcent import cli
+
+        graphs, alive = [], []
+        load, score = cli._load_graph, cli.score
+
+        def load_spy(args):
+            g = load(args)
+            graphs.append(weakref.ref(g))
+            return g
+
+        def score_spy(measure, g, hierarchy, query, **kwargs):
+            alive.append(graphs[0]() is not None)
+            return score(measure, g, hierarchy, query, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_graph", load_spy)
+        monkeypatch.setattr(cli, "score", score_spy)
+        code, text = run_cli(
+            ["--command", command, "--gen", "ba:300,3", "--measure", measure,
+             "--query", "random:20", "--pivots", "8"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert text.startswith(f"# command={command} ") and " n=300 m=894 " in text
+        assert alive and all(a is not freed for a in alive)
+
     def test_lcc_taken_before_scoring(self, tmp_path):
         path = tmp_path / "two_comp.txt"
         path.write_text("0 1\n1 2\n8 9\n")

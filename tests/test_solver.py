@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from cfcent import (
     ConvergenceError,
     DomainError,
+    Graph,
     laplacian,
     largest_connected_component,
     setup,
@@ -1271,8 +1272,8 @@ class TestJacobiReducedSystem:
         "graph, eliminations, per_column",
         [
             # Every node of BA m0=5 has degree 5 or more: none is eliminated.
-            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), 0, 11, id="ba4000"),
-            pytest.param(_er_graph, 2, 15, id="er"),
+            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), 0, 7, id="ba4000"),
+            pytest.param(_er_graph, 2, 9, id="er"),
         ],
     )
     def test_expanders_take_the_jacobi_branch(self, graph, eliminations, per_column):
@@ -1301,6 +1302,85 @@ class TestJacobiReducedSystem:
         recomputed /= np.linalg.norm(supplies, axis=1)
         assert recomputed.max() <= h.tau
         assert recomputed == pytest.approx(res, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: barabasi_albert_graph(4000, 5, seed=0), id="ba4000"),
+            pytest.param(lambda: barabasi_albert_graph(1000, 3, seed=0), id="ba1000"),
+        ],
+    )
+    def test_the_sweeps_add_only_the_reduced_levels_float32_matrix(self, graph, monkeypatch):
+        lap = laplacian(graph())
+        h = setup(lap)
+        reduced = h.levels[-1]
+        assert solver_module._preconditioner(reduced) == "jacobi"
+        # Without the cast at the end of setup, a probe-passed hierarchy
+        # holds no float32 array; the cast adds the reduced level's
+        # matrix32 and changes nothing else.
+        monkeypatch.setattr(solver_module, "_store_cycle_data_in_single", lambda levels: None)
+        got, want = hierarchy_arrays(h), hierarchy_arrays(setup(lap))
+        top = len(h.levels) - 1
+        assert {key for key in got if "matrix32" in key} == {
+            (top, "matrix32", part) for part in ("data", "indices", "indptr")
+        }
+        assert got.keys() - want.keys() == {key for key in got if "matrix32" in key}
+        for key, array in want.items():
+            assert array.dtype == got[key].dtype and np.array_equal(array, got[key]), key
+        assert reduced.matrix32.dtype == np.float32
+        assert np.array_equal(reduced.matrix32.data, reduced.matrix.data.astype(np.float32))
+        for part in ("indices", "indptr"):
+            shared = getattr(reduced.matrix32, part), getattr(reduced.matrix, part)
+            assert np.shares_memory(*shared) and shared[0].nbytes == shared[1].nbytes
+
+    def test_the_probe_and_the_net_keep_float64_jacobi(self, monkeypatch):
+        # Negated sweeps make <r, z> negative, so every column breaks down
+        # in the main pass and the net finishes it with float64 Jacobi.
+        jacobi, sweeps = solver_module._jacobi, solver_module._jacobi_sweeps
+        outputs = {"jacobi": [], "sweeps": []}
+
+        def spy(name, make):
+            def made(arg):
+                precondition = make(arg)
+
+                def recorded(r):
+                    z = precondition(r)
+                    outputs[name].append(z.dtype)
+                    return -z if name == "sweeps" else z
+
+                return recorded
+
+            return made
+
+        monkeypatch.setattr(solver_module, "_jacobi", spy("jacobi", jacobi))
+        monkeypatch.setattr(solver_module, "_jacobi_sweeps", spy("sweeps", sweeps))
+        g = barabasi_albert_graph(2000, 3, seed=0)
+        h = setup(laplacian(g))
+        assert outputs == {"jacobi": [np.dtype(np.float64)] * 11, "sweeps": []}
+        _, res = solve_many(h, _supplies(g.n, 8))
+        assert outputs["sweeps"] == [np.dtype(np.float32)]
+        assert set(outputs["jacobi"]) == {np.dtype(np.float64)} and len(outputs["jacobi"]) > 11
+        assert h.stats.fallback_solves == 8
+        assert res.max() <= h.tau
+
+    def test_bipartite_hypercube_meets_tau_without_the_net(self):
+        # Q10 is bipartite, so D^-1 L has the eigenvalue 2, where undamped
+        # sweeps (w = 1) would give the preconditioner a null direction.
+        d = 10
+        nodes = np.arange(1 << d)
+        lows = [nodes[(nodes & (1 << bit)) == 0] for bit in range(d)]
+        us = np.concatenate(lows)
+        vs = np.concatenate([low | (1 << bit) for bit, low in enumerate(lows)])
+        g = Graph.from_edges(us, vs, np.ones(us.size), n=nodes.size)
+        lap = laplacian(g)
+        h = setup(lap)
+        assert len(h.levels) == 1 and solver_module._preconditioner(h.levels[0]) == "jacobi"
+        supplies = _supplies(g.n, 16)
+        x, res = solve_many(h, supplies)
+        recomputed = np.linalg.norm(supplies.T - lap @ x.T, axis=0)
+        recomputed /= np.linalg.norm(supplies, axis=1)
+        assert h.stats.fallback_solves == 0
+        assert recomputed.max() <= h.tau and res.max() <= h.tau
 
     def test_the_main_pass_reads_the_nets_cap(self, monkeypatch):
         g = barabasi_albert_graph(4000, 5, seed=0)
